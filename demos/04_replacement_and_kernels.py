@@ -11,10 +11,10 @@ from twkern import (
     BoundariedGraph,
     build_replacement_table,
     compute_signature,
+    equivalence_constant,
     kernelize,
     opt_fast,
     path_graph,
-    test_equivalence,
 )
 from twkern.harness import gen_corpus, verify_kernel_soundness
 from twkern.problems import CATALOG
@@ -32,8 +32,8 @@ for k in range(1, 6):
     print(f"  path of {k} edges: entries={sig.entries} offset={sig.offset}")
 
 print("\nequivalence: paths of the same parity swap at a constant shift")
-print(f"  2-path vs 4-path: c = {test_equivalence(vc, pendant(2), pendant(4))}")
-print(f"  1-path vs 2-path: c = {test_equivalence(vc, pendant(1), pendant(2))}  (distinct classes)")
+print(f"  2-path vs 4-path: c = {equivalence_constant(vc, pendant(2), pendant(4))}")
+print(f"  1-path vs 2-path: c = {equivalence_constant(vc, pendant(1), pendant(2))}  (distinct classes)")
 
 print("\nbuilding the boundary-1 replacement table (certified on small contexts)")
 table = build_replacement_table(vc, 1, 6, certify="light")

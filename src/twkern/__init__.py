@@ -7,19 +7,15 @@ exact oracles.
 """
 
 from .graphs import (
-    AnnotatedBoundariedGraph,
     BoundariedGraph,
     BudgetError,
     Graph,
     Separation,
-    canonical_form,
-    contains_grid_minor,
     contract_edge,
     delete_edge,
     delete_vertex,
     disjoint_union,
     glue,
-    glue_annotated,
     graphs_isomorphic,
     make_gamma,
     make_grid,
@@ -58,9 +54,9 @@ from .replacement import (
     Signature,
     build_replacement_table,
     compute_signature,
+    equivalence_constant,
     kernelize,
     replace_protrusion,
-    test_equivalence,
 )
 from .harness import gen_corpus, run_experiment, verify_kernel_soundness
 

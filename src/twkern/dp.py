@@ -14,10 +14,14 @@ bookkeeping of the feedback-vertex DP and the domination updates exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import product
+from typing import TYPE_CHECKING, Iterable
 
-from .graphs import BudgetError, Graph
+from .graphs import BudgetError, Graph, forest_roots
 from .treedec import TreeDecomposition, heuristic_decomposition
+
+if TYPE_CHECKING:
+    from .problems import ProblemDefinition
 
 DP_WIDTH_BUDGET = 12
 
@@ -119,11 +123,44 @@ def build_program(g: Graph, td: TreeDecomposition, pinned: Iterable[int] = ()) -
 # problem machines
 
 
-class Machine:
-    """Transition rules of one problem; states are hashable interface snapshots."""
+def _label_mask(flags: Iterable) -> int:
+    """Bit i set iff the i-th flag (one per label, in label order) is true."""
+    return sum(1 << i for i, f in enumerate(flags) if f)
 
-    maximize = False
-    name = "?"
+
+def _rgs(block_keys: Iterable) -> tuple[int, ...]:
+    """Restricted growth string: blocks numbered in order of first appearance."""
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in block_keys)
+
+
+def _rgs_strings(k: int) -> list[tuple[int, ...]]:
+    """Restricted growth strings of length k: canonical set partitions."""
+    if k == 0:
+        return [()]
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple[int, ...], mx: int) -> None:
+        if len(prefix) == k:
+            out.append(prefix)
+            return
+        for c in range(mx + 2):
+            rec(prefix + (c,), max(mx, c))
+
+    rec((), -1)
+    return out
+
+
+class Machine:
+    """The tree-decomposition DP of one problem and its boundary states.
+
+    DP states are hashable interface snapshots over vertex ids.  Boundary
+    states ("label space") describe a boundaried gadget's interface by label
+    position instead: `boundary_states` lists them in canonical order,
+    `label_state` translates a DP root state into one, and `brute_state`
+    derives one directly from an interior solution set without the DP, so
+    that the brute-force route stays an independent reference.
+    """
 
     def base(self, pin: frozenset[int]) -> dict:
         raise NotImplementedError
@@ -151,10 +188,22 @@ class Machine:
         """Vertices the state commits to the solution right now."""
         raise NotImplementedError
 
+    def boundary_states(self, b: int) -> tuple:
+        """Canonically ordered boundary states at boundary size b."""
+        raise NotImplementedError
+
+    def label_state(self, state, boundary: tuple[int, ...]):
+        """The boundary state of a DP root state; `boundary` is in label order."""
+        raise NotImplementedError
+
+    def brute_state(self, adj: list[int], boundary: tuple[int, ...], s: int):
+        """The boundary state of interior solution set `s` (a bitmask over the
+        vertices with adjacency masks `adj`), or None when `s` is infeasible
+        away from the boundary."""
+        raise NotImplementedError
+
 
 class VertexCoverMachine(Machine):
-    name = "vertex-cover"
-
     def base(self, pin):
         out = {}
         items = sorted(pin)
@@ -181,19 +230,30 @@ class VertexCoverMachine(Machine):
     def chosen(self, state):
         return frozenset(state)
 
+    def boundary_states(self, b):
+        return tuple(range(1 << b))
+
+    def label_state(self, state, boundary):
+        return _label_mask(v in state for v in boundary)
+
+    def brute_state(self, adj, boundary, s):
+        if any(nb & ~s for v, nb in enumerate(adj) if not s >> v & 1):
+            return None  # an edge with neither end in s
+        return _label_mask(s >> v & 1 for v in boundary)
+
 
 class IndependentSetMachine(VertexCoverMachine):
-    name = "independent-set"
-    maximize = True
-
     def edge(self, state, u, v):
         return None if (u in state and v in state) else state
+
+    def brute_state(self, adj, boundary, s):
+        if any(nb & s for v, nb in enumerate(adj) if s >> v & 1):
+            return None  # an edge with both ends in s
+        return _label_mask(s >> v & 1 for v in boundary)
 
 
 class DominatingSetMachine(Machine):
     """States map each bag vertex to IN / DOM / NEED (not yet dominated)."""
-
-    name = "dominating-set"
 
     def base(self, pin):
         out = {}
@@ -261,12 +321,30 @@ class DominatingSetMachine(Machine):
     def chosen(self, state):
         return frozenset(v for v, s in state if s == IN)
 
+    def boundary_states(self, b):
+        return tuple(product((IN, DOM, NEED), repeat=b))
+
+    def label_state(self, state, boundary):
+        status = dict(state)
+        return tuple(status[v] for v in boundary)
+
+    def brute_state(self, adj, boundary, s):
+        dominated = 0
+        for v, nb in enumerate(adj):
+            if s >> v & 1:
+                dominated |= nb | 1 << v
+        seats = set(boundary)
+        if any(not dominated >> v & 1 for v in range(len(adj)) if v not in seats):
+            return None
+        return tuple(
+            IN if s >> v & 1 else DOM if dominated >> v & 1 else NEED for v in boundary
+        )
+
 
 class FeedbackVertexSetMachine(Machine):
     """States: (deleted bag subset, partition of kept bag vertices into
-    forest components)."""
-
-    name = "feedback-vertex-set"
+    forest components).  Boundary states: (mask of deleted labels, restricted
+    growth string of the kept labels' components)."""
 
     def base(self, pin):
         out = {}
@@ -319,31 +397,16 @@ class FeedbackVertexSetMachine(Machine):
     def join(self, s1, s2):
         dele, blocks1 = s1
         _, blocks2 = s2
-        parent: dict[int, int] = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for b in blocks1:
-            for v in b:
-                parent[v] = v
-        for b in blocks1:
+        links = []
+        for b in (*blocks1, *blocks2):
             vs = sorted(b)
-            for v in vs[1:]:
-                parent[find(v)] = find(vs[0])
-        for b in blocks2:
-            vs = sorted(b)
-            for v in vs[1:]:
-                ra, rb = find(v), find(vs[0])
-                if ra == rb:
-                    return None  # two forests close a cycle
-                parent[ra] = rb
+            links.extend((v, vs[0]) for v in vs[1:])
+        roots = forest_roots((v for b in blocks1 for v in b), links)
+        if roots is None:
+            return None  # two forests close a cycle
         groups: dict[int, set[int]] = {}
-        for v in parent:
-            groups.setdefault(find(v), set()).add(v)
+        for v, r in roots.items():
+            groups.setdefault(r, set()).add(v)
         return (dele, frozenset(frozenset(s) for s in groups.values()))
 
     def join_overlap(self, state):
@@ -352,28 +415,28 @@ class FeedbackVertexSetMachine(Machine):
     def chosen(self, state):
         return frozenset(state[0])
 
+    def boundary_states(self, b):
+        states = []
+        for mask in range(1 << b):
+            kept = [i for i in range(b) if not mask >> i & 1]
+            for rgs in _rgs_strings(len(kept)):
+                states.append((mask, rgs))
+        return tuple(states)
 
-MACHINES: dict[str, Machine] = {
-    m.name: m
-    for m in (
-        VertexCoverMachine(),
-        IndependentSetMachine(),
-        DominatingSetMachine(),
-        FeedbackVertexSetMachine(),
-    )
-}
-# treewidth-modulator problems share their feasibility with classic problems
-MACHINE_ALIASES = {
-    "treewidth-0-modulator": "vertex-cover",
-    "treewidth-1-modulator": "feedback-vertex-set",
-}
+    def label_state(self, state, boundary):
+        dele, blocks = state
+        block_of = {v: blk for blk in blocks for v in blk}
+        mask = _label_mask(v in dele for v in boundary)
+        return (mask, _rgs(block_of[v] for v in boundary if v not in dele))
 
-
-def machine_for(problem_name: str) -> Machine:
-    name = MACHINE_ALIASES.get(problem_name, problem_name)
-    if name not in MACHINES:
-        raise ValueError(f"no tree-decomposition DP for problem {problem_name!r}")
-    return MACHINES[name]
+    def brute_state(self, adj, boundary, s):
+        kept = [v for v in range(len(adj)) if not s >> v & 1]
+        edges = [(u, v) for u in kept for v in kept if u < v and adj[u] >> v & 1]
+        roots = forest_roots(kept, edges)
+        if roots is None:
+            return None
+        mask = _label_mask(s >> v & 1 for v in boundary)
+        return (mask, _rgs(roots[v] for v in boundary if not s >> v & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +455,17 @@ class DPResult:
 
 
 def run_dp(
-    machine: Machine, g: Graph, td: TreeDecomposition, pinned: Iterable[int] = ()
+    p: ProblemDefinition, g: Graph, td: TreeDecomposition, pinned: Iterable[int] = ()
 ) -> DPResult:
-    """Run the DP; tables[i] maps state -> (value, back) for program op i."""
+    """Run the DP of problem p; tables[i] maps state -> (value, back) for
+    program op i."""
+    machine = p.machine
+    if machine is None:
+        raise ValueError(f"no tree-decomposition DP for problem {p.name!r}")
     if td.width > DP_WIDTH_BUDGET:
         raise BudgetError(f"decomposition width {td.width} over DP budget {DP_WIDTH_BUDGET}")
     program = build_program(g, td, pinned)
-    better = max if machine.maximize else min
+    better = max if p.maximize else min
     tables: list[dict] = []
     for op in program:
         if op.kind == "leaf":
@@ -472,37 +539,39 @@ def reconstruct_witness(result: DPResult, root_state) -> frozenset[int]:
 
 
 def solve_via_dp(
-    problem, g: Graph, td: TreeDecomposition
+    problem: ProblemDefinition | str, g: Graph, td: TreeDecomposition
 ) -> tuple[int | float, frozenset[int]]:
     """Optimum value and witness set for a DP-supported problem.
 
-    `problem` is a problem name or an object with a `name` attribute.  Raises
-    for unsupported problems or decompositions over the width budget.
+    `problem` is a ProblemDefinition or its name.  Raises for unsupported
+    problems or decompositions over the width budget.
     """
-    name = problem if isinstance(problem, str) else problem.name
-    machine = machine_for(name)
-    result = run_dp(machine, g, td)
+    if isinstance(problem, str):
+        from .problems import get_problem
+
+        problem = get_problem(problem)
+    result = run_dp(problem, g, td)
     root = result.root_table
     if not root:
-        inf = float("-inf") if machine.maximize else float("inf")
-        return inf, frozenset()
-    better = max if machine.maximize else min
+        return problem.infeasible_value, frozenset()
+    better = max if problem.maximize else min
     state = better(root, key=lambda s: (root[s][0],))
     value = root[state][0]
     return value, reconstruct_witness(result, state)
 
 
 def interface_cost_table(
-    problem, bg_graph: Graph, boundary: tuple[int, ...], td: TreeDecomposition | None = None
+    p: ProblemDefinition,
+    bg_graph: Graph,
+    boundary: tuple[int, ...],
+    td: TreeDecomposition | None = None,
 ) -> dict:
     """Raw interface table: state over `boundary` -> min (max) interior cost.
 
     States at the root are expressed over boundary vertex ids; callers
-    translate them to label space.
+    translate them to label space with `p.machine.label_state`.
     """
-    name = problem if isinstance(problem, str) else problem.name
-    machine = machine_for(name)
     if td is None:
         td = heuristic_decomposition(bg_graph)
-    result = run_dp(machine, bg_graph, td, pinned=boundary)
+    result = run_dp(p, bg_graph, td, pinned=boundary)
     return {s: v for s, (v, _) in result.root_table.items()}

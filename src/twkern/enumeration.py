@@ -11,14 +11,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .graphs import BoundariedGraph, Graph
-
-
-def _adj_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+from .solvers import adjacency_masks
 
 
 def _refine(n: int, masks: list[int], colors: list[int]) -> list[int]:
@@ -43,9 +36,12 @@ def _refine(n: int, masks: list[int], colors: list[int]) -> list[int]:
         colors = new
 
 
-def _leaf_key(n: int, masks: list[int], colors: list[int]) -> tuple:
+def _leaf_key(n: int, masks: list[int], colors: list[int], seats: list[int]) -> tuple:
+    """The graph relabeled by a discrete coloring, with each rank's initial
+    color, so that keys remember where the boundary seats went."""
+    order = sorted(range(n), key=lambda v: (colors[v], v))
     perm = [0] * n
-    for rank, v in enumerate(sorted(range(n), key=lambda v: (colors[v], v))):
+    for rank, v in enumerate(order):
         perm[v] = rank
     bits = 0
     for v in range(n):
@@ -57,11 +53,12 @@ def _leaf_key(n: int, masks: list[int], colors: list[int]) -> tuple:
             if u > v:
                 p, q = sorted((perm[v], perm[u]))
                 bits |= 1 << (p * n + q)
-    color_by_rank = tuple(c for c, _ in sorted(zip(colors, range(n)), key=lambda t: (t[0], t[1])))
-    return (bits, color_by_rank)
+    return (bits, tuple(seats[v] for v in order))
 
 
-def _canon_search(n: int, masks: list[int], colors: list[int], best: list) -> None:
+def _canon_search(
+    n: int, masks: list[int], colors: list[int], seats: list[int], best: list
+) -> None:
     colors = _refine(n, masks, colors)
     cells: dict[int, list[int]] = {}
     for v in range(n):
@@ -72,14 +69,14 @@ def _canon_search(n: int, masks: list[int], colors: list[int], best: list) -> No
             target = cells[c]
             break
     if target is None:
-        key = _leaf_key(n, masks, colors)
+        key = _leaf_key(n, masks, colors, seats)
         if best[0] is None or key < best[0]:
             best[0] = key
         return
     for v in target:
         child = list(colors)
         child[v] = -1  # individualize; refinement renumbers compactly
-        _canon_search(n, masks, child, best)
+        _canon_search(n, masks, child, seats, best)
 
 
 def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
@@ -92,20 +89,19 @@ def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
     n = g.n
     if n == 0:
         return (0, (), ())
-    masks = _adj_masks(g)
+    masks = adjacency_masks(g)
     colors = [0] * n
     for i, v in enumerate(boundary):
         colors[v] = -(i + 1)  # negative: fixed seats, refined into stable ids
     best: list = [None]
-    _canon_search(n, masks, colors, best)
+    _canon_search(n, masks, colors, colors, best)
     return (n,) + best[0]
 
 
 def canonical_key_bg(bg: BoundariedGraph) -> tuple:
     """Canonical key of a boundaried graph (labels must be preserved)."""
-    ordered = tuple(v for _, v in sorted((lab, v) for v, lab in bg.label_of))
     labels = tuple(sorted(bg.label_set))
-    return (labels, canonical_key(bg.graph, ordered))
+    return (labels, canonical_key(bg.graph, bg.boundary))
 
 
 def connected_graphs_where(

@@ -110,9 +110,12 @@ class Graph:
         keep = set(self.vertices) - set(drop)
         return self.induced_subgraph(keep)
 
-    def connected_components(self) -> list[frozenset[int]]:
-        """Components as vertex sets, ordered by smallest contained vertex."""
+    def connected_components(self, avoid: Iterable[int] = ()) -> list[frozenset[int]]:
+        """Components of G - avoid as vertex sets, ordered by smallest
+        contained vertex."""
         seen = [False] * self.n
+        for v in avoid:
+            seen[v] = True
         comps = []
         for start in range(self.n):
             if seen[start]:
@@ -135,21 +138,33 @@ class Graph:
 
     def is_acyclic(self) -> bool:
         """True iff the graph is a forest."""
-        # union-find; a cycle closes when an edge joins an existing component
-        parent = list(range(self.n))
+        return forest_roots(range(self.n), self.edges) is not None
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+def forest_roots(vertices: Iterable[int], edges: Iterable[Edge]) -> dict[int, int] | None:
+    """Union-find over `edges`: the component root of every vertex, or None as
+    soon as an edge closes a cycle (the graph is not a forest).
+
+    Edge endpoints must be among `vertices`.
+    """
+    parent = {v: v for v in vertices}
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            return None
+        parent[u] = v
+    roots = {}
+    for v in parent:
+        r = v
+        while parent[r] != r:
+            r = parent[r]
+        roots[v] = r
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,8 @@ class BoundariedGraph:
 
     @property
     def boundary(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.label_of)
+        """Boundary vertices in label order."""
+        return tuple(v for v, _ in sorted(self.label_of, key=lambda vl: vl[1]))
 
     @property
     def labels(self) -> dict[int, int]:
@@ -326,33 +342,6 @@ class BoundariedGraph:
 
     def is_t_boundaried(self, t: int) -> bool:
         return all(lab <= t for lab in self.label_set)
-
-
-class AnnotatedBoundariedGraph:
-    """A boundaried graph together with an annotated vertex subset."""
-
-    __slots__ = ("base", "annotated")
-
-    def __init__(self, base: BoundariedGraph, annotated: Iterable[int]):
-        ann = frozenset(annotated)
-        for v in ann:
-            if not (0 <= v < base.graph.n):
-                raise ValueError(f"annotated vertex {v} not in graph")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "annotated", ann)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AnnotatedBoundariedGraph is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AnnotatedBoundariedGraph)
-            and self.base == other.base
-            and self.annotated == other.annotated
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.annotated))
 
 
 def glue(
@@ -383,15 +372,6 @@ def glue(
     for u, v in g2.graph.edges:
         edges.add(_norm_edge(heir2[u], heir2[v]))
     return Graph(nxt, edges), heir1, heir2
-
-
-def glue_annotated(
-    a1: AnnotatedBoundariedGraph, a2: AnnotatedBoundariedGraph
-) -> tuple[Graph, frozenset[int]]:
-    """Glue annotated boundaried graphs; annotations map through the heirs."""
-    glued, heir1, heir2 = glue(a1.base, a2.base)
-    ann = {heir1[v] for v in a1.annotated} | {heir2[v] for v in a2.annotated}
-    return glued, frozenset(ann)
 
 
 # ---------------------------------------------------------------------------
@@ -438,102 +418,14 @@ class Separation:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms (small graphs only) and minor containment oracle
-
-
-def canonical_form(g: Graph, max_vertices: int = 8) -> Graph:
-    """Canonical relabeling by exhaustive permutation search; small graphs only.
-
-    Two graphs on at most `max_vertices` vertices are isomorphic iff their
-    canonical forms compare equal.
-    """
-    if g.n > max_vertices:
-        raise BudgetError(f"canonical_form limited to {max_vertices} vertices, got {g.n}")
-    if g.n <= 1:
-        return g
-    best = None
-    verts = range(g.n)
-    for perm in itertools.permutations(verts):
-        key = tuple(sorted(_norm_edge(perm[u], perm[v]) for u, v in g.edges))
-        if best is None or key < best:
-            best = key
-    return Graph(g.n, best)
+# isomorphism
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Isomorphism check: canonical forms up to 8 vertices, refinement search above."""
+    """Isomorphism check by canonical keys (color refinement plus
+    individualization)."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    if g1.n <= 8:
-        return canonical_form(g1) == canonical_form(g2)
     from .enumeration import canonical_key
 
     return canonical_key(g1) == canonical_key(g2)
-
-
-def _subgraph_embeds(pattern: Graph, host: Graph) -> bool:
-    """Backtracking test: does `host` contain `pattern` as a subgraph?"""
-    if pattern.n > host.n or pattern.m > host.m:
-        return False
-    # order pattern vertices to keep partial assignments connected when possible
-    order = sorted(pattern.vertices, key=lambda v: -pattern.degree(v))
-    assigned: dict[int, int] = {}
-    used = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        p = order[i]
-        need = [assigned[q] for q in pattern.neighbors(p) if q in assigned]
-        if need:
-            candidates = set(host.neighbors(need[0]))
-            for h in need[1:]:
-                candidates &= host.neighbors(h)
-            candidates -= used
-        else:
-            candidates = set(host.vertices) - used
-        for h in sorted(candidates):
-            if host.degree(h) < pattern.degree(p):
-                continue
-            assigned[p] = h
-            used.add(h)
-            if extend(i + 1):
-                return True
-            del assigned[p]
-            used.discard(h)
-        return False
-
-    return extend(0)
-
-
-def contains_grid_minor(g: Graph, t: int, max_vertices: int = 14) -> bool:
-    """Test-only oracle: does g contain the t x t grid as a minor?
-
-    Exhaustive search over edge-contraction sequences with a subgraph-embedding
-    base case at every level.  Hard budget on instance size; production code
-    never calls this.
-    """
-    if t < 1 or t > 3:
-        raise ValueError("grid minor oracle supports 1 <= t <= 3")
-    if g.n > max_vertices:
-        raise BudgetError(f"instance too large for grid-minor oracle (n={g.n} > {max_vertices})")
-    if t == 1:
-        return g.n >= 1
-    target = make_grid(t)
-    level = {g}
-    seen = set()
-    while level:
-        nxt = set()
-        for h in level:
-            if h.n < target.n or h.m < target.m:
-                continue
-            if _subgraph_embeds(target, h):
-                return True
-            for u, v in h.edges:
-                c = contract_edge(h, u, v)
-                key = (c.n, c.edges)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.add(c)
-        level = nxt
-    return False

@@ -12,19 +12,11 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .dp import MACHINE_ALIASES, MACHINES, solve_via_dp
-from .graphs import Graph, disjoint_union, make_grid
+from .dp import solve_via_dp
+from .graphs import BudgetError, Graph, disjoint_union, make_grid
 from .problems import ProblemDefinition, brute_budget, opt_brute, opt_fast
 from .replacement import KernelInstance, ReplacementTable, kernelize
 from .treedec import heuristic_decomposition
-
-# widths beyond which the reference oracle falls back to subset enumeration
-_DP_WIDTH_CAP = {
-    "vertex-cover": 10,
-    "independent-set": 10,
-    "dominating-set": 7,
-    "feedback-vertex-set": 5,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +114,10 @@ def reference_oracle(p: ProblemDefinition, g: Graph):
     """Reference optimum: tree-decomposition DP when the problem is supported
     and the decomposition is narrow enough, plain subset enumeration otherwise.
     """
-    name = MACHINE_ALIASES.get(p.name, p.name)
-    if name in MACHINES:
+    if p.dp_width_cap is not None:
         td = heuristic_decomposition(g)
-        if td.width <= _DP_WIDTH_CAP[name]:
-            return solve_via_dp(p.name, g, td)[0]
+        if td.width <= p.dp_width_cap:
+            return solve_via_dp(p, g, td)[0]
     return opt_brute(p, g)[0]
 
 
@@ -255,14 +246,12 @@ def experiment_k(p: ProblemDefinition, g: Graph) -> int:
     """
     if g.n <= brute_budget():
         opt = opt_fast(p, g)[0]
-        return 0 if isinstance(opt, float) else int(opt)
-    name = MACHINE_ALIASES.get(p.name, p.name)
-    if name in MACHINES:
-        td = heuristic_decomposition(g)
-        if td.width <= _DP_WIDTH_CAP[name]:
-            opt = solve_via_dp(p.name, g, td)[0]
-            return 0 if isinstance(opt, float) else int(opt)
-    return 0
+    else:
+        try:
+            opt = reference_oracle(p, g)
+        except BudgetError:  # too wide for the DP, too large to enumerate
+            return 0
+    return 0 if isinstance(opt, float) else int(opt)
 
 
 def run_experiment(

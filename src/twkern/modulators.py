@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import BudgetError, Graph, Separation
+from .graphs import BudgetError, Graph, Separation, forest_roots
 from .treedec import (
     TreeDecomposition,
     exact_treewidth,
@@ -18,27 +18,6 @@ from .treedec import (
     treewidth_at_most,
     validate_decomposition,
 )
-
-
-def _components_avoiding(g: Graph, avoid: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of G - avoid, ordered by smallest vertex."""
-    seen = set(avoid)
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def balanced_separation(g: Graph, q, td: TreeDecomposition) -> Separation:
@@ -54,7 +33,7 @@ def balanced_separation(g: Graph, q, td: TreeDecomposition) -> Separation:
         return Separation((), ())
     cap = -(-2 * len(qs) // 3)
     for bag in td.bags:
-        comps = _components_avoiding(g, bag)
+        comps = g.connected_components(avoid=bag)
         weights = [len(c & qs) for c in comps]
         total = sum(weights)
         lo = max(0, total - cap)
@@ -107,22 +86,9 @@ def _eta_feasible(g: Graph, drop: frozenset[int], eta: int) -> bool:
     if eta == 0:
         return all(u in drop or v in drop for u, v in g.edges)
     if eta == 1:
-        parent = {v: v for v in g.vertices if v not in drop}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in g.edges:
-            if u in drop or v in drop:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        kept = [v for v in g.vertices if v not in drop]
+        edges = [(u, v) for u, v in g.edges if u not in drop and v not in drop]
+        return forest_roots(kept, edges) is not None
     sub, _ = g.delete_vertices(drop)
     return treewidth_at_most(sub, eta) is not None
 

@@ -1,8 +1,8 @@
 """Catalog of vertex subset problems with feasibility predicates and oracles.
 
 `opt_brute` is the reference oracle: plain subset enumeration ordered by size,
-driven only by the feasibility predicate.  `opt_fast` dispatches to the
-branch-and-bound solvers and is validated against `opt_brute` in the tests.
+driven only by the feasibility predicate.  `opt_fast` runs the problem's
+branch-and-bound solver and is validated against `opt_brute` in the tests.
 """
 
 from __future__ import annotations
@@ -14,6 +14,13 @@ from itertools import combinations
 from typing import Callable
 
 from . import solvers
+from .dp import (
+    DominatingSetMachine,
+    FeedbackVertexSetMachine,
+    IndependentSetMachine,
+    Machine,
+    VertexCoverMachine,
+)
 from .graphs import BudgetError, Graph
 from .treedec import treewidth_at_most
 
@@ -27,19 +34,24 @@ def brute_budget() -> int:
 
 @dataclass(frozen=True)
 class ProblemDefinition:
-    """A vertex subset problem: optimize |S| subject to feasibility(G, S)."""
+    """A vertex subset problem: optimize |S| subject to feasibility(G, S).
+
+    This is the one record per problem: a new problem is one CATALOG entry.
+    `solver` is the exact branch-and-bound oracle.  `machine` is the
+    tree-decomposition DP that computes optima and boundary signatures, None
+    when the problem has none (no signatures, no replacement tables).
+    `dp_width_cap` is the decomposition width up to which the reference
+    oracle trusts the DP over subset enumeration.
+    """
 
     name: str
-    kind: str  # "min" or "max"
-    subset_kind: str  # only "vertex" problems are cataloged
     feasibility: Callable[[Graph, frozenset[int]], bool]
     separability_f: Callable[[int], int]
+    solver: Callable[[Graph], tuple[int | float, frozenset[int] | None]]
+    maximize: bool
     minor_closed: bool
-    contraction_closed: bool
-
-    @property
-    def maximize(self) -> bool:
-        return self.kind == "max"
+    machine: Machine | None = None
+    dp_width_cap: int | None = None
 
     @property
     def infeasible_value(self) -> float:
@@ -102,27 +114,43 @@ def _linear(t: int) -> int:
     return t
 
 
+_VERTEX_COVER = VertexCoverMachine()
+_FEEDBACK_VERTEX_SET = FeedbackVertexSetMachine()
+
 CATALOG: dict[str, ProblemDefinition] = {
     p.name: p
     for p in (
-        ProblemDefinition("vertex-cover", "min", "vertex", phi_vertex_cover, _linear, True, True),
         ProblemDefinition(
-            "independent-set", "max", "vertex", phi_independent_set, _linear, False, True
+            "vertex-cover", phi_vertex_cover, _linear, solvers.vertex_cover_opt,
+            maximize=False, minor_closed=True, machine=_VERTEX_COVER, dp_width_cap=10,
         ),
         ProblemDefinition(
-            "dominating-set", "min", "vertex", phi_dominating_set, lambda t: 2 * t, False, True
+            "independent-set", phi_independent_set, _linear, solvers.independent_set_opt,
+            maximize=True, minor_closed=False, machine=IndependentSetMachine(), dp_width_cap=10,
         ),
         ProblemDefinition(
-            "feedback-vertex-set", "min", "vertex", phi_feedback_vertex_set, _linear, True, True
+            "dominating-set", phi_dominating_set, lambda t: 2 * t, solvers.dominating_set_opt,
+            maximize=False, minor_closed=False, machine=DominatingSetMachine(), dp_width_cap=7,
         ),
         ProblemDefinition(
-            "cycle-packing", "max", "vertex", phi_cycle_packing, _linear, True, True
+            "feedback-vertex-set", phi_feedback_vertex_set, _linear,
+            solvers.feedback_vertex_set_opt,
+            maximize=False, minor_closed=True, machine=_FEEDBACK_VERTEX_SET, dp_width_cap=5,
         ),
         ProblemDefinition(
-            "treewidth-0-modulator", "min", "vertex", _phi_tw_modulator(0), _linear, True, True
+            "cycle-packing", phi_cycle_packing, _linear, solvers.cycle_packing_opt,
+            maximize=True, minor_closed=True,
+        ),
+        # a treewidth-0 (1-) modulator is exactly a vertex cover (feedback
+        # vertex set), so these share that problem's solver and DP
+        ProblemDefinition(
+            "treewidth-0-modulator", _phi_tw_modulator(0), _linear, solvers.vertex_cover_opt,
+            maximize=False, minor_closed=True, machine=_VERTEX_COVER, dp_width_cap=10,
         ),
         ProblemDefinition(
-            "treewidth-1-modulator", "min", "vertex", _phi_tw_modulator(1), _linear, True, True
+            "treewidth-1-modulator", _phi_tw_modulator(1), _linear,
+            solvers.feedback_vertex_set_opt,
+            maximize=False, minor_closed=True, machine=_FEEDBACK_VERTEX_SET, dp_width_cap=5,
         ),
     )
 }
@@ -173,20 +201,9 @@ def opt_brute(
     return p.infeasible_value, None
 
 
-_FAST = {
-    "vertex-cover": solvers.vertex_cover_opt,
-    "independent-set": solvers.independent_set_opt,
-    "dominating-set": solvers.dominating_set_opt,
-    "feedback-vertex-set": solvers.feedback_vertex_set_opt,
-    "cycle-packing": solvers.cycle_packing_opt,
-    "treewidth-0-modulator": solvers.vertex_cover_opt,
-    "treewidth-1-modulator": solvers.feedback_vertex_set_opt,
-}
-
-
 def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[int] | None]:
     """Branch-and-bound oracle; exact, validated against opt_brute in tests."""
-    return _FAST[p.name](g)
+    return p.solver(g)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .graphs import Graph
-from .modulators import Modulator, _components_avoiding, balanced_separation
+from .modulators import Modulator, balanced_separation
 from .treedec import (
     TreeDecomposition,
     ValidationResult,
@@ -147,7 +147,7 @@ def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
     def base_components(sub: Graph, old: tuple[int, ...], mod: frozenset[int]):
         core = {old[v] for v in mod}
         parts = []
-        for comp in _components_avoiding(sub, mod):
+        for comp in sub.connected_components(avoid=mod):
             parts.append(frozenset(old[v] for v in comp))
         return core, parts
 
@@ -265,7 +265,7 @@ def iter_protrusions(
         for b in range(t + 1):
             for combo in combinations(verts, b):
                 bset = frozenset(combo)
-                comps = _components_avoiding(g, bset)
+                comps = g.connected_components(avoid=bset)
                 if len(comps) > 1:
                     largest = max(range(len(comps)), key=lambda i: (len(comps[i]), i))
                     merged = bset.union(

@@ -18,18 +18,18 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import problems as problems_mod
-from .dp import DP_WIDTH_BUDGET, interface_cost_table, machine_for
+from .dp import DP_WIDTH_BUDGET, interface_cost_table
 from .enumeration import boundaried_universe
 from .graphs import BoundariedGraph, BudgetError, Graph, glue
+from .io import ParseError
 from .problems import ProblemDefinition, opt_fast
 from .protrusions import Protrusion, iter_protrusions, validate_protrusion
+from .solvers import adjacency_masks
 from .treedec import exact_treewidth, heuristic_decomposition
 
 logger = logging.getLogger(__name__)
 
 BRUTE_SIGNATURE_BUDGET = 16
-
-IN, DOM, NEED = 0, 1, 2
 
 
 class TableConstructionError(RuntimeError):
@@ -37,96 +37,19 @@ class TableConstructionError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# canonical boundary state spaces
-
-
-def _rgs_strings(k: int) -> list[tuple[int, ...]]:
-    """Restricted growth strings of length k: canonical set partitions."""
-    if k == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], mx: int) -> None:
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        for c in range(mx + 2):
-            rec(prefix + (c,), max(mx, c))
-
-    rec((), -1)
-    return out
-
-
-@lru_cache(maxsize=64)
-def state_space(problem_name: str, b: int) -> tuple:
-    """Canonically ordered boundary states for a problem at boundary size b."""
-    kind = machine_for(problem_name).name
-    if kind in ("vertex-cover", "independent-set"):
-        return tuple(range(1 << b))
-    if kind == "dominating-set":
-        states = []
-
-        def rec(prefix: tuple[int, ...]) -> None:
-            if len(prefix) == b:
-                states.append(prefix)
-                return
-            for st in (IN, DOM, NEED):
-                rec(prefix + (st,))
-
-        rec(())
-        return tuple(states)
-    if kind == "feedback-vertex-set":
-        states = []
-        for mask in range(1 << b):
-            kept = [i for i in range(b) if not mask >> i & 1]
-            for rgs in _rgs_strings(len(kept)):
-                states.append((mask, rgs))
-        return tuple(states)
-    raise ValueError(f"no signature state space for {problem_name!r}")
-
-
-def _blocks_to_rgs(kept_order: list[int], blocks) -> tuple[int, ...]:
-    """Translate a partition into the canonical restricted growth string."""
-    block_id: dict = {}
-    labels = []
-    nxt = 0
-    member_of = {}
-    for blk in blocks:
-        for v in blk:
-            member_of[v] = blk
-    for v in kept_order:
-        blk = member_of[v]
-        if blk not in block_id:
-            block_id[blk] = nxt
-            nxt += 1
-        labels.append(block_id[blk])
-    return tuple(labels)
-
-
-# ---------------------------------------------------------------------------
 # raw cost tables: DP route and brute route
 
 
+@lru_cache(maxsize=64)
+def state_space(p: ProblemDefinition, b: int) -> tuple:
+    """Canonically ordered boundary states for a problem at boundary size b."""
+    return p.machine.boundary_states(b)
+
+
 def _raw_table_dp(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
-    boundary = tuple(v for _, v in sorted((lab, v) for v, lab in bg.label_of))
-    pos = {v: i for i, v in enumerate(boundary)}
-    table = interface_cost_table(p.name, bg.graph, boundary)
-    kind = machine_for(p.name).name
-    out = {}
-    if kind in ("vertex-cover", "independent-set"):
-        for state, cost in table.items():
-            mask = sum(1 << pos[v] for v in state)
-            out[mask] = cost
-    elif kind == "dominating-set":
-        for state, cost in table.items():
-            status = dict(state)
-            out[tuple(status[v] for v in boundary)] = cost
-    else:  # feedback-vertex-set
-        for (dele, blocks), cost in table.items():
-            mask = sum(1 << pos[v] for v in dele)
-            kept = [v for v in boundary if v not in dele]
-            out[(mask, _blocks_to_rgs(kept, blocks))] = cost
-    return out
+    boundary = bg.boundary
+    table = interface_cost_table(p, bg.graph, boundary)
+    return {p.machine.label_state(state, boundary): cost for state, cost in table.items()}
 
 
 def _raw_table_brute(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
@@ -134,83 +57,17 @@ def _raw_table_brute(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
     g = bg.graph
     if g.n > BRUTE_SIGNATURE_BUDGET:
         raise BudgetError(f"brute signature budget is {BRUTE_SIGNATURE_BUDGET} (got {g.n})")
-    boundary = tuple(v for _, v in sorted((lab, v) for v, lab in bg.label_of))
-    pos = {v: i for i, v in enumerate(boundary)}
-    bset = frozenset(boundary)
-    kind = machine_for(p.name).name
-    edge_masks = [(1 << u) | (1 << v) for u, v in sorted(g.edges)]
-    closed = [0] * g.n
-    for v in g.vertices:
-        closed[v] = 1 << v
-        for u in g.neighbors(v):
-            closed[v] |= 1 << u
+    boundary = bg.boundary
+    adj = adjacency_masks(g)
     better = max if p.maximize else min
     out: dict = {}
-
-    def record(state, cost: int) -> None:
-        if state not in out or better(cost, out[state]) == cost:
-            out[state] = cost
-
     for smask in range(1 << g.n):
+        state = p.machine.brute_state(adj, boundary, smask)
+        if state is None:
+            continue
         size = bin(smask).count("1")
-        if kind == "vertex-cover":
-            if any(em & smask == 0 for em in edge_masks):
-                continue
-            record(sum(1 << pos[v] for v in bset if smask >> v & 1), size)
-        elif kind == "independent-set":
-            if any(em & smask == em for em in edge_masks):
-                continue
-            record(sum(1 << pos[v] for v in bset if smask >> v & 1), size)
-        elif kind == "dominating-set":
-            dominated = 0
-            for v in g.vertices:
-                if smask >> v & 1:
-                    dominated |= closed[v]
-            ok = True
-            status = []
-            for v in g.vertices:
-                if v in bset:
-                    continue
-                if not dominated >> v & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for v in boundary:
-                if smask >> v & 1:
-                    status.append(IN)
-                elif dominated >> v & 1:
-                    status.append(DOM)
-                else:
-                    status.append(NEED)
-            record(tuple(status), size)
-        else:  # feedback-vertex-set
-            parent = {v: v for v in g.vertices if not smask >> v & 1}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            acyclic = True
-            for u, v in g.edges:
-                if smask >> u & 1 or smask >> v & 1:
-                    continue
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
-                parent[ru] = rv
-            if not acyclic:
-                continue
-            mask = sum(1 << pos[v] for v in bset if smask >> v & 1)
-            kept = [v for v in boundary if not smask >> v & 1]
-            roots: dict[int, list[int]] = {}
-            for v in kept:
-                roots.setdefault(find(v), []).append(v)
-            blocks = [frozenset(vs) for vs in roots.values()]
-            record((mask, _blocks_to_rgs(kept, blocks)), size)
+        if state not in out or better(size, out[state]) == size:
+            out[state] = size
     return out
 
 
@@ -239,7 +96,7 @@ class Signature:
 
 
 def _normalize(p: ProblemDefinition, raw: dict, b: int) -> Signature:
-    states = state_space(p.name, b)
+    states = state_space(p, b)
     if not raw:
         return Signature(p.name, b, (None,) * len(states), 0)
     window = 2 * p.separability_f(b)
@@ -261,6 +118,8 @@ def compute_signature(p: ProblemDefinition, bg: BoundariedGraph, method: str = "
     plain interior enumeration is the reference route for small gadgets and
     the fallback when the decomposition is too wide.
     """
+    if p.machine is None:
+        raise ValueError(f"no boundary signatures for problem {p.name!r}")
     b = len(bg.label_of)
     if method == "brute":
         return _normalize(p, _raw_table_brute(p, bg), b)
@@ -276,7 +135,7 @@ def compute_signature(p: ProblemDefinition, bg: BoundariedGraph, method: str = "
     )
 
 
-def test_equivalence(
+def equivalence_constant(
     p: ProblemDefinition, g1: BoundariedGraph, g2: BoundariedGraph
 ) -> int | None:
     """Transposition constant c with OPT(g2 ⊕ F) = OPT(g1 ⊕ F) + c for every
@@ -432,7 +291,6 @@ def build_replacement_table(
         raise BudgetError("replacement tables support boundary size at most 3")
     if size_bound > 9:
         raise BudgetError("replacement table size bound is at most 9")
-    machine_for(p.name)  # unsupported problems fail fast
     rng = random.Random(rng_seed)
     rows: dict[tuple, TableRow] = {}
     rep_caches: dict[tuple, dict] = {}
@@ -452,6 +310,7 @@ def build_replacement_table(
             extra = ()
         else:
             raise ValueError(f"unknown certification level {certify!r}")
+        probes = contexts + extra
         for bg in members:
             sig = compute_signature(p, bg)
             key = sig.key
@@ -460,11 +319,9 @@ def build_replacement_table(
                 rep_caches[key] = {}
                 continue
             row = rows[key]
-            if certify != "off":
+            if probes:
                 c = row.rep_offset - sig.offset
-                certify_pair(p, bg, row.representative, c, contexts, rep_caches[key])
-                if extra:
-                    certify_pair(p, bg, row.representative, c, extra)
+                certify_pair(p, bg, row.representative, c, probes, rep_caches[key])
     return ReplacementTable(p.name, t, rows)
 
 
@@ -656,38 +513,91 @@ def format_table(table: ReplacementTable) -> str:
 
 
 def parse_table(text: str) -> ReplacementTable:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("table "):
-        raise ValueError("missing table header")
-    _, problem, t_s, _max_rep, nrows_s = lines[0].split()
-    t, nrows = int(t_s), int(nrows_s)
-    p = problems_mod.get_problem(problem)
+    """Parse a table written by `format_table` and check it on load.
+
+    Every row's signature and offset are recomputed from its representative.
+    A malformed or truncated file, a row that disagrees with its
+    representative, labels other than 1..b, b > t, or a header whose row count
+    or max_rep_size disagrees with the rows raise ParseError naming the line.
+    """
+    lines = [
+        (i + 1, ln.split())
+        for i, ln in enumerate(text.splitlines())
+        if ln.strip() and not ln.startswith("#")
+    ]
+    pos = 0
+
+    def take(head: str | None, arity: int | None) -> tuple[int, list[str]]:
+        """The next line's number and tokens after `head` (if given), of which
+        there must be `arity` (if given)."""
+        nonlocal pos
+        if pos == len(lines):
+            last = lines[-1][0] if lines else 1
+            raise ParseError(last, f"table ends early, expected {head or 'a line of integers'!r}")
+        no, toks = lines[pos]
+        pos += 1
+        if head is not None:
+            if toks[0] != head:
+                raise ParseError(no, f"expected {head!r} line, got {' '.join(toks)!r}")
+            toks = toks[1:]
+        if arity is not None and len(toks) != arity:
+            raise ParseError(no, f"expected {arity} values, got {' '.join(toks)!r}")
+        return no, toks
+
+    def ints(no: int, toks: list[str]) -> list[int]:
+        try:
+            return [int(tok) for tok in toks]
+        except ValueError:
+            raise ParseError(no, f"expected integers, got {' '.join(toks)!r}") from None
+
+    head_no, toks = take("table", 4)
+    problem = toks[0]
+    t, max_rep, nrows = ints(head_no, toks[1:])
+    try:
+        p = problems_mod.get_problem(problem)
+    except ValueError as e:
+        raise ParseError(head_no, str(e)) from None
+    if p.machine is None:
+        raise ParseError(head_no, f"problem {problem!r} has no boundary signatures")
     rows: dict[tuple, TableRow] = {}
-    i = 1
-    for _ in range(nrows):
-        if not lines[i].startswith("row "):
-            raise ValueError(f"expected row header at line {i + 1}")
-        _, b_s, off_s = lines[i].split()
-        b, rep_offset = int(b_s), int(off_s)
-        i += 1
-        if not lines[i].startswith("sig "):
-            raise ValueError(f"expected signature at line {i + 1}")
-        entries = tuple(None if tok == "inf" else int(tok) for tok in lines[i].split()[1:])
-        i += 1
-        n, m = (int(tok) for tok in lines[i].split())
-        i += 1
-        edges = []
-        for _ in range(m):
-            u, v = (int(tok) for tok in lines[i].split())
-            edges.append((u - 1, v - 1))
-            i += 1
+    while pos < len(lines):
+        row_no, toks = take("row", 2)
+        b, rep_offset = ints(row_no, toks)
+        if not 0 <= b <= t:
+            raise ParseError(row_no, f"boundary size {b} outside 0..t={t}")
+        no, toks = take("sig", None)
+        entries = tuple(None if tok == "inf" else ints(no, [tok])[0] for tok in toks)
+        no, toks = take(None, 2)
+        n, m = ints(no, toks)
+        edges = [tuple(v - 1 for v in ints(*take(None, 2))) for _ in range(m)]
         labels = {}
-        while lines[i] != "endrow":
-            _, v_s, lab_s = lines[i].split()
-            labels[int(v_s) - 1] = int(lab_s)
-            i += 1
-        i += 1
-        rep = BoundariedGraph(Graph(n, edges), labels)
-        sig = Signature(problem, b, entries, rep_offset)
+        for _ in range(b):
+            v, lab = ints(*take("b", 2))
+            labels[v - 1] = lab
+        take("endrow", 0)
+        if sorted(labels.values()) != list(range(1, b + 1)) or len(labels) != b:
+            raise ParseError(row_no, f"row labels must be 1..{b} on distinct vertices")
+        try:
+            rep = BoundariedGraph(Graph(n, edges), labels)
+            sig = compute_signature(p, rep)
+        except ValueError as e:  # BudgetError included
+            raise ParseError(row_no, f"bad representative: {e}") from None
+        if rep.graph.m != m:
+            raise ParseError(row_no, "representative lists a repeated edge")
+        if (sig.entries, sig.offset) != (entries, rep_offset):
+            raise ParseError(
+                row_no,
+                f"row has signature {entries} offset {rep_offset}, but its representative "
+                f"has {sig.entries} offset {sig.offset}",
+            )
+        if sig.key in rows:
+            raise ParseError(row_no, "duplicate signature")
         rows[sig.key] = TableRow(sig, rep, rep_offset)
-    return ReplacementTable(problem, t, rows)
+    table = ReplacementTable(problem, t, rows)
+    if len(rows) != nrows or table.max_rep_size != max_rep:
+        raise ParseError(
+            head_no,
+            f"header declares {nrows} rows with max_rep_size {max_rep}, the file has "
+            f"{len(rows)} rows with max_rep_size {table.max_rep_size}",
+        )
+    return table

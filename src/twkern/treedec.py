@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .graphs import BudgetError, Graph
+from .graphs import BudgetError, Graph, forest_roots
 
 
 class TreeDecomposition:
@@ -80,24 +80,11 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationResult:
         if g.n == 0:
             return ValidationResult(True)
         return ValidationResult(False, "empty decomposition for nonempty graph")
-    # tree shape: connected and acyclic on k nodes
+    # tree shape: k - 1 edges and no cycle on k nodes, hence also connected
     if len(td.tree_edges) != k - 1:
         return ValidationResult(False, f"tree must have {k - 1} edges, has {len(td.tree_edges)}")
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in td.tree_edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return ValidationResult(False, f"tree edge ({a},{b}) closes a cycle")
-        parent[ra] = rb
-    if len({find(i) for i in range(k)}) != 1:
-        return ValidationResult(False, "decomposition tree is disconnected")
+    if forest_roots(range(k), td.tree_edges) is None:
+        return ValidationResult(False, "decomposition tree has a cycle")
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):

@@ -1,0 +1,134 @@
+"""Test-only oracles: exhaustive canonical forms, grid-minor containment and
+annotated boundaried graphs.
+
+They are slow, exhaustive references that the package code is checked
+against; nothing in the package uses them.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable
+
+from twkern.graphs import BoundariedGraph, BudgetError, Graph, contract_edge, glue, make_grid
+
+
+class AnnotatedBoundariedGraph:
+    """A boundaried graph together with an annotated vertex subset."""
+
+    __slots__ = ("base", "annotated")
+
+    def __init__(self, base: BoundariedGraph, annotated: Iterable[int]):
+        ann = frozenset(annotated)
+        for v in ann:
+            if not (0 <= v < base.graph.n):
+                raise ValueError(f"annotated vertex {v} not in graph")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "annotated", ann)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AnnotatedBoundariedGraph is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AnnotatedBoundariedGraph)
+            and self.base == other.base
+            and self.annotated == other.annotated
+        )
+
+    def __hash__(self):
+        return hash((self.base, self.annotated))
+
+
+def glue_annotated(
+    a1: AnnotatedBoundariedGraph, a2: AnnotatedBoundariedGraph
+) -> tuple[Graph, frozenset[int]]:
+    """Glue annotated boundaried graphs; annotations map through the heirs."""
+    glued, heir1, heir2 = glue(a1.base, a2.base)
+    ann = {heir1[v] for v in a1.annotated} | {heir2[v] for v in a2.annotated}
+    return glued, frozenset(ann)
+
+
+def canonical_form(g: Graph, max_vertices: int = 8) -> Graph:
+    """Canonical relabeling by exhaustive permutation search; small graphs only.
+
+    Two graphs on at most `max_vertices` vertices are isomorphic iff their
+    canonical forms compare equal.
+    """
+    if g.n > max_vertices:
+        raise BudgetError(f"canonical_form limited to {max_vertices} vertices, got {g.n}")
+    if g.n <= 1:
+        return g
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        key = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+        if best is None or key < best:
+            best = key
+    return Graph(g.n, best)
+
+
+def _subgraph_embeds(pattern: Graph, host: Graph) -> bool:
+    """Backtracking test: does `host` contain `pattern` as a subgraph?"""
+    if pattern.n > host.n or pattern.m > host.m:
+        return False
+    # order pattern vertices to keep partial assignments connected when possible
+    order = sorted(pattern.vertices, key=lambda v: -pattern.degree(v))
+    assigned: dict[int, int] = {}
+    used = set()
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        p = order[i]
+        need = [assigned[q] for q in pattern.neighbors(p) if q in assigned]
+        if need:
+            candidates = set(host.neighbors(need[0]))
+            for h in need[1:]:
+                candidates &= host.neighbors(h)
+            candidates -= used
+        else:
+            candidates = set(host.vertices) - used
+        for h in sorted(candidates):
+            if host.degree(h) < pattern.degree(p):
+                continue
+            assigned[p] = h
+            used.add(h)
+            if extend(i + 1):
+                return True
+            del assigned[p]
+            used.discard(h)
+        return False
+
+    return extend(0)
+
+
+def contains_grid_minor(g: Graph, t: int, max_vertices: int = 14) -> bool:
+    """Does g contain the t x t grid as a minor?
+
+    Exhaustive search over edge-contraction sequences with a subgraph-embedding
+    base case at every level.  Hard budget on instance size.
+    """
+    if t < 1 or t > 3:
+        raise ValueError("grid minor oracle supports 1 <= t <= 3")
+    if g.n > max_vertices:
+        raise BudgetError(f"instance too large for grid-minor oracle (n={g.n} > {max_vertices})")
+    if t == 1:
+        return g.n >= 1
+    target = make_grid(t)
+    level = {g}
+    seen = set()
+    while level:
+        nxt = set()
+        for h in level:
+            if h.n < target.n or h.m < target.m:
+                continue
+            if _subgraph_embeds(target, h):
+                return True
+            for u, v in h.edges:
+                c = contract_edge(h, u, v)
+                key = (c.n, c.edges)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.add(c)
+        level = nxt
+    return False

@@ -11,14 +11,11 @@ from twkern.graphs import (
     BudgetError,
     Graph,
     Separation,
-    canonical_form,
-    contains_grid_minor,
     contract_edge,
     delete_edge,
     delete_vertex,
     disjoint_union,
     glue,
-    glue_annotated,
     graphs_isomorphic,
     grid_vertex,
     make_gamma,
@@ -27,9 +24,14 @@ from twkern.graphs import (
     path_graph,
     complete_graph,
 )
-from twkern.graphs import AnnotatedBoundariedGraph
 
 from conftest import random_graph
+from graph_oracles import (
+    AnnotatedBoundariedGraph,
+    canonical_form,
+    contains_grid_minor,
+    glue_annotated,
+)
 
 
 class TestGraphBasics:
@@ -298,6 +300,21 @@ class TestCanonicalForms:
             exhaustive = canonical_form(g1) == canonical_form(g2)
             fast = canonical_key(g1) == canonical_key(g2)
             assert exhaustive == fast
+
+
+    def test_key_remembers_the_boundary_seat(self):
+        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert canonical_key(star, (0,)) != canonical_key(star, (1,))
+        assert canonical_key(star, (1,)) == canonical_key(star, (3,))
+
+    def test_rooted_context_counts_match_oeis(self):
+        # connected rooted graphs by vertex count: OEIS A126100
+        from twkern.replacement import certificate_contexts
+
+        counts = [0] * 6
+        for bg in certificate_contexts(1, 6):
+            counts[bg.graph.n - 1] += 1
+        assert tuple(counts) == (1, 1, 3, 11, 58, 407)
 
 
 class TestGridMinorOracle:

@@ -14,12 +14,12 @@ from twkern.replacement import (
     certify_pair,
     compute_signature,
     count_signature_classes,
+    equivalence_constant,
     format_table,
     kernelize,
     parse_table,
     replace_protrusion,
 )
-from twkern.replacement import test_equivalence as equivalence_constant
 
 from conftest import sparse_random_graph
 
@@ -167,6 +167,39 @@ class TestTableConstruction:
         assert format_table(again) == text
         assert len(again) == len(vc_table)
         assert again.max_rep_size == vc_table.max_rep_size
+
+    def test_parse_rejects_edited_offset(self, vc_table):
+        from twkern.io import ParseError
+
+        text = format_table(vc_table)
+        assert "row 1 1\n" in text
+        with pytest.raises(ParseError, match="offset"):
+            parse_table(text.replace("row 1 1\n", "row 1 -5\n", 1))
+
+    def test_parse_rejects_truncated_files(self, vc_table):
+        from twkern.io import ParseError
+
+        text = format_table(vc_table)
+        cuts = [len(text) // 3, len(text) // 2, len(text) - 10, text.rindex("row ")]
+        for cut in cuts:
+            with pytest.raises(ParseError):
+                parse_table(text[:cut])
+
+    def test_parse_rejects_header_and_label_mismatches(self, vc_table):
+        from twkern.io import ParseError
+
+        text = format_table(vc_table)
+        header, rest = text.split("\n", 1)
+        _, problem, t, max_rep, nrows = header.split()
+        bad = [
+            f"table {problem} {t} {max_rep} {int(nrows) + 1}\n{rest}",
+            f"table {problem} {t} {int(max_rep) + 1} {nrows}\n{rest}",
+            f"table {problem} 0 {max_rep} {nrows}\n{rest}",  # rows with b = 1 > t
+            text.replace("b 1 1\n", "b 1 2\n", 1),
+        ]
+        for variant in bad:
+            with pytest.raises(ParseError):
+                parse_table(variant)
 
     def test_boundary_three_table_builds(self):
         # the largest supported boundary; light certificates stay affordable
