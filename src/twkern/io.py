@@ -17,6 +17,14 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def parse_ints(line_no: int, toks: list[str]) -> list[int]:
+    """The tokens as integers; ParseError naming the line otherwise."""
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError:
+        raise ParseError(line_no, f"expected integers, got {' '.join(toks)!r}") from None
+
+
 def format_graph(g: Graph | BoundariedGraph) -> str:
     """Canonical text form: `n m`, then sorted edge lines `u v` (1-indexed,
     u < v), then `b v label` lines for a boundaried graph."""
@@ -113,20 +121,25 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     parts = head.split()
     if len(parts) != 4:
         raise ParseError(line_no, f"expected 's nodes width n', got {head!r}")
-    nodes, width, n = int(parts[1]), int(parts[2]), int(parts[3])
+    nodes, width, n = parse_ints(line_no, parts[1:])
     bags: dict[int, frozenset[int]] = {}
     tree_edges = []
     for line_no, ln in rows[1:]:
         parts = ln.split()
         if parts[0] == "b":
-            node = int(parts[1]) - 1
+            if len(parts) < 2:
+                raise ParseError(line_no, f"expected 'b id v...', got {ln!r}")
+            node, *bag = (v - 1 for v in parse_ints(line_no, parts[1:]))
             if node in bags:
                 raise ParseError(line_no, f"duplicate bag {node + 1}")
-            bags[node] = frozenset(int(tok) - 1 for tok in parts[2:])
+            bags[node] = frozenset(bag)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ParseError(line_no, f"expected 'e a b', got {ln!r}")
-            tree_edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            a, b = parse_ints(line_no, parts[1:])
+            if a == b or not (1 <= a <= nodes and 1 <= b <= nodes):
+                raise ParseError(line_no, f"tree edge outside 1..{nodes} or a loop: {ln!r}")
+            tree_edges.append((a - 1, b - 1))
         else:
             raise ParseError(line_no, f"unexpected line {ln!r}")
     if sorted(bags) != list(range(nodes)):
@@ -155,9 +168,9 @@ def parse_pd_sets(text: str) -> tuple[frozenset[int], tuple[frozenset[int], ...]
         if ln.startswith("core:"):
             if core is not None:
                 raise ParseError(i + 1, "duplicate core line")
-            core = frozenset(int(tok) - 1 for tok in ln[5:].split())
+            core = frozenset(v - 1 for v in parse_ints(i + 1, ln[5:].split()))
         elif ln.startswith("part:"):
-            parts.append(frozenset(int(tok) - 1 for tok in ln[5:].split()))
+            parts.append(frozenset(v - 1 for v in parse_ints(i + 1, ln[5:].split())))
         else:
             raise ParseError(i + 1, f"unexpected line {ln!r}")
     if core is None:
@@ -171,5 +184,6 @@ def format_vertex_set(vs) -> str:
 
 
 def parse_vertex_set(text: str) -> frozenset[int]:
-    toks = text.split()
-    return frozenset(int(t) - 1 for t in toks)
+    return frozenset(
+        v - 1 for i, ln in enumerate(text.splitlines()) for v in parse_ints(i + 1, ln.split())
+    )

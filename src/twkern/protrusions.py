@@ -18,6 +18,7 @@ from .treedec import (
     ValidationResult,
     exact_treewidth,
     heuristic_decomposition,
+    treewidth_at_most,
 )
 
 EXACT_TW_BUDGET = 20
@@ -31,14 +32,13 @@ def _width_upper_bound(g: Graph, exact_budget: int = EXACT_TW_BUDGET) -> int:
 
 
 def _tw_at_most(g: Graph, bound: int, exact_budget: int = EXACT_TW_BUDGET) -> bool | None:
-    """True/False when certain; None when only a heuristic bound is available
-    and it exceeds `bound` on a graph too large for the exact search.
+    """True/False when certain; None when min-fill exceeds `bound` on a graph
+    too large for the exact search (widths 0 and 1 are always certain).
     """
-    td = heuristic_decomposition(g)
-    if td.width <= bound:
+    if treewidth_at_most(g, bound, exact_budget) is not None:
         return True
-    if g.n <= exact_budget:
-        return exact_treewidth(g)[0] <= bound
+    if bound <= 1 or g.n <= exact_budget:
+        return False
     return None
 
 
@@ -286,14 +286,9 @@ def iter_protrusions(
         sub, _ = g.induced_subgraph(xs)
         if not sub.is_connected():
             continue
-        td = heuristic_decomposition(sub)
-        if td.width > t:
-            if sub.n > EXACT_TW_BUDGET:
-                continue
-            w, td = exact_treewidth(sub)
-            if w > t:
-                continue
-        yield Protrusion(xs, t, td)
+        td = treewidth_at_most(sub, t, EXACT_TW_BUDGET)
+        if td is not None:
+            yield Protrusion(xs, t, td)
 
 
 def find_max_protrusion(

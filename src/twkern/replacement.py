@@ -21,11 +21,11 @@ from . import problems as problems_mod
 from .dp import DP_WIDTH_BUDGET, interface_cost_table
 from .enumeration import boundaried_universe
 from .graphs import BoundariedGraph, BudgetError, Graph, glue
-from .io import ParseError
+from .io import ParseError, parse_ints
 from .problems import ProblemDefinition, opt_fast
 from .protrusions import Protrusion, iter_protrusions, validate_protrusion
 from .solvers import adjacency_masks
-from .treedec import exact_treewidth, heuristic_decomposition
+from .treedec import TreeDecomposition, heuristic_decomposition, treewidth_at_most
 
 logger = logging.getLogger(__name__)
 
@@ -46,9 +46,11 @@ def state_space(p: ProblemDefinition, b: int) -> tuple:
     return p.machine.boundary_states(b)
 
 
-def _raw_table_dp(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
+def _raw_table_dp(
+    p: ProblemDefinition, bg: BoundariedGraph, td: TreeDecomposition | None = None
+) -> dict:
     boundary = bg.boundary
-    table = interface_cost_table(p, bg.graph, boundary)
+    table = interface_cost_table(p, bg.graph, boundary, td)
     return {p.machine.label_state(state, boundary): cost for state, cost in table.items()}
 
 
@@ -127,7 +129,7 @@ def compute_signature(p: ProblemDefinition, bg: BoundariedGraph, method: str = "
         return _normalize(p, _raw_table_dp(p, bg), b)
     td = heuristic_decomposition(bg.graph)
     if td.width + b <= DP_WIDTH_BUDGET:
-        return _normalize(p, _raw_table_dp(p, bg), b)
+        return _normalize(p, _raw_table_dp(p, bg, td), b)
     if bg.graph.n <= BRUTE_SIGNATURE_BUDGET:
         return _normalize(p, _raw_table_brute(p, bg), b)
     raise BudgetError(
@@ -180,10 +182,6 @@ class ReplacementTable:
         return self.rows.get(sig.key)
 
 
-def _tw_at_most_small(g: Graph, t: int) -> bool:
-    return exact_treewidth(g, max_vertices=12)[0] <= t
-
-
 @lru_cache(maxsize=32)
 def _gadget_pool(size_bound: int, t: int) -> tuple[Graph, ...]:
     """Connected graphs of treewidth <= t up to size_bound vertices.
@@ -193,12 +191,7 @@ def _gadget_pool(size_bound: int, t: int) -> tuple[Graph, ...]:
     """
     from .enumeration import connected_graphs_where
 
-    if t == 0:
-        keep = lambda g: g.m == 0
-    elif t == 1:
-        keep = Graph.is_acyclic
-    else:
-        keep = lambda g: _tw_at_most_small(g, t)
+    keep = lambda g: treewidth_at_most(g, t) is not None
     pools = connected_graphs_where(size_bound, keep)
     out: list[Graph] = []
     for n in sorted(pools):
@@ -544,15 +537,9 @@ def parse_table(text: str) -> ReplacementTable:
             raise ParseError(no, f"expected {arity} values, got {' '.join(toks)!r}")
         return no, toks
 
-    def ints(no: int, toks: list[str]) -> list[int]:
-        try:
-            return [int(tok) for tok in toks]
-        except ValueError:
-            raise ParseError(no, f"expected integers, got {' '.join(toks)!r}") from None
-
     head_no, toks = take("table", 4)
     problem = toks[0]
-    t, max_rep, nrows = ints(head_no, toks[1:])
+    t, max_rep, nrows = parse_ints(head_no, toks[1:])
     try:
         p = problems_mod.get_problem(problem)
     except ValueError as e:
@@ -562,17 +549,17 @@ def parse_table(text: str) -> ReplacementTable:
     rows: dict[tuple, TableRow] = {}
     while pos < len(lines):
         row_no, toks = take("row", 2)
-        b, rep_offset = ints(row_no, toks)
+        b, rep_offset = parse_ints(row_no, toks)
         if not 0 <= b <= t:
             raise ParseError(row_no, f"boundary size {b} outside 0..t={t}")
         no, toks = take("sig", None)
-        entries = tuple(None if tok == "inf" else ints(no, [tok])[0] for tok in toks)
+        entries = tuple(None if tok == "inf" else parse_ints(no, [tok])[0] for tok in toks)
         no, toks = take(None, 2)
-        n, m = ints(no, toks)
-        edges = [tuple(v - 1 for v in ints(*take(None, 2))) for _ in range(m)]
+        n, m = parse_ints(no, toks)
+        edges = [tuple(v - 1 for v in parse_ints(*take(None, 2))) for _ in range(m)]
         labels = {}
         for _ in range(b):
-            v, lab = ints(*take("b", 2))
+            v, lab = parse_ints(*take("b", 2))
             labels[v - 1] = lab
         take("endrow", 0)
         if sorted(labels.values()) != list(range(1, b + 1)) or len(labels) != b:

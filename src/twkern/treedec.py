@@ -9,6 +9,7 @@ of a couple dozen vertices it is exact; everything larger goes through
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -136,13 +137,10 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
 
 
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    nb = list(adj[v])
-    missing = 0
-    for i, a in enumerate(nb):
-        for b in nb[i + 1 :]:
-            if b not in adj[a]:
-                missing += 1
-    return missing
+    """Edges missing among the neighbours of v (the fill-in of eliminating v)."""
+    nb = adj[v]
+    d = len(nb)
+    return (d * (d - 1) - sum(len(nb & adj[a]) for a in nb)) // 2
 
 
 def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
@@ -150,16 +148,48 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
     return all(b in adj[a] for i, a in enumerate(nb) for b in nb[i + 1 :])
 
 
-def minfill_order(g: Graph) -> tuple[int, list[int]]:
-    """Min-fill elimination ordering; returns (width, order)."""
+def minfill_order(g: Graph, max_width: int | None = None) -> tuple[int, list[int]]:
+    """Min-fill elimination ordering; returns (width, order).
+
+    Each step eliminates the vertex with the least (fill-in, degree, id).
+    Fill-in counts are kept up to date incrementally: eliminating v changes
+    only the counts of v's neighbours and of the common neighbours of each
+    fill edge it adds.  Vertices come off a heap whose stale entries are
+    dropped when popped.  With `max_width`, the search stops before the first
+    elimination wider than the cap and returns that width (> max_width) with
+    the partial order.
+    """
     adj = _adj_copy(g)
-    order = []
+    fill = {v: _fill_count(adj, v) for v in adj}
+    heap = [(f, len(adj[v]), v) for v, f in fill.items()]
+    heapq.heapify(heap)
+    order: list[int] = []
     width = -1 if g.n == 0 else 0
-    while adj:
-        v = min(adj, key=lambda v: (_fill_count(adj, v), len(adj[v]), v))
-        width = max(width, len(adj[v]))
+    while heap:
+        f, d, v = heapq.heappop(heap)
+        if v not in adj or f != fill[v] or d != len(adj[v]):
+            continue
+        if d > width:
+            width = d
+        if max_width is not None and width > max_width:
+            return width, order
         order.append(v)
-        _eliminate(adj, v)
+        nb = adj.pop(v)
+        touched = set(nb)
+        for a in nb:
+            adj[a].discard(v)
+        nbl = list(nb)
+        for i, a in enumerate(nbl):
+            adj_a = adj[a]
+            for b in nbl[i + 1 :]:
+                if b not in adj_a:
+                    adj_b = adj[b]
+                    adj_a.add(b)
+                    adj_b.add(a)
+                    touched |= adj_a & adj_b
+        for u in touched:
+            fu = fill[u] = _fill_count(adj, u)
+            heapq.heappush(heap, (fu, len(adj[u]), u))
     return width, order
 
 
@@ -214,14 +244,6 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
 def heuristic_decomposition(g: Graph) -> TreeDecomposition:
     """Valid decomposition via min-fill; width is an upper bound on tw(g)."""
     _, order = minfill_order(g)
-    return decomposition_from_order(g, order)
-
-
-def _forest_decomposition(g: Graph) -> TreeDecomposition:
-    """Width <= 1 decomposition of a forest (one bag per edge)."""
-    if g.n == 0:
-        return TreeDecomposition([])
-    _, order = minfill_order(g)  # min-fill is exact on forests
     return decomposition_from_order(g, order)
 
 
@@ -314,7 +336,7 @@ def _exact_treewidth_cached(g: Graph) -> tuple[int, TreeDecomposition]:
     if g.m == 0:
         return 0, TreeDecomposition([{v} for v in g.vertices], [(i, i + 1) for i in range(g.n - 1)])
     if g.is_acyclic():
-        return 1, _forest_decomposition(g)
+        return 1, heuristic_decomposition(g)  # min-fill is exact on forests
     ub, ub_order = minfill_order(g)
     lb = max(2, mmw_lower_bound(g))
     for w in range(lb, ub):
@@ -327,8 +349,11 @@ def _exact_treewidth_cached(g: Graph) -> tuple[int, TreeDecomposition]:
 def treewidth_at_most(g: Graph, eta: int, exact_budget: int = 20) -> TreeDecomposition | None:
     """A width <= eta decomposition if one is found, else None.
 
-    Sound but complete only within the exact budget: a None for a larger graph
-    means the min-fill bound exceeded eta, not a proof that tw(g) > eta.
+    Width 0 is decided by an edge test and width 1 by a forest test; from 2 on,
+    min-fill capped at eta, then exact treewidth within the budget.  A
+    decomposition is built only for a yes.  Exact for eta <= 1 and for graphs
+    within the exact budget; otherwise a None means the min-fill bound exceeded
+    eta, not a proof that tw(g) > eta.
     """
     if eta < 0:
         return TreeDecomposition([]) if g.n == 0 else None
@@ -337,10 +362,10 @@ def treewidth_at_most(g: Graph, eta: int, exact_budget: int = 20) -> TreeDecompo
             return None
         return _exact_treewidth_cached(g)[1] if g.n else TreeDecomposition([])
     if eta == 1:
-        return _forest_decomposition(g) if g.is_acyclic() else None
-    td = heuristic_decomposition(g)
-    if td.width <= eta:
-        return td
+        return heuristic_decomposition(g) if g.is_acyclic() else None
+    width, order = minfill_order(g, max_width=eta)
+    if width <= eta:
+        return decomposition_from_order(g, order)
     if g.n <= exact_budget:
         w, td = _exact_treewidth_cached(g)
         if w <= eta:

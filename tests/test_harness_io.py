@@ -14,7 +14,16 @@ from twkern.harness import (
     reference_oracle,
     verify_kernel_soundness,
 )
-from twkern.io import ParseError, format_graph, format_pd, format_vertex_set, parse_graph, parse_pd_sets, parse_vertex_set
+from twkern.io import (
+    ParseError,
+    format_graph,
+    format_pd,
+    format_vertex_set,
+    parse_decomposition,
+    parse_graph,
+    parse_pd_sets,
+    parse_vertex_set,
+)
 from twkern.problems import CATALOG
 
 VC = CATALOG["vertex-cover"]
@@ -56,6 +65,30 @@ class TestGraphFormat:
     def test_vertex_set_round_trip(self):
         vs = frozenset({0, 3, 7})
         assert parse_vertex_set(format_vertex_set(vs)) == vs
+
+    def test_vertex_set_non_integer_names_line(self):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_vertex_set("1 2 x")
+
+    def test_pd_non_integer_core_names_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_pd_sets("# pd\ncore: 1 z\npart: 2\n")
+
+    def test_decomposition_non_integer_header_names_line(self):
+        with pytest.raises(ParseError, match="line 1"):
+            parse_decomposition("s 1 x 2\nb 1 1 2\n")
+
+    def test_decomposition_non_integer_bag_names_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_decomposition("s 1 1 2\nb 1 1 q\n")
+
+    def test_decomposition_lone_bag_keyword_names_line(self):
+        with pytest.raises(ParseError, match="line 3"):
+            parse_decomposition("s 2 1 2\nb 1 1 2\nb\n")
+
+    def test_decomposition_tree_edge_out_of_range_names_line(self):
+        with pytest.raises(ParseError, match="line 4"):
+            parse_decomposition("s 2 1 2\nb 1 1 2\nb 2 2\ne 1 3\n")
 
     def test_pd_round_trip(self):
         from twkern.protrusions import ProtrusionDecomposition

@@ -46,6 +46,22 @@ class TestSignatures:
         assert sig.entries == (0, 1) and sig.offset == 1
         assert sig.entries != compute_signature(VC, pendant(1)).entries or sig.offset != 1
 
+    def test_one_decomposition_per_signature(self, monkeypatch):
+        import twkern.dp
+        import twkern.replacement
+        import twkern.treedec
+
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return twkern.treedec.heuristic_decomposition(g)
+
+        for module in (twkern.replacement, twkern.dp):
+            monkeypatch.setattr(module, "heuristic_decomposition", counting)
+        compute_signature(VC, pendant(5))
+        assert calls == [6]
+
     def test_deterministic(self):
         bg = pendant(3)
         assert compute_signature(VC, bg) == compute_signature(VC, bg)
@@ -362,3 +378,28 @@ class TestKernelize:
         inst = kernelize(VC, g, -1, vc_table)
         assert inst.k <= -1
         assert (opt_fast(VC, g)[0] <= -1) == (opt_fast(VC, inst.graph)[0] <= inst.k) == False
+
+    def test_pendant_grid_kernel_pinned(self, monkeypatch):
+        """Protrusion search decides width without a decomposition for every
+        rejected candidate: at most 3 min-fill runs per applied replacement
+        (the yielded certificate, the validity check, the signature), and the
+        kernel is the one the search has always produced."""
+        import twkern.treedec
+        from twkern.harness import gen_corpus
+
+        g = gen_corpus("grid+pendants", {"count": 1, "t": 6, "tree_size": 15, "pendants": 8}, 1)[0]
+        table = build_replacement_table(VC, 1, 6, certify="off")
+        calls = []
+        minfill = twkern.treedec.minfill_order
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return minfill(*args, **kwargs)
+
+        monkeypatch.setattr(twkern.treedec, "minfill_order", counting)
+        inst = kernelize(VC, g, 67, table)
+        assert g.n == 156 and len(inst.trace) >= 1
+        assert len(calls) <= 3 * len(inst.trace)
+        # the 6x6 grid keeps one pendant vertex, on grid vertex 31
+        expected_edges = sorted(make_grid(6).edges | {(31, 36)})
+        assert (inst.graph.n, inst.k, sorted(inst.graph.edges)) == (37, 18, expected_edges)
