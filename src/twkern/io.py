@@ -56,10 +56,7 @@ def parse_graph(text: str) -> Graph | BoundariedGraph:
     parts = head.split()
     if len(parts) != 2:
         raise ParseError(line_no, f"expected 'n m', got {head!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(line_no, f"expected integers 'n m', got {head!r}") from None
+    n, m = parse_ints(line_no, parts)
     if n < 0 or m < 0:
         raise ParseError(line_no, "negative counts")
     if len(rows) < 1 + m:
@@ -69,10 +66,7 @@ def parse_graph(text: str) -> Graph | BoundariedGraph:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(line_no, f"expected edge 'u v', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(line_no, f"expected integer endpoints, got {ln!r}") from None
+        u, v = parse_ints(line_no, parts)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(line_no, f"endpoint out of range 1..{n}: {ln!r}")
         if u >= v:
@@ -83,10 +77,7 @@ def parse_graph(text: str) -> Graph | BoundariedGraph:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "b":
             raise ParseError(line_no, f"expected boundary line 'b v label', got {ln!r}")
-        try:
-            v, lab = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(line_no, f"expected integers, got {ln!r}") from None
+        v, lab = parse_ints(line_no, parts[1:])
         if not (1 <= v <= n):
             raise ParseError(line_no, f"boundary vertex out of range: {ln!r}")
         if v - 1 in labels:

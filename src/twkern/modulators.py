@@ -13,6 +13,7 @@ from itertools import combinations
 from .graphs import BudgetError, Graph, Separation, forest_roots
 from .treedec import (
     TreeDecomposition,
+    decide_treewidth,
     exact_treewidth,
     heuristic_decomposition,
     treewidth_at_most,
@@ -90,7 +91,7 @@ def _eta_feasible(g: Graph, drop: frozenset[int], eta: int) -> bool:
         edges = [(u, v) for u, v in g.edges if u not in drop and v not in drop]
         return forest_roots(kept, edges) is not None
     sub, _ = g.delete_vertices(drop)
-    return treewidth_at_most(sub, eta) is not None
+    return bool(decide_treewidth(sub, eta))
 
 
 def _certify(g: Graph, drop: frozenset[int], eta: int) -> TreeDecomposition:
@@ -131,7 +132,7 @@ def recursive_modulator(g: Graph, eta: int, seed=None) -> Modulator:
 
 
 def _recursive_pick(g: Graph, eta: int, seed: frozenset[int]) -> frozenset[int]:
-    if treewidth_at_most(g, eta) is not None:
+    if decide_treewidth(g, eta):
         return frozenset()
     comps = g.connected_components()
     if len(comps) > 1:

@@ -22,7 +22,7 @@ from .dp import (
     VertexCoverMachine,
 )
 from .graphs import BudgetError, Graph
-from .treedec import treewidth_at_most
+from .treedec import decide_treewidth
 
 BRUTE_BUDGET_DEFAULT = 22
 
@@ -105,7 +105,7 @@ def phi_cycle_packing(g: Graph, s: frozenset[int]) -> bool:
 
 def _phi_tw_modulator(eta: int) -> Callable[[Graph, frozenset[int]], bool]:
     def phi(g: Graph, s: frozenset[int]) -> bool:
-        return treewidth_at_most(g.delete_vertices(s)[0], eta) is not None
+        return bool(decide_treewidth(g.delete_vertices(s)[0], eta))
 
     return phi
 

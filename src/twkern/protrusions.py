@@ -16,6 +16,7 @@ from .modulators import Modulator, balanced_separation
 from .treedec import (
     TreeDecomposition,
     ValidationResult,
+    decide_treewidth,
     exact_treewidth,
     heuristic_decomposition,
     treewidth_at_most,
@@ -31,17 +32,6 @@ def _width_upper_bound(g: Graph, exact_budget: int = EXACT_TW_BUDGET) -> int:
     return heuristic_decomposition(g).width
 
 
-def _tw_at_most(g: Graph, bound: int, exact_budget: int = EXACT_TW_BUDGET) -> bool | None:
-    """True/False when certain; None when min-fill exceeds `bound` on a graph
-    too large for the exact search (widths 0 and 1 are always certain).
-    """
-    if treewidth_at_most(g, bound, exact_budget) is not None:
-        return True
-    if bound <= 1 or g.n <= exact_budget:
-        return False
-    return None
-
-
 @dataclass(frozen=True)
 class Protrusion:
     vertices: frozenset[int]
@@ -50,8 +40,9 @@ class Protrusion:
 
 
 def validate_protrusion(g: Graph, x, t: int) -> ValidationResult:
-    """|∂(X)| <= t and tw(G[X]) <= t; exact treewidth when small enough for a
-    definite answer, heuristic upper bounds otherwise (sufficient for True).
+    """|∂(X)| <= t and tw(G[X]) <= t.  The width answer is `decide_treewidth`'s:
+    certain for t <= 1 and within the exact budget, else a min-fill bound that
+    can only certify a yes.
     """
     xs = frozenset(x)
     if not xs:
@@ -62,7 +53,7 @@ def validate_protrusion(g: Graph, x, t: int) -> ValidationResult:
     if len(bnd) > t:
         return ValidationResult(False, f"boundary has {len(bnd)} > {t} vertices")
     sub, _ = g.induced_subgraph(xs)
-    fits = _tw_at_most(sub, t)
+    fits = decide_treewidth(sub, t, EXACT_TW_BUDGET)
     if fits is None:
         return ValidationResult(False, "treewidth bound not certifiable at this size")
     if not fits:
@@ -115,7 +106,7 @@ def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
         if len(bnd) > pd.r:
             return ValidationResult(False, f"closed part {i} has boundary {len(bnd)} > r={pd.r}")
         sub, _ = g.induced_subgraph(closed)
-        fits = _tw_at_most(sub, pd.r)
+        fits = decide_treewidth(sub, pd.r, EXACT_TW_BUDGET)
         if fits is None:
             return ValidationResult(False, f"closed part {i} treewidth not certifiable")
         if not fits:

@@ -25,7 +25,7 @@ from .io import ParseError, parse_ints
 from .problems import ProblemDefinition, opt_fast
 from .protrusions import Protrusion, iter_protrusions, validate_protrusion
 from .solvers import adjacency_masks
-from .treedec import TreeDecomposition, heuristic_decomposition, treewidth_at_most
+from .treedec import TreeDecomposition, decide_treewidth, heuristic_decomposition
 
 logger = logging.getLogger(__name__)
 
@@ -191,7 +191,7 @@ def _gadget_pool(size_bound: int, t: int) -> tuple[Graph, ...]:
     """
     from .enumeration import connected_graphs_where
 
-    keep = lambda g: treewidth_at_most(g, t) is not None
+    keep = lambda g: bool(decide_treewidth(g, t))
     pools = connected_graphs_where(size_bound, keep)
     out: list[Graph] = []
     for n in sorted(pools):

@@ -9,7 +9,6 @@ of a couple dozen vertices it is exact; everything larger goes through
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -137,10 +136,13 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
 
 
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    """Edges missing among the neighbours of v (the fill-in of eliminating v)."""
-    nb = adj[v]
-    d = len(nb)
-    return (d * (d - 1) - sum(len(nb & adj[a]) for a in nb)) // 2
+    nb = list(adj[v])
+    missing = 0
+    for i, a in enumerate(nb):
+        for b in nb[i + 1 :]:
+            if b not in adj[a]:
+                missing += 1
+    return missing
 
 
 def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
@@ -148,48 +150,16 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
     return all(b in adj[a] for i, a in enumerate(nb) for b in nb[i + 1 :])
 
 
-def minfill_order(g: Graph, max_width: int | None = None) -> tuple[int, list[int]]:
-    """Min-fill elimination ordering; returns (width, order).
-
-    Each step eliminates the vertex with the least (fill-in, degree, id).
-    Fill-in counts are kept up to date incrementally: eliminating v changes
-    only the counts of v's neighbours and of the common neighbours of each
-    fill edge it adds.  Vertices come off a heap whose stale entries are
-    dropped when popped.  With `max_width`, the search stops before the first
-    elimination wider than the cap and returns that width (> max_width) with
-    the partial order.
-    """
+def minfill_order(g: Graph) -> tuple[int, list[int]]:
+    """Min-fill elimination ordering; returns (width, order)."""
     adj = _adj_copy(g)
-    fill = {v: _fill_count(adj, v) for v in adj}
-    heap = [(f, len(adj[v]), v) for v, f in fill.items()]
-    heapq.heapify(heap)
-    order: list[int] = []
+    order = []
     width = -1 if g.n == 0 else 0
-    while heap:
-        f, d, v = heapq.heappop(heap)
-        if v not in adj or f != fill[v] or d != len(adj[v]):
-            continue
-        if d > width:
-            width = d
-        if max_width is not None and width > max_width:
-            return width, order
+    while adj:
+        v = min(adj, key=lambda v: (_fill_count(adj, v), len(adj[v]), v))
+        width = max(width, len(adj[v]))
         order.append(v)
-        nb = adj.pop(v)
-        touched = set(nb)
-        for a in nb:
-            adj[a].discard(v)
-        nbl = list(nb)
-        for i, a in enumerate(nbl):
-            adj_a = adj[a]
-            for b in nbl[i + 1 :]:
-                if b not in adj_a:
-                    adj_b = adj[b]
-                    adj_a.add(b)
-                    adj_b.add(a)
-                    touched |= adj_a & adj_b
-        for u in touched:
-            fu = fill[u] = _fill_count(adj, u)
-            heapq.heappush(heap, (fu, len(adj[u]), u))
+        _eliminate(adj, v)
     return width, order
 
 
@@ -346,24 +316,38 @@ def _exact_treewidth_cached(g: Graph) -> tuple[int, TreeDecomposition]:
     return ub, decomposition_from_order(g, ub_order)
 
 
+def decide_treewidth(g: Graph, eta: int, exact_budget: int = 20) -> bool | None:
+    """Is tw(g) <= eta?  True or False when certain, None when not.
+
+    Width 0 is an edge test and width 1 a forest test; neither builds a
+    decomposition and both are exact.  From 2 on, see `treewidth_at_most`: a
+    no is certain only within the exact budget, so a larger graph on which
+    min-fill exceeds eta gets None.
+    """
+    if eta < 0:
+        return g.n == 0
+    if eta == 0:
+        return g.m == 0
+    if eta == 1:
+        return g.is_acyclic()
+    if treewidth_at_most(g, eta, exact_budget) is not None:
+        return True
+    return False if g.n <= exact_budget else None
+
+
 def treewidth_at_most(g: Graph, eta: int, exact_budget: int = 20) -> TreeDecomposition | None:
     """A width <= eta decomposition if one is found, else None.
 
-    Width 0 is decided by an edge test and width 1 by a forest test; from 2 on,
-    min-fill capped at eta, then exact treewidth within the budget.  A
-    decomposition is built only for a yes.  Exact for eta <= 1 and for graphs
-    within the exact budget; otherwise a None means the min-fill bound exceeded
-    eta, not a proof that tw(g) > eta.
+    For eta <= 1 the answer is `decide_treewidth`'s.  From 2 on, min-fill
+    first, then exact treewidth within the budget; a None for a larger graph
+    means the min-fill bound exceeded eta, not a proof that tw(g) > eta.  The
+    min-fill decomposition is built only when its width fits.
     """
-    if eta < 0:
-        return TreeDecomposition([]) if g.n == 0 else None
-    if eta == 0:
-        if g.m > 0:
+    if eta <= 1:
+        if not decide_treewidth(g, eta):
             return None
-        return _exact_treewidth_cached(g)[1] if g.n else TreeDecomposition([])
-    if eta == 1:
-        return heuristic_decomposition(g) if g.is_acyclic() else None
-    width, order = minfill_order(g, max_width=eta)
+        return heuristic_decomposition(g) if eta == 1 else _exact_treewidth_cached(g)[1]
+    width, order = minfill_order(g)
     if width <= eta:
         return decomposition_from_order(g, order)
     if g.n <= exact_budget:

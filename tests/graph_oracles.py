@@ -1,5 +1,5 @@
-"""Test-only oracles: exhaustive canonical forms, grid-minor containment,
-annotated boundaried graphs and a from-scratch min-fill ordering.
+"""Test-only oracles: exhaustive canonical forms, grid-minor containment and
+annotated boundaried graphs.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -132,25 +132,3 @@ def contains_grid_minor(g: Graph, t: int, max_vertices: int = 14) -> bool:
                     nxt.add(c)
         level = nxt
     return False
-
-
-def minfill_order_reference(g: Graph) -> tuple[int, list[int]]:
-    """Min-fill ordering that recounts every vertex's fill-in at every step;
-    returns (width, order) with the package's tie-break (fill, degree, id)."""
-
-    def fill_in(adj: dict[int, set[int]], v: int) -> int:
-        nb = sorted(adj[v])
-        return sum(1 for i, a in enumerate(nb) for b in nb[i + 1 :] if b not in adj[a])
-
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    order = []
-    width = -1 if g.n == 0 else 0
-    while adj:
-        v = min(adj, key=lambda v: (fill_in(adj, v), len(adj[v]), v))
-        width = max(width, len(adj[v]))
-        order.append(v)
-        nb = adj.pop(v)
-        for a in nb:
-            adj[a].discard(v)
-            adj[a] |= nb - {a}
-    return width, order

@@ -42,6 +42,17 @@ class TestValidateProtrusion:
         res = validate_protrusion(g, {0, 1, 2}, 1)
         assert not res.ok and "boundary" in res.message
 
+    def test_large_cycle_certainly_exceeds_width_1(self):
+        # 24 vertices is past the exact budget, but the forest test is exact
+        cycle = Graph(24, [(i, (i + 1) % 24) for i in range(24)])
+        res = validate_protrusion(cycle, frozenset(cycle.vertices), 1)
+        assert not res.ok and res.message == "induced treewidth exceeds 1"
+
+    def test_large_grid_not_certifiable_at_width_2(self):
+        g = make_grid(5)
+        res = validate_protrusion(g, frozenset(g.vertices), 2)
+        assert not res.ok and res.message == "treewidth bound not certifiable at this size"
+
 
 class TestValidatePd:
     def test_core_everything(self):
@@ -71,6 +82,13 @@ class TestValidatePd:
         g = path_graph(4)
         pd = ProtrusionDecomposition(frozenset({0, 1, 2, 3}), (), alpha=2, r=1)
         assert not validate_pd(g, pd).ok
+
+    def test_large_cyclic_part_certainly_exceeds_r_1(self):
+        # a 24-cycle hanging off core vertex 24: the closed part has 25 vertices
+        g = Graph(25, [(i, (i + 1) % 24) for i in range(24)] + [(0, 24)])
+        pd = ProtrusionDecomposition(frozenset({24}), (frozenset(range(24)),), alpha=1, r=1)
+        res = validate_pd(g, pd)
+        assert not res.ok and res.message == "closed part 0 treewidth exceeds r=1"
 
 
 class TestBuildPd:

@@ -3,8 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twkern.dp import DP_WIDTH_BUDGET, solve_via_dp
 from twkern.graphs import BudgetError, Graph, complete_graph, disjoint_union, make_grid, path_graph
@@ -19,15 +17,6 @@ from twkern.treedec import (
 )
 
 from conftest import random_graph, sparse_random_graph
-from graph_oracles import minfill_order_reference
-
-
-@st.composite
-def small_graphs(draw, max_n: int = 25) -> Graph:
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
-    return Graph(n, edges)
 
 
 class TestValidation:
@@ -174,19 +163,6 @@ class TestHeuristic:
             g = random_graph(rng, rng.randint(1, 10))
             _, order = minfill_order(g)
             assert sorted(order) == list(g.vertices)
-
-    @settings(max_examples=300, deadline=None)
-    @given(small_graphs(), st.integers(-1, 6))
-    def test_minfill_order_matches_reference(self, g, cap):
-        width, order = minfill_order_reference(g)
-        assert minfill_order(g) == (width, order)
-        capped_width, prefix = minfill_order(g, max_width=cap)
-        if width > cap:
-            # stopped early: a width past the cap, and the reference's order so far
-            assert capped_width > cap and len(prefix) < g.n
-            assert prefix == order[: len(prefix)]
-        else:
-            assert (capped_width, prefix) == (width, order)
 
     def test_validates_on_random_graphs(self):
         rng = random.Random(5)
