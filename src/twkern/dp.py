@@ -1,19 +1,23 @@
-"""Dynamic programming over nice tree decompositions.
+"""Dynamic programming over tree decompositions.
 
-One engine serves two callers: `solve_via_dp` computes optimum values with
-witnesses (empty interface), and the replacement-table machinery computes
-boundary cost tables (interface pinned to the boundary).  The interface set P
-is added to every bag; the DP root has bag exactly P, so the root table maps
-each interface state to the cheapest interior completion.
+One engine, `run_dp`, serves two callers: `solve_via_dp` computes an optimum
+value with a witness (empty interface), and the replacement-table machinery
+computes boundary cost tables (interface pinned to the boundary).  The pinned
+set P is added to every bag, and the root table is moved to bag exactly P, so
+it maps each interface state to the cheapest interior completion.
 
-Nice trees here use explicit edge application: every graph edge is applied at
-exactly one node whose bag contains both endpoints, which keeps the forest
-bookkeeping of the feedback-vertex DP and the domination updates exact.
+The engine walks the decomposition children first.  A child's table reaches
+its parent's bag by forgetting, then introducing, one vertex at a time, and
+sibling tables are joined.  Every graph edge is applied exactly once, at the
+first node whose bag holds both ends, which keeps the forest bookkeeping of
+the feedback-vertex DP and the domination updates exact.  A table maps each
+state to (value, witness): the witness is the set of vertices that `intro`
+added at cost 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import TYPE_CHECKING, Iterable
 
@@ -26,97 +30,6 @@ if TYPE_CHECKING:
 DP_WIDTH_BUDGET = 12
 
 IN, DOM, NEED = 0, 1, 2  # dominating-set vertex statuses
-
-
-# ---------------------------------------------------------------------------
-# nice-tree construction: a flat program of table operations
-
-
-@dataclass
-class _Op:
-    kind: str  # leaf | intro | forget | join | edge
-    bag: frozenset[int]
-    payload: tuple = ()
-    inputs: tuple[int, ...] = ()
-    out: int = -1
-
-
-def _transition_chain(ops: list[_Op], top: int, from_bag: frozenset, to_bag: frozenset) -> int:
-    """Forget from_bag-to_bag, then introduce to_bag-from_bag, one at a time."""
-    cur_bag = from_bag
-    cur = top
-    for v in sorted(from_bag - to_bag):
-        cur_bag = cur_bag - {v}
-        ops.append(_Op("forget", cur_bag, (v,), (cur,), len(ops)))
-        cur = len(ops) - 1
-    for v in sorted(to_bag - from_bag):
-        cur_bag = cur_bag | {v}
-        ops.append(_Op("intro", cur_bag, (v,), (cur,), len(ops)))
-        cur = len(ops) - 1
-    return cur
-
-
-def build_program(g: Graph, td: TreeDecomposition, pinned: Iterable[int] = ()) -> list[_Op]:
-    """Flatten a tree decomposition into a nice program rooted at bag = pinned."""
-    pin = frozenset(pinned)
-    ops: list[_Op] = []
-    if len(td.bags) == 0:
-        ops.append(_Op("leaf", pin, (), (), 0))
-        top, top_bag = 0, pin
-    else:
-        bags = [b | pin for b in td.bags]
-        children: dict[int, list[int]] = {i: [] for i in range(len(bags))}
-        order = [0]
-        seen = {0}
-        adj = [td.node_neighbors(i) for i in range(len(bags))]
-        for i in order:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    children[i].append(j)
-                    order.append(j)
-
-        def build(i: int) -> int:
-            subtops = []
-            for c in children[i]:
-                t = build(c)
-                subtops.append(_transition_chain(ops, t, bags[c], bags[i]))
-            if not subtops:
-                ops.append(_Op("leaf", pin, (), (), len(ops)))
-                return _transition_chain(ops, len(ops) - 1, pin, bags[i])
-            cur = subtops[0]
-            for t in subtops[1:]:
-                ops.append(_Op("join", bags[i], (), (cur, t), len(ops)))
-                cur = len(ops) - 1
-            return cur
-
-        top = build(0)
-        top_bag = bags[0]
-        top = _transition_chain(ops, top, top_bag, pin)
-        top_bag = pin
-
-    # assign every graph edge to the first op (in program order) able to host it
-    assigned = set()
-    insertions: dict[int, list[tuple[int, int]]] = {}
-    for idx, op in enumerate(ops):
-        for u, v in sorted(g.edges):
-            if (u, v) not in assigned and u in op.bag and v in op.bag:
-                assigned.add((u, v))
-                insertions.setdefault(idx, []).append((u, v))
-    missing = set(g.edges) - assigned
-    if missing:
-        raise ValueError(f"decomposition misses edge {sorted(missing)[0]} (T2 violated)")
-    final: list[_Op] = []
-    remap: dict[int, int] = {}
-    for idx, op in enumerate(ops):
-        final.append(
-            _Op(op.kind, op.bag, op.payload, tuple(remap[i] for i in op.inputs), len(final))
-        )
-        remap[idx] = len(final) - 1
-        for u, v in insertions.get(idx, ()):
-            final.append(_Op("edge", op.bag, (u, v), (len(final) - 1,), len(final)))
-            remap[idx] = len(final) - 1
-    return final
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +73,12 @@ class Machine:
     `label_state` translates a DP root state into one, and `brute_state`
     derives one directly from an interior solution set without the DP, so
     that the brute-force route stays an independent reference.
+
+    `empty` is the state of the empty bag.  `intro` returns each successor
+    state with its cost: 1 exactly when v joins the solution, else 0.
     """
 
-    def base(self, pin: frozenset[int]) -> dict:
-        raise NotImplementedError
+    empty: object
 
     def intro(self, state, v: int) -> list[tuple[object, int]]:
         raise NotImplementedError
@@ -184,10 +99,6 @@ class Machine:
     def join_overlap(self, state) -> int:
         raise NotImplementedError
 
-    def chosen(self, state) -> frozenset[int]:
-        """Vertices the state commits to the solution right now."""
-        raise NotImplementedError
-
     def boundary_states(self, b: int) -> tuple:
         """Canonically ordered boundary states at boundary size b."""
         raise NotImplementedError
@@ -204,13 +115,7 @@ class Machine:
 
 
 class VertexCoverMachine(Machine):
-    def base(self, pin):
-        out = {}
-        items = sorted(pin)
-        for mask in range(1 << len(items)):
-            s = frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-            out[s] = len(s)
-        return out
+    empty = frozenset()
 
     def intro(self, state, v):
         return [(state, 0), (state | {v}, 1)]
@@ -221,14 +126,8 @@ class VertexCoverMachine(Machine):
     def edge(self, state, u, v):
         return state if (u in state or v in state) else None
 
-    def join(self, s1, s2):
-        return s1
-
     def join_overlap(self, state):
         return len(state)
-
-    def chosen(self, state):
-        return frozenset(state)
 
     def boundary_states(self, b):
         return tuple(range(1 << b))
@@ -255,19 +154,7 @@ class IndependentSetMachine(VertexCoverMachine):
 class DominatingSetMachine(Machine):
     """States map each bag vertex to IN / DOM / NEED (not yet dominated)."""
 
-    def base(self, pin):
-        out = {}
-        items = sorted(pin)
-        stack = [((), 0)]
-        while stack:
-            prefix, cost = stack.pop()
-            if len(prefix) == len(items):
-                out[prefix] = cost
-                continue
-            v = items[len(prefix)]
-            stack.append((prefix + ((v, IN),), cost + 1))
-            stack.append((prefix + ((v, NEED),), cost))
-        return out
+    empty = ()
 
     @staticmethod
     def _set(state, v, status):
@@ -318,9 +205,6 @@ class DominatingSetMachine(Machine):
     def join_overlap(self, state):
         return sum(1 for _, s in state if s == IN)
 
-    def chosen(self, state):
-        return frozenset(v for v, s in state if s == IN)
-
     def boundary_states(self, b):
         return tuple(product((IN, DOM, NEED), repeat=b))
 
@@ -346,14 +230,7 @@ class FeedbackVertexSetMachine(Machine):
     forest components).  Boundary states: (mask of deleted labels, restricted
     growth string of the kept labels' components)."""
 
-    def base(self, pin):
-        out = {}
-        items = sorted(pin)
-        for mask in range(1 << len(items)):
-            dele = frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-            blocks = frozenset(frozenset([v]) for v in items if v not in dele)
-            out[(dele, blocks)] = len(dele)
-        return out
+    empty = (frozenset(), frozenset())
 
     def intro(self, state, v):
         dele, blocks = state
@@ -412,9 +289,6 @@ class FeedbackVertexSetMachine(Machine):
     def join_overlap(self, state):
         return len(state[0])
 
-    def chosen(self, state):
-        return frozenset(state[0])
-
     def boundary_states(self, b):
         states = []
         for mask in range(1 << b):
@@ -439,103 +313,107 @@ class FeedbackVertexSetMachine(Machine):
         return (mask, _rgs(roots[v] for v in boundary if not s >> v & 1))
 
 
+
+
 # ---------------------------------------------------------------------------
 # the engine
 
 
-@dataclass
-class DPResult:
-    tables: list[dict]
-    program: list[_Op]
-    machine: Machine
-
-    @property
-    def root_table(self) -> dict:
-        return self.tables[-1]
-
-
 def run_dp(
     p: ProblemDefinition, g: Graph, td: TreeDecomposition, pinned: Iterable[int] = ()
-) -> DPResult:
-    """Run the DP of problem p; tables[i] maps state -> (value, back) for
-    program op i."""
-    machine = p.machine
-    if machine is None:
+) -> dict:
+    """Root table of problem p's DP: state over `pinned` -> (value, witness).
+
+    The witness is a solution set of size `value` that realises the state.
+    Raises BudgetError when a bag together with the pinned vertices holds
+    more than DP_WIDTH_BUDGET + 1 vertices, and ValueError when p has no DP
+    or the decomposition misses a graph edge.
+    """
+    m = p.machine
+    if m is None:
         raise ValueError(f"no tree-decomposition DP for problem {p.name!r}")
-    if td.width > DP_WIDTH_BUDGET:
-        raise BudgetError(f"decomposition width {td.width} over DP budget {DP_WIDTH_BUDGET}")
-    program = build_program(g, td, pinned)
+    pin = frozenset(pinned)
+    bags = [bag | pin for bag in td.bags] or [pin]
+    width = max(map(len, bags)) - 1
+    if width > DP_WIDTH_BUDGET:
+        raise BudgetError(
+            f"decomposition width {width} with pinned vertices over DP budget {DP_WIDTH_BUDGET}"
+        )
     better = max if p.maximize else min
-    tables: list[dict] = []
-    for op in program:
-        if op.kind == "leaf":
-            tables.append({s: (c, None) for s, c in machine.base(op.bag).items()})
-            continue
-        if op.kind == "join":
-            t1, t2 = tables[op.inputs[0]], tables[op.inputs[1]]
-            groups: dict = {}
-            for s in t2:
-                groups.setdefault(machine.join_key(s), []).append(s)
-            out: dict = {}
-            for s1, (v1, _) in t1.items():
-                for s2 in groups.get(machine.join_key(s1), ()):
-                    merged = machine.join(s1, s2)
-                    if merged is None:
-                        continue
-                    val = v1 + t2[s2][0] - machine.join_overlap(merged)
-                    if merged not in out or better(val, out[merged][0]) == val:
-                        out[merged] = (val, (s1, s2))
-            tables.append(out)
-            continue
-        src = tables[op.inputs[0]]
-        out = {}
-        if op.kind == "intro":
-            v = op.payload[0]
-            for s, (val, _) in src.items():
-                for s2, dc in machine.intro(s, v):
+
+    def project(table: dict, step) -> dict:
+        """Map every state through `step` (None drops it), keeping the best entry."""
+        out: dict = {}
+        for s, entry in table.items():
+            s2 = step(s)
+            if s2 is not None and (s2 not in out or better(entry[0], out[s2][0]) == entry[0]):
+                out[s2] = entry
+        return out
+
+    def move(table: dict, src: frozenset, dst: frozenset) -> dict:
+        """Forget src - dst, then introduce dst - src, one vertex at a time."""
+        for v in sorted(src - dst):
+            table = project(table, lambda s: m.forget(s, v))
+        for v in sorted(dst - src):
+            out = {}
+            for s, (val, wit) in table.items():
+                for s2, dc in m.intro(s, v):
                     cand = val + dc
                     if s2 not in out or better(cand, out[s2][0]) == cand:
-                        out[s2] = (cand, s)
-        elif op.kind == "forget":
-            v = op.payload[0]
-            for s, (val, _) in src.items():
-                s2 = machine.forget(s, v)
-                if s2 is None:
-                    continue
-                if s2 not in out or better(val, out[s2][0]) == val:
-                    out[s2] = (val, s)
-        elif op.kind == "edge":
-            u, v = op.payload
-            for s, (val, _) in src.items():
-                s2 = machine.edge(s, u, v)
-                if s2 is None:
-                    continue
-                if s2 not in out or better(val, out[s2][0]) == val:
-                    out[s2] = (val, s)
-        else:
-            raise AssertionError(op.kind)
-        tables.append(out)
-    return DPResult(tables, program, machine)
+                        out[s2] = (cand, wit | {v} if dc else wit)
+            table = out
+        return table
 
+    def join(t1: dict, t2: dict) -> dict:
+        groups: dict = {}
+        for s in t2:
+            groups.setdefault(m.join_key(s), []).append(s)
+        out: dict = {}
+        for s1, (v1, w1) in t1.items():
+            for s2 in groups.get(m.join_key(s1), ()):
+                merged = m.join(s1, s2)
+                if merged is None:
+                    continue
+                v2, w2 = t2[s2]
+                val = v1 + v2 - m.join_overlap(merged)
+                if merged not in out or better(val, out[merged][0]) == val:
+                    out[merged] = (val, w1 | w2)
+        return out
 
-def reconstruct_witness(result: DPResult, root_state) -> frozenset[int]:
-    """Walk the back-pointers from a root state, collecting committed vertices."""
-    chosen: set[int] = set()
-    stack = [(len(result.program) - 1, root_state)]
+    adj: list[list[int]] = [[] for _ in bags]
+    for a, b in td.tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    # preorder from node 0 with an explicit stack; reversed, it is children first
+    parent: dict[int, int | None] = {0: None}
+    order, stack = [], [0]
     while stack:
-        idx, state = stack.pop()
-        op = result.program[idx]
-        chosen |= result.machine.chosen(state)
-        _, back = result.tables[idx][state]
-        if op.kind == "leaf":
-            continue
-        if op.kind == "join":
-            s1, s2 = back
-            stack.append((op.inputs[0], s1))
-            stack.append((op.inputs[1], s2))
+        i = stack.pop()
+        order.append(i)
+        for j in adj[i]:
+            if j not in parent:
+                parent[j] = i
+                stack.append(j)
+    leaf = {m.empty: (0, frozenset())}
+    pending: dict[int, list[dict]] = {}  # node -> child tables moved to its bag
+    applied: set[tuple[int, int]] = set()
+    for i in reversed(order):
+        bag = bags[i]
+        table = reduce(join, pending.pop(i, None) or [move(leaf, frozenset(), bag)])
+        for u in bag:
+            for v in g.neighbors(u):
+                if u < v and v in bag and (u, v) not in applied:
+                    applied.add((u, v))
+                    table = project(table, lambda s: m.edge(s, u, v))
+        up = parent[i]
+        if up is None:
+            root = move(table, bag, pin)
         else:
-            stack.append((op.inputs[0], back))
-    return frozenset(chosen)
+            pending.setdefault(up, []).append(move(table, bag, bags[up]))
+    if len(applied) != g.m:
+        missing = min(g.edges - applied)
+        raise ValueError(f"decomposition misses edge {missing} (T2 violated)")
+    return root
 
 
 def solve_via_dp(
@@ -550,14 +428,11 @@ def solve_via_dp(
         from .problems import get_problem
 
         problem = get_problem(problem)
-    result = run_dp(problem, g, td)
-    root = result.root_table
+    root = run_dp(problem, g, td)
     if not root:
         return problem.infeasible_value, frozenset()
     better = max if problem.maximize else min
-    state = better(root, key=lambda s: (root[s][0],))
-    value = root[state][0]
-    return value, reconstruct_witness(result, state)
+    return better(root.values(), key=lambda entry: entry[0])
 
 
 def interface_cost_table(
@@ -573,5 +448,4 @@ def interface_cost_table(
     """
     if td is None:
         td = heuristic_decomposition(bg_graph)
-    result = run_dp(p, bg_graph, td, pinned=boundary)
-    return {s: v for s, (v, _) in result.root_table.items()}
+    return {s: val for s, (val, _) in run_dp(p, bg_graph, td, pinned=boundary).items()}

@@ -172,14 +172,12 @@ def all_graphs(max_n: int) -> Iterator[Graph]:
 def boundaried_universe(
     max_n: int,
     b: int,
-    graph_filter: Callable[[Graph], bool] | None = None,
     graphs: Iterable[Graph] | None = None,
 ) -> list[BoundariedGraph]:
     """Connected boundaried graphs with labels exactly 1..b, up to b vertices
     designated in every non-equivalent way, ordered by size then canonically.
 
-    `graph_filter` prunes base graphs (e.g. by treewidth) before boundary
-    placement.
+    `graphs` replaces the pool of every connected graph up to max_n vertices.
     """
     if graphs is None:
         pool: list[Graph] = []
@@ -191,8 +189,6 @@ def boundaried_universe(
     seen = set()
     for g in sorted(pool, key=lambda g: (g.n, g.m)):
         if g.n < b:
-            continue
-        if graph_filter is not None and not graph_filter(g):
             continue
         if b == 0:
             out.append(BoundariedGraph(g, {}))

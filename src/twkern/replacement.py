@@ -18,14 +18,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import problems as problems_mod
-from .dp import DP_WIDTH_BUDGET, interface_cost_table
+from .dp import interface_cost_table
 from .enumeration import boundaried_universe
 from .graphs import BoundariedGraph, BudgetError, Graph, glue
 from .io import ParseError, parse_ints
 from .problems import ProblemDefinition, opt_fast
 from .protrusions import Protrusion, iter_protrusions, validate_protrusion
 from .solvers import adjacency_masks
-from .treedec import TreeDecomposition, decide_treewidth, heuristic_decomposition
+from .treedec import decide_treewidth
 
 logger = logging.getLogger(__name__)
 
@@ -46,11 +46,9 @@ def state_space(p: ProblemDefinition, b: int) -> tuple:
     return p.machine.boundary_states(b)
 
 
-def _raw_table_dp(
-    p: ProblemDefinition, bg: BoundariedGraph, td: TreeDecomposition | None = None
-) -> dict:
+def _raw_table_dp(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
     boundary = bg.boundary
-    table = interface_cost_table(p, bg.graph, boundary, td)
+    table = interface_cost_table(p, bg.graph, boundary)
     return {p.machine.label_state(state, boundary): cost for state, cost in table.items()}
 
 
@@ -117,24 +115,19 @@ def compute_signature(p: ProblemDefinition, bg: BoundariedGraph, method: str = "
     """Signature of a boundaried gadget.
 
     The dynamic program over a heuristic decomposition is the primary route;
-    plain interior enumeration is the reference route for small gadgets and
-    the fallback when the decomposition is too wide.
+    plain interior enumeration is the reference route for small gadgets and,
+    with method "auto", the fallback when the DP is over its width budget.
     """
     if p.machine is None:
         raise ValueError(f"no boundary signatures for problem {p.name!r}")
     b = len(bg.label_of)
-    if method == "brute":
-        return _normalize(p, _raw_table_brute(p, bg), b)
-    if method == "dp":
-        return _normalize(p, _raw_table_dp(p, bg), b)
-    td = heuristic_decomposition(bg.graph)
-    if td.width + b <= DP_WIDTH_BUDGET:
-        return _normalize(p, _raw_table_dp(p, bg, td), b)
-    if bg.graph.n <= BRUTE_SIGNATURE_BUDGET:
-        return _normalize(p, _raw_table_brute(p, bg), b)
-    raise BudgetError(
-        f"gadget too large for signature computation (n={bg.graph.n}, width {td.width})"
-    )
+    if method != "brute":
+        try:
+            return _normalize(p, _raw_table_dp(p, bg), b)
+        except BudgetError:
+            if method == "dp" or bg.graph.n > BRUTE_SIGNATURE_BUDGET:
+                raise
+    return _normalize(p, _raw_table_brute(p, bg), b)
 
 
 def equivalence_constant(
@@ -320,13 +313,8 @@ def build_replacement_table(
 
 def count_signature_classes(p: ProblemDefinition, t: int, size_bound: int) -> dict[int, int]:
     """Realized signature classes per boundary size (no certification)."""
-    counts: dict[int, int] = {}
-    for b in range(t + 1):
-        seen = set()
-        for bg in boundaried_universe(size_bound, b, graphs=_gadget_pool(size_bound, t)):
-            seen.add(compute_signature(p, bg).key)
-        counts[b] = len(seen)
-    return counts
+    rows = build_replacement_table(p, t, size_bound, certify="off").rows
+    return {b: sum(1 for key_b, _ in rows if key_b == b) for b in range(t + 1)}
 
 
 # ---------------------------------------------------------------------------

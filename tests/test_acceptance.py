@@ -10,6 +10,7 @@ any change in their status is loud; see the failure reasons on the markers.
 import math
 import random
 import time
+import zlib
 
 import pytest
 
@@ -257,7 +258,7 @@ class TestC10OracleAgreement:
     def test_brute_matches_dp_on_200_graphs(self, problem, acceptance):
         t0 = time.perf_counter()
         p = CATALOG[problem]
-        rng = random.Random(hash(problem) & 0xFFFF)
+        rng = random.Random(zlib.crc32(problem.encode()))
         mismatches = 0
         for _ in range(200):
             g = sparse_random_graph(rng, rng.randint(1, 12))

@@ -1,0 +1,57 @@
+"""Property tests of the tree-decomposition DP against subset enumeration."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twkern.dp import interface_cost_table, solve_via_dp
+from twkern.graphs import BoundariedGraph, Graph
+from twkern.problems import CATALOG, opt_brute
+from twkern.replacement import _raw_table_brute, compute_signature
+from twkern.treedec import exact_treewidth, heuristic_decomposition
+
+PROBLEMS = [
+    CATALOG[name]
+    for name in ("vertex-cover", "independent-set", "dominating-set", "feedback-vertex-set")
+]
+DERANDOMIZED = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, edges)
+
+
+@st.composite
+def boundaried_graphs(draw):
+    g = draw(graphs())
+    b = draw(st.integers(0, min(3, g.n)))
+    seats = draw(st.permutations(range(g.n)))[:b]
+    return BoundariedGraph(g, {v: i + 1 for i, v in enumerate(seats)})
+
+
+def _decompositions(g: Graph):
+    """Min-fill and exact decompositions: two tree shapes for one graph."""
+    return heuristic_decomposition(g), exact_treewidth(g)[1]
+
+
+@DERANDOMIZED
+@given(bg=boundaried_graphs(), p=st.sampled_from(PROBLEMS))
+def test_pinned_table_matches_brute(bg, p):
+    assert compute_signature(p, bg, "dp") == compute_signature(p, bg, "brute")
+    brute = _raw_table_brute(p, bg)
+    for td in _decompositions(bg.graph):
+        table = interface_cost_table(p, bg.graph, bg.boundary, td)
+        assert {p.machine.label_state(s, bg.boundary): c for s, c in table.items()} == brute
+
+
+@DERANDOMIZED
+@given(g=graphs(), p=st.sampled_from(PROBLEMS))
+def test_witness_is_optimal_and_feasible(g, p):
+    opt = opt_brute(p, g)[0]
+    for td in _decompositions(g):
+        value, witness = solve_via_dp(p, g, td)
+        assert value == opt == len(witness)
+        assert p.feasibility(g, witness)

@@ -7,6 +7,7 @@ import pytest
 
 from twkern.graphs import BoundariedGraph, Graph, make_grid, path_graph
 from twkern.harness import (
+    experiment_k,
     gen_corpus,
     is_member,
     problem_report_rows,
@@ -186,6 +187,10 @@ class TestExperiment:
         corpus = [make_grid(3)]
         rep = run_experiment(VC, corpus, vc_table)
         assert rep.rows[0].kernel_n == 9 and rep.rows[0].replacements == 0
+
+    def test_parameter_of_a_long_path(self):
+        # the DP reference oracle walks a decomposition about 1500 levels deep
+        assert experiment_k(VC, path_graph(1500)) == 750
 
     def test_problem_report_rows(self):
         rows = problem_report_rows(VC, [make_grid(2), path_graph(5)])

@@ -1,6 +1,7 @@
 """Tree decompositions: validation, exact treewidth, heuristics, and the DP."""
 
 import random
+import zlib
 
 import pytest
 
@@ -195,7 +196,7 @@ class TestSolveViaDp:
     )
     def test_agrees_with_brute_force(self, problem):
         p = CATALOG[problem]
-        rng = random.Random(hash(problem) & 0xFFFF)
+        rng = random.Random(zlib.crc32(problem.encode()))
         for _ in range(60):
             g = sparse_random_graph(rng, rng.randint(1, 10))
             td = heuristic_decomposition(g)
@@ -219,6 +220,22 @@ class TestSolveViaDp:
         g = complete_graph(DP_WIDTH_BUDGET + 3)
         td = TreeDecomposition([set(g.vertices)])
         with pytest.raises(BudgetError):
+            solve_via_dp("vertex-cover", g, td)
+
+    def test_deep_decomposition(self):
+        # a path decomposition with one tree level per bag, far deeper than
+        # Python's recursion limit
+        n = 3000
+        g = path_graph(n)
+        td = TreeDecomposition([{i, i + 1} for i in range(n - 1)], [(i, i + 1) for i in range(n - 2)])
+        value, witness = solve_via_dp("vertex-cover", g, td)
+        assert value == len(witness) == n // 2
+        assert CATALOG["vertex-cover"].feasibility(g, witness)
+
+    def test_decomposition_missing_an_edge_rejected(self):
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        td = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
+        with pytest.raises(ValueError, match=r"misses edge \(0, 2\)"):
             solve_via_dp("vertex-cover", g, td)
 
 
