@@ -14,7 +14,7 @@ from . import harness, io
 from .graphs import BoundariedGraph
 from .problems import get_problem
 from .replacement import build_replacement_table, format_table, kernelize, parse_table
-from .treedec import exact_treewidth, heuristic_decomposition
+from .treedec import EXACT_TW_BUDGET, exact_treewidth, heuristic_decomposition
 
 
 def _read(path: str) -> str:
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     d = sub.add_parser("decompose", help="tree-decompose a graph file")
     d.add_argument("--input", required=True)
     d.add_argument("--exact", action="store_true", help="exact treewidth (small graphs)")
-    d.add_argument("--exact-budget", type=int, default=20)
+    d.add_argument("--exact-budget", type=int, default=EXACT_TW_BUDGET)
     d.add_argument("--out")
     d.set_defaults(fn=_cmd_decompose)
 

@@ -16,7 +16,7 @@ from .dp import solve_via_dp
 from .graphs import BudgetError, Graph, disjoint_union, make_grid
 from .problems import ProblemDefinition, brute_budget, opt_brute, opt_fast
 from .replacement import KernelInstance, ReplacementTable, kernelize
-from .treedec import heuristic_decomposition
+from .treedec import EXACT_TW_BUDGET, heuristic_decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def run_experiment(
 
 
 def problem_report_rows(
-    p: ProblemDefinition, corpus: list[Graph], tw_budget: int = 20
+    p: ProblemDefinition, corpus: list[Graph], tw_budget: int = EXACT_TW_BUDGET
 ) -> list[str]:
     """Per-instance `instance,n,m,opt,tw,slack` rows.
 

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from .graphs import BudgetError, Graph, Separation, forest_roots
 from .treedec import (
+    EXACT_TW_BUDGET,
     TreeDecomposition,
     decide_treewidth,
     exact_treewidth,
@@ -160,7 +161,7 @@ def _recursive_pick(g: Graph, eta: int, seed: frozenset[int]) -> frozenset[int]:
 
 
 def modulator_treewidth_ratio(
-    corpus: list[Graph], eta: int, tw_budget: int = 20
+    corpus: list[Graph], eta: int, tw_budget: int = EXACT_TW_BUDGET
 ) -> tuple[float, list[tuple[int, int]]]:
     """Measured max tw(G) / (|S|+1) over a corpus with exact modulators S.
 

@@ -22,7 +22,7 @@ from .dp import (
     VertexCoverMachine,
 )
 from .graphs import BudgetError, Graph
-from .treedec import decide_treewidth
+from .treedec import EXACT_TW_BUDGET, decide_treewidth, exact_treewidth
 
 BRUTE_BUDGET_DEFAULT = 22
 
@@ -277,12 +277,10 @@ class ParameterTreewidthReport:
 
 
 def check_parameter_treewidth(
-    p: ProblemDefinition, corpus: list[Graph], oracle=opt_fast, tw_budget: int = 20
+    p: ProblemDefinition, corpus: list[Graph], oracle=opt_fast, tw_budget: int = EXACT_TW_BUDGET
 ) -> ParameterTreewidthReport:
     """Collect (treewidth, OPT) pairs over a corpus and fit tw ~ OPT^eps."""
-    import numpy as np
-
-    from .treedec import exact_treewidth
+    import statistics  # only here: it loads decimal and fractions
 
     pairs = []
     for g in corpus:
@@ -290,10 +288,10 @@ def check_parameter_treewidth(
         opt, _ = oracle(p, g)
         pairs.append((w, opt))
     usable = [(w, o) for w, o in pairs if w >= 1 and not isinstance(o, float) and o >= 2]
-    if len(usable) >= 2:
-        xs = np.log([o for _, o in usable])
-        ys = np.log([w for w, _ in usable])
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+    if len({o for _, o in usable}) >= 2:  # a slope needs two distinct OPT values
+        xs = [math.log(o) for _, o in usable]
+        ys = [math.log(w) for w, _ in usable]
+        exponent = statistics.linear_regression(xs, ys).slope
     else:
         exponent = 0.0
     return ParameterTreewidthReport(pairs, exponent)

@@ -7,13 +7,15 @@ whose closed neighborhoods are r-protrusions attached only to the core.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .graphs import Graph
 from .modulators import Modulator, balanced_separation
 from .treedec import (
+    EXACT_TW_BUDGET,
     TreeDecomposition,
     ValidationResult,
     decide_treewidth,
@@ -22,13 +24,11 @@ from .treedec import (
     treewidth_at_most,
 )
 
-EXACT_TW_BUDGET = 20
 
-
-def _width_upper_bound(g: Graph, exact_budget: int = EXACT_TW_BUDGET) -> int:
+def _width_upper_bound(g: Graph) -> int:
     """Best available treewidth upper bound (exact on small graphs)."""
-    if g.n <= exact_budget:
-        return exact_treewidth(g, max_vertices=exact_budget)[0]
+    if g.n <= EXACT_TW_BUDGET:
+        return exact_treewidth(g)[0]
     return heuristic_decomposition(g).width
 
 
@@ -53,7 +53,7 @@ def validate_protrusion(g: Graph, x, t: int) -> ValidationResult:
     if len(bnd) > t:
         return ValidationResult(False, f"boundary has {len(bnd)} > {t} vertices")
     sub, _ = g.induced_subgraph(xs)
-    fits = decide_treewidth(sub, t, EXACT_TW_BUDGET)
+    fits = decide_treewidth(sub, t)
     if fits is None:
         return ValidationResult(False, "treewidth bound not certifiable at this size")
     if not fits:
@@ -106,7 +106,7 @@ def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
         if len(bnd) > pd.r:
             return ValidationResult(False, f"closed part {i} has boundary {len(bnd)} > r={pd.r}")
         sub, _ = g.induced_subgraph(closed)
-        fits = decide_treewidth(sub, pd.r, EXACT_TW_BUDGET)
+        fits = decide_treewidth(sub, pd.r)
         if fits is None:
             return ValidationResult(False, f"closed part {i} treewidth not certifiable")
         if not fits:
@@ -199,31 +199,61 @@ def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
 # protrusion search
 
 
-def _connected_subsets(g: Graph, max_size: int) -> Iterator[frozenset[int]]:
-    """All connected vertex subsets, each exactly once.
+def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]]:
+    """Candidate sets B ∪ U with |B| <= t and U a nonempty union of
+    components of G - B, of size min_size..n-1, in order (-size, sorted
+    vertices).
 
-    Subsets are rooted at their minimum vertex and grown over candidate
-    neighborhoods; once a branch skips a candidate, it stays forbidden in all
-    later branches of the same level, which rules out duplicates.
+    Every connected X with an interior and |∂X| <= t is one of them with
+    B = ∂X, since an interior vertex has all its neighbors in X.  Skipped, as
+    they give no such X or give it from another B: a B holding a vertex with
+    no neighbor outside B, components that miss a nonempty B or, with B
+    empty, have more than one vertex, and components C with
+    tw(G[B ∪ C]) > t (width only grows).
+
+    Components are copies when the map between them in sorted vertex order,
+    fixing B, is an isomorphism of their closures.  Swapping copies is an
+    automorphism of G fixing B, so of unions that differ only in which
+    copies they keep, only the first in the order is listed: the one keeping
+    the copies with the smallest vertices.  The search is best-first over
+    how many copies of each kind a union keeps; a successor keeps one fewer
+    of one kind, kinds in nondecreasing order, so each count vector is
+    reached once.
     """
+    bases: list[tuple[frozenset[int], list[list[frozenset[int]]]]] = []
+    heap: list[tuple[int, tuple[int, ...], int, tuple[int, ...], int]] = []
 
-    def rec(current: set[int], candidates: set[int], forbidden: set[int], lower: set[int]):
-        yield frozenset(current)
-        if len(current) >= max_size:
-            return
-        forb = set(forbidden)
-        for v in sorted(candidates):
-            if v in forb:
-                continue
-            current.add(v)
-            new_cands = (candidates | (set(g.neighbors(v)) - lower)) - current - forb
-            yield from rec(current, new_cands, forb, lower)
-            current.remove(v)
-            forb.add(v)
+    def push(i: int, counts: tuple[int, ...], last: int) -> None:
+        bset, kinds = bases[i]
+        xs = bset.union(*(c for copies, k in zip(kinds, counts) for c in copies[:k]))
+        if any(counts) and len(xs) >= min_size:
+            heapq.heappush(heap, (-len(xs), tuple(sorted(xs)), i, counts, last))
 
-    for start in range(g.n):
-        lower = set(range(start + 1))
-        yield from rec({start}, set(g.neighbors(start)) - lower, set(), lower)
+    for b in range(t + 1):
+        for combo in combinations(g.vertices, b):
+            bset = frozenset(combo)
+            comps = g.connected_components(avoid=bset)
+            if len(comps) < 2 or any(g.neighbors(v) <= bset for v in bset):
+                continue  # the only union is V, or a vertex of B is interior
+            kinds: dict[frozenset[tuple[int, int]], list[frozenset[int]]] = {}
+            for c in comps:
+                # with B empty, a larger component has width > t = 0 or comes
+                # from B = {v}, v in it
+                touches = g.open_neighborhood(c) & bset if bset else len(c) == 1
+                if not touches or decide_treewidth(g.induced_subgraph(bset | c)[0], t) is False:
+                    continue
+                index = {v: i for i, v in enumerate([*sorted(bset), *sorted(c)])}
+                shape = frozenset((index[u], index[w]) for u in c for w in g.neighbors(u))
+                kinds.setdefault(shape, []).append(c)
+            bases.append((bset, list(kinds.values())))
+            push(len(bases) - 1, tuple(len(copies) for copies in kinds.values()), 0)
+    while heap:
+        _, xs, i, counts, last = heapq.heappop(heap)
+        if len(xs) < g.n:
+            yield frozenset(xs)
+        for j in range(last, len(counts)):
+            if counts[j]:
+                push(i, counts[:j] + (counts[j] - 1,) + counts[j + 1 :], j)
 
 
 def iter_protrusions(
@@ -231,45 +261,21 @@ def iter_protrusions(
 ) -> Iterator[Protrusion]:
     """Yield valid t-protrusions of at least min_size vertices, largest first.
 
-    Sound, not complete: exhaustive connected-subset search on small dense
-    instances (<= 14 vertices, t <= 2), candidate-boundary growth otherwise.
-    Seeds (e.g. protrusion-decomposition parts) are tried first via their
-    closed neighborhoods.
+    The seeds (e.g. protrusion-decomposition parts) are tried first, via
+    their closed neighborhoods.  Then every connected X != V with
+    |∂X| <= t, an interior and min_size <= |X| is tried, in order
+    (-|X|, sorted X), except that of sets mapped onto each other by swapping
+    copies of components (see `_boundary_unions`) only the first is tried:
+    they are t-protrusions alike and replace alike.  A set is yielded when
+    `treewidth_at_most` certifies tw(G[X]) <= t, which is exact except for
+    t >= 2 above the exact budget.
     """
-    candidates: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-
-    def add(xs: frozenset[int]) -> None:
-        if len(xs) >= min_size and xs not in seen and len(xs) < g.n:
-            seen.add(xs)
-            candidates.append(xs)
-
-    for seed in seeds:
-        add(frozenset(seed) | g.open_neighborhood(seed))
-
-    seed_count = len(candidates)
-    if g.n <= 14 and t <= 2:
-        for xs in _connected_subsets(g, g.n - 1):
-            add(xs)
-    else:
-        verts = sorted(g.vertices)
-        for b in range(t + 1):
-            for combo in combinations(verts, b):
-                bset = frozenset(combo)
-                comps = g.connected_components(avoid=bset)
-                if len(comps) > 1:
-                    largest = max(range(len(comps)), key=lambda i: (len(comps[i]), i))
-                    merged = bset.union(
-                        *[c for i, c in enumerate(comps) if i != largest]
-                    )
-                    add(merged)
-                for comp in comps:
-                    add(comp | g.open_neighborhood(comp))
-
-    ordered = candidates[:seed_count] + sorted(
-        candidates[seed_count:], key=lambda xs: (-len(xs), sorted(xs))
-    )
-    for xs in ordered:
+    closed_seeds = (frozenset(s) | g.open_neighborhood(s) for s in seeds)
+    for xs in chain(closed_seeds, _boundary_unions(g, t, min_size)):
+        if xs in seen or not min_size <= len(xs) < g.n:
+            continue
+        seen.add(xs)
         bnd = g.boundary(xs)
         if len(bnd) > t or len(bnd) == len(xs):
             # all-boundary candidates have no interior to replace
@@ -277,7 +283,7 @@ def iter_protrusions(
         sub, _ = g.induced_subgraph(xs)
         if not sub.is_connected():
             continue
-        td = treewidth_at_most(sub, t, EXACT_TW_BUDGET)
+        td = treewidth_at_most(sub, t)
         if td is not None:
             yield Protrusion(xs, t, td)
 
@@ -285,8 +291,8 @@ def iter_protrusions(
 def find_max_protrusion(
     g: Graph, t: int, min_size: int, seeds: tuple[frozenset[int], ...] = ()
 ) -> Protrusion | None:
-    """Largest t-protrusion with at least min_size vertices found by the
-    heuristic search; None means none was found, not that none exists.
+    """Largest t-protrusion with at least min_size vertices, or None; see
+    `iter_protrusions` for when a None is certain.
     """
     for p in iter_protrusions(g, t, min_size, seeds):
         return p

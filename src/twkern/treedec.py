@@ -15,6 +15,8 @@ from typing import Iterable
 
 from .graphs import BudgetError, Graph, forest_roots
 
+EXACT_TW_BUDGET = 20  # largest graph exact treewidth is run on by default
+
 
 class TreeDecomposition:
     """A tree of bags.  Node ids are dense 0..k-1; bags are vertex sets."""
@@ -51,15 +53,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def node_neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.tree_edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -85,32 +78,26 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> ValidationResult:
         return ValidationResult(False, f"tree must have {k - 1} edges, has {len(td.tree_edges)}")
     if forest_roots(range(k), td.tree_edges) is None:
         return ValidationResult(False, "decomposition tree has a cycle")
+    nodes_of: list[set[int]] = [set() for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 return ValidationResult(False, f"bag {i} contains foreign vertex {v}")
-    covered = set()
-    for bag in td.bags:
-        covered |= bag
-    missing = set(g.vertices) - covered
-    if missing:
-        return ValidationResult(False, f"(T1) vertex {min(missing)} is in no bag")
+            nodes_of[v].add(i)
+    for v in g.vertices:
+        if not nodes_of[v]:
+            return ValidationResult(False, f"(T1) vertex {v} is in no bag")
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in td.bags):
+        if nodes_of[u].isdisjoint(nodes_of[v]):
             return ValidationResult(False, f"(T2) edge ({u},{v}) is in no bag")
-    adj = [td.node_neighbors(i) for i in range(k)]
-    for v in range(g.n):
-        nodes = [i for i in range(k) if v in td.bags[i]]
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in node_set and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(nodes):
+    # the nodes holding v induce a subforest, connected iff it has one edge
+    # fewer than nodes
+    shared = [0] * g.n
+    for a, b in td.tree_edges:
+        for v in td.bags[a] & td.bags[b]:
+            shared[v] += 1
+    for v in g.vertices:
+        if shared[v] != len(nodes_of[v]) - 1:
             return ValidationResult(False, f"(T3) bags containing vertex {v} are not connected")
     return ValidationResult(True)
 
@@ -267,7 +254,7 @@ def _decide_width(g: Graph, w: int) -> list[int] | None:
     return None
 
 
-def exact_treewidth(g: Graph, max_vertices: int = 20) -> tuple[int, TreeDecomposition]:
+def exact_treewidth(g: Graph, max_vertices: int = EXACT_TW_BUDGET) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a certifying decomposition.
 
     Iterative deepening over elimination orderings from a minor-min-width
@@ -316,7 +303,7 @@ def _exact_treewidth_cached(g: Graph) -> tuple[int, TreeDecomposition]:
     return ub, decomposition_from_order(g, ub_order)
 
 
-def decide_treewidth(g: Graph, eta: int, exact_budget: int = 20) -> bool | None:
+def decide_treewidth(g: Graph, eta: int, exact_budget: int = EXACT_TW_BUDGET) -> bool | None:
     """Is tw(g) <= eta?  True or False when certain, None when not.
 
     Width 0 is an edge test and width 1 a forest test; neither builds a
@@ -335,7 +322,9 @@ def decide_treewidth(g: Graph, eta: int, exact_budget: int = 20) -> bool | None:
     return False if g.n <= exact_budget else None
 
 
-def treewidth_at_most(g: Graph, eta: int, exact_budget: int = 20) -> TreeDecomposition | None:
+def treewidth_at_most(
+    g: Graph, eta: int, exact_budget: int = EXACT_TW_BUDGET
+) -> TreeDecomposition | None:
     """A width <= eta decomposition if one is found, else None.
 
     For eta <= 1 the answer is `decide_treewidth`'s.  From 2 on, min-fill

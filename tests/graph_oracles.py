@@ -1,5 +1,5 @@
-"""Test-only oracles: exhaustive canonical forms, grid-minor containment and
-annotated boundaried graphs.
+"""Test-only oracles: exhaustive canonical forms, grid-minor containment,
+connected-subset enumeration and annotated boundaried graphs.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -8,7 +8,7 @@ against; nothing in the package uses them.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from twkern.graphs import BoundariedGraph, BudgetError, Graph, contract_edge, glue, make_grid
 
@@ -132,3 +132,30 @@ def contains_grid_minor(g: Graph, t: int, max_vertices: int = 14) -> bool:
                     nxt.add(c)
         level = nxt
     return False
+
+
+def connected_subsets(g: Graph, max_size: int) -> Iterator[frozenset[int]]:
+    """All connected vertex subsets of at most max_size vertices, each once.
+
+    Subsets are rooted at their minimum vertex and grown over candidate
+    neighborhoods; once a branch skips a candidate, it stays forbidden in all
+    later branches of the same level, which rules out duplicates.
+    """
+
+    def rec(current: set[int], candidates: set[int], forbidden: set[int], lower: set[int]):
+        yield frozenset(current)
+        if len(current) >= max_size:
+            return
+        forb = set(forbidden)
+        for v in sorted(candidates):
+            if v in forb:
+                continue
+            current.add(v)
+            new_cands = (candidates | (set(g.neighbors(v)) - lower)) - current - forb
+            yield from rec(current, new_cands, forb, lower)
+            current.remove(v)
+            forb.add(v)
+
+    for start in range(g.n):
+        lower = set(range(start + 1))
+        yield from rec({start}, set(g.neighbors(start)) - lower, set(), lower)

@@ -209,6 +209,17 @@ class TestProtrusionSearch:
             for x in iter_protrusions(g, 2, 2):
                 assert validate_protrusion(g, x.vertices, 2).ok
 
+    def test_union_of_two_small_components(self):
+        # a 5x5 grid with a K4 hanging off vertex 0 by one edge and two
+        # 3-vertex paths at vertex 0: vertex 0 with one component of G - {0}
+        # is too small or too wide, so the answer joins the two paths
+        g0 = make_grid(5)
+        k4 = [(a, b) for a in range(25, 29) for b in range(a + 1, 29)]
+        paths = [(0, 29), (29, 30), (30, 31), (0, 32), (32, 33), (33, 34)]
+        g = Graph(35, [*g0.edges, *k4, (0, 25), *paths])
+        x = find_max_protrusion(g, 1, 6)
+        assert x is not None and x.vertices == frozenset({0, *range(29, 35)})
+
     def test_seeded_search_finds_pd_parts(self):
         g = make_grid(4)
         mod = exact_modulator(g, 1)

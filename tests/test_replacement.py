@@ -301,6 +301,18 @@ class TestKernelize:
         inst = kernelize(VC, g, 4, vc_table)
         assert inst.graph == g and inst.k == 4 and inst.trace == ()
 
+    def test_star_with_many_leaves(self, vc_table, ds_table):
+        # 2^40 unions of leaves hang off the centre: the search must stay lazy
+        # when the first is replaced (vertex cover) and list the leaves as
+        # copies when every union is rejected (no dominating-set row forces
+        # the centre)
+        star = Graph(41, [(0, i) for i in range(1, 41)])
+        for seed in (None, 1):
+            inst = kernelize(VC, star, 1, vc_table, shuffle_seed=seed)
+            assert inst.graph.n == 6 and inst.k == 1
+        inst = kernelize(CATALOG["dominating-set"], star, 1, ds_table)
+        assert inst.graph == star and inst.k == 1
+
     def test_trace_length_counts_replacements(self, vc_table):
         from twkern.harness import gen_corpus
 

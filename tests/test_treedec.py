@@ -59,6 +59,22 @@ class TestValidation:
         td = TreeDecomposition([{0, 1, 7}])
         assert not validate_decomposition(g, td).ok
 
+    def test_first_violation_on_a_long_path_decomposition(self):
+        n = 3000
+        g = path_graph(n)
+        bags = [{i, i + 1} for i in range(n - 1)]
+        chain = [(i, i + 1) for i in range(n - 2)]
+        assert validate_decomposition(g, TreeDecomposition(bags, chain)).ok
+        cases = [
+            ({1700: {1700, 1701, n}}, "bag 1700 contains foreign vertex 3000"),
+            ({1499: {1499}, 1500: {1501}}, "(T1) vertex 1500 is in no bag"),
+            ({1499: {1499}, 1500: {1500, 1501}}, "(T2) edge (1499,1500) is in no bag"),
+            ({1000: {1000, 1001, 5}}, "(T3) bags containing vertex 5 are not connected"),
+        ]
+        for edits, message in cases:
+            td = TreeDecomposition([edits.get(i, b) for i, b in enumerate(bags)], chain)
+            assert validate_decomposition(g, td).message == message
+
 
 class TestExactTreewidth:
     @pytest.mark.parametrize("t,expected", [(2, 2), (3, 3), (4, 4)])
