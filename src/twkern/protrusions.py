@@ -52,8 +52,7 @@ def validate_protrusion(g: Graph, x, t: int) -> ValidationResult:
     bnd = g.boundary(xs)
     if len(bnd) > t:
         return ValidationResult(False, f"boundary has {len(bnd)} > {t} vertices")
-    sub, _ = g.induced_subgraph(xs)
-    fits = decide_treewidth(sub, t)
+    fits = decide_treewidth(g.induced_subgraph(xs)[0], t)
     if fits is None:
         return ValidationResult(False, "treewidth bound not certifiable at this size")
     if not fits:
@@ -83,16 +82,10 @@ class ProtrusionDecomposition:
 def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
     """Check the partition, the size bound, and every closed part."""
     pieces = [pd.core, *pd.parts]
-    union: set[int] = set()
-    count = 0
-    for piece in pieces:
-        union |= piece
-        count += len(piece)
-    if union != set(g.vertices) or count != g.n:
+    if set().union(*pieces) != set(g.vertices) or sum(map(len, pieces)) != g.n:
         return ValidationResult(False, "core and parts do not partition the vertex set")
-    for part in pd.parts:
-        if not part:
-            return ValidationResult(False, "empty part")
+    if not all(pd.parts):
+        return ValidationResult(False, "empty part")
     if max(len(pd.parts), len(pd.core)) > pd.alpha:
         return ValidationResult(
             False, f"max(ell={len(pd.parts)}, |core|={len(pd.core)}) exceeds alpha={pd.alpha}"
@@ -105,8 +98,7 @@ def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
         bnd = g.boundary(closed)
         if len(bnd) > pd.r:
             return ValidationResult(False, f"closed part {i} has boundary {len(bnd)} > r={pd.r}")
-        sub, _ = g.induced_subgraph(closed)
-        fits = decide_treewidth(sub, pd.r)
+        fits = decide_treewidth(g.induced_subgraph(closed)[0], pd.r)
         if fits is None:
             return ValidationResult(False, f"closed part {i} treewidth not certifiable")
         if not fits:
@@ -136,11 +128,8 @@ def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
         return core, ([rest] if rest else [])
 
     def base_components(sub: Graph, old: tuple[int, ...], mod: frozenset[int]):
-        core = {old[v] for v in mod}
-        parts = []
-        for comp in sub.connected_components(avoid=mod):
-            parts.append(frozenset(old[v] for v in comp))
-        return core, parts
+        comps = sub.connected_components(avoid=mod)
+        return {old[v] for v in mod}, [frozenset(old[v] for v in comp) for comp in comps]
 
     def rec(sub: Graph, old: tuple[int, ...], mod: frozenset[int]):
         comps = sub.connected_components()
@@ -153,8 +142,7 @@ def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
                 cmod = frozenset(i for i, o in enumerate(cold) if o in mod)
                 if not cmod:
                     # component untouched by the modulator: it is one part
-                    if comp:
-                        parts.append(frozenset(old[v] for v in comp))
+                    parts.append(frozenset(old[v] for v in comp))
                     continue
                 ccore, cparts = rec(csub, abs_old, cmod)
                 core |= ccore
@@ -162,8 +150,7 @@ def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
             return core, parts
         if len(mod) <= 3 or sub.n <= eta + 4:
             return base(sub, old, mod)
-        td = heuristic_decomposition(sub)
-        sep = balanced_separation(sub, mod, td)
+        sep = balanced_separation(sub, mod, heuristic_decomposition(sub))
         x = sep.separator
         max_sep[0] = max(max_sep[0], len(x))
         left = sep.a1 - sep.a2
@@ -183,15 +170,13 @@ def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
             parts.extend(rparts)
         return core, parts
 
-    old0 = tuple(g.vertices)
-    core, parts = rec(g, old0, s.vertices)
+    core, parts = rec(g, tuple(g.vertices), s.vertices)
     parts_t = tuple(parts)
     alpha = max(len(parts_t), len(core))
     r = 0
     for part in parts_t:
         closed = part | g.open_neighborhood(part)
-        sub, _ = g.induced_subgraph(closed)
-        r = max(r, len(g.boundary(closed)), _width_upper_bound(sub))
+        r = max(r, len(g.boundary(closed)), _width_upper_bound(g.induced_subgraph(closed)[0]))
     return ProtrusionDecomposition(frozenset(core), parts_t, alpha, r, max_sep[0])
 
 
@@ -199,9 +184,27 @@ def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
 # protrusion search
 
 
+def _tree_code(g: Graph, bset: frozenset[int], c: frozenset[int], codes: dict) -> int | None:
+    """AHU code of C with its edges to B as a tree rooted in B, B's vertices
+    named, or None if not a tree: codes are equal iff isomorphic fixing B."""
+    nbrs = {v: g.neighbors(v) & c for v in g.open_neighborhood(c) & bset}
+    nbrs.update((u, g.neighbors(u) & (c | bset)) for u in c)
+    if sum(map(len, nbrs.values())) != 2 * len(nbrs) - 2:
+        return None
+    order, seen = [min(nbrs.keys() & bset or c)], set()
+    for v in order:
+        seen.add(v)
+        order += nbrs[v] - seen
+    code: dict[int, int] = {}
+    for v in reversed(order):  # a vertex's coded neighbors are its children
+        kids = tuple(sorted(code[w] for w in nbrs[v] if w in code))
+        code[v] = codes.setdefault((v if v in bset else -1, kids), len(codes))
+    return code[order[0]]
+
+
 def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]]:
     """Candidate sets B ∪ U with |B| <= t and U a nonempty union of
-    components of G - B, of size min_size..n-1, in order (-size, sorted
+    components of G - B, of size min_size..n, in order (-size, sorted
     vertices).
 
     Every connected X with an interior and |∂X| <= t is one of them with
@@ -211,16 +214,18 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
     empty, have more than one vertex, and components C with
     tw(G[B ∪ C]) > t (width only grows).
 
-    Components are copies when the map between them in sorted vertex order,
-    fixing B, is an isomorphism of their closures.  Swapping copies is an
-    automorphism of G fixing B, so of unions that differ only in which
-    copies they keep, only the first in the order is listed: the one keeping
-    the copies with the smallest vertices.  The search is best-first over
-    how many copies of each kind a union keeps; a successor keeps one fewer
-    of one kind, kinds in nondecreasing order, so each count vector is
-    reached once.
+    Components are copies when their closures are isomorphic fixing B: told
+    by `_tree_code` when G[C] with its edges to B is a tree (always at
+    t <= 1), else only when the map in sorted vertex order is such an
+    isomorphism.  Swapping copies is an automorphism of G fixing B, so of
+    unions that differ only in which copies they keep, only the first in the
+    order is listed: the one keeping the copies with the smallest vertices.
+    The search is best-first over how many copies of each kind a union
+    keeps; a successor keeps one fewer of one kind, kinds in nondecreasing
+    order, so each count vector is reached once.
     """
     bases: list[tuple[frozenset[int], list[list[frozenset[int]]]]] = []
+    codes: dict[tuple[int, tuple[int, ...]], int] = {}
     heap: list[tuple[int, tuple[int, ...], int, tuple[int, ...], int]] = []
 
     def push(i: int, counts: tuple[int, ...], last: int) -> None:
@@ -235,22 +240,23 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
             comps = g.connected_components(avoid=bset)
             if len(comps) < 2 or any(g.neighbors(v) <= bset for v in bset):
                 continue  # the only union is V, or a vertex of B is interior
-            kinds: dict[frozenset[tuple[int, int]], list[frozenset[int]]] = {}
+            kinds: dict[object, list[frozenset[int]]] = {}
             for c in comps:
                 # with B empty, a larger component has width > t = 0 or comes
                 # from B = {v}, v in it
                 touches = g.open_neighborhood(c) & bset if bset else len(c) == 1
                 if not touches or decide_treewidth(g.induced_subgraph(bset | c)[0], t) is False:
                     continue
-                index = {v: i for i, v in enumerate([*sorted(bset), *sorted(c)])}
-                shape = frozenset((index[u], index[w]) for u in c for w in g.neighbors(u))
-                kinds.setdefault(shape, []).append(c)
+                key = _tree_code(g, bset, c, codes)
+                if key is None:
+                    index = {v: i for i, v in enumerate([*sorted(bset), *sorted(c)])}
+                    key = frozenset((index[u], index[w]) for u in c for w in g.neighbors(u))
+                kinds.setdefault(key, []).append(c)
             bases.append((bset, list(kinds.values())))
             push(len(bases) - 1, tuple(len(copies) for copies in kinds.values()), 0)
     while heap:
         _, xs, i, counts, last = heapq.heappop(heap)
-        if len(xs) < g.n:
-            yield frozenset(xs)
+        yield frozenset(xs)
         for j in range(last, len(counts)):
             if counts[j]:
                 push(i, counts[:j] + (counts[j] - 1,) + counts[j + 1 :], j)
@@ -281,9 +287,7 @@ def iter_protrusions(
             # all-boundary candidates have no interior to replace
             continue
         sub, _ = g.induced_subgraph(xs)
-        if not sub.is_connected():
-            continue
-        td = treewidth_at_most(sub, t)
+        td = treewidth_at_most(sub, t) if sub.is_connected() else None
         if td is not None:
             yield Protrusion(xs, t, td)
 

@@ -15,7 +15,7 @@ import logging
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 from . import problems as problems_mod
 from .dp import interface_cost_table
@@ -411,8 +411,7 @@ def kernelize(
     protrusion decomposition built from a recursive treewidth-eta-modulator.
     Each replacement strictly shrinks the graph, so this terminates.
     `check_each_step` re-derives the optimum before and after every step
-    against the exact oracle (test builds only).  `shuffle_seed` tries the
-    first n candidates of each round in a random order.
+    against the exact oracle (test builds only).
     """
     if table.problem != p.name:
         raise ValueError(f"table was built for {table.problem!r}, not {p.name!r}")
@@ -426,10 +425,9 @@ def kernelize(
         min_size = table.max_rep_size + 1
         candidates = iter_protrusions(cur, table.t, min_size, seeds)
         if rng is not None:
-            # shuffle only a prefix: the full candidate list can be exponential
-            head = list(islice(candidates, cur.n))
-            rng.shuffle(head)
-            candidates = chain(head, candidates)
+            pool = list(candidates)
+            rng.shuffle(pool)
+            candidates = iter(pool)
         applied = False
         for x in candidates:
             new_inst = replace_protrusion(inst, x, table)

@@ -2,7 +2,7 @@
 
 import networkx as nx
 from graph_oracles import connected_subsets
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twkern.graphs import Graph
@@ -43,6 +43,14 @@ def _automorphic(g: Graph, xs: frozenset[int], ys: frozenset[int]) -> bool:
     return nx.is_isomorphic(_marked(g, xs), _marked(g, ys), node_match=same)
 
 
+# G - {2, 8} has a triangle component {0, 6, 7} and a tree component
+# {1, 3, 4, 5} of the shape a search from 2 over the triangle meets: they
+# are not copies
+@example(
+    g=Graph(9, [(0, 6), (0, 7), (0, 8), (1, 2), (1, 3), (1, 5), (2, 6), (4, 5), (5, 8), (6, 7)]),
+    t=2,
+    min_size=1,
+)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(g=graphs(), t=st.integers(0, 2), min_size=st.integers(1, 8))
 def test_search_is_complete_up_to_automorphism(g, t, min_size):

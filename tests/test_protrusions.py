@@ -220,6 +220,20 @@ class TestProtrusionSearch:
         x = find_max_protrusion(g, 1, 6)
         assert x is not None and x.vertices == frozenset({0, *range(29, 35)})
 
+    def test_renumbered_pendant_forks_are_copies(self):
+        # a centre with 6 leaves and 12 pendant forks (a vertex with a leaf
+        # and a 2-vertex path): the forks are copies whatever their numbering,
+        # so renumbering lists as many sets
+        edges, n = [(0, i) for i in range(1, 7)], 7
+        for _ in range(12):
+            edges += [(0, n), (n, n + 1), (n, n + 2), (n + 2, n + 3)]
+            n += 4
+        perm = list(range(n))
+        random.Random(1).shuffle(perm)
+        renumbered = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        counts = [sum(1 for _ in iter_protrusions(h, 1, 7)) for h in (Graph(n, edges), renumbered)]
+        assert counts[0] == counts[1]
+
     def test_seeded_search_finds_pd_parts(self):
         g = make_grid(4)
         mod = exact_modulator(g, 1)

@@ -313,6 +313,23 @@ class TestKernelize:
         inst = kernelize(CATALOG["dominating-set"], star, 1, ds_table)
         assert inst.graph == star and inst.k == 1
 
+    def test_shuffled_order_on_renumbered_pendant_paths(self, ds_table):
+        # shuffle_seed lists every candidate of a round, as a search whose
+        # candidates are all rejected does: randomly numbered pendant paths
+        # must still be listed as copies, not as 2^16 unions
+        ds = CATALOG["dominating-set"]
+        edges, n = [(0, i) for i in range(1, 7)], 7
+        for _ in range(16):
+            edges += [(0, n), (n, n + 1), (n + 1, n + 2)]
+            n += 3
+        perm = list(range(n))
+        random.Random(1).shuffle(perm)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        opt = opt_fast(ds, g)[0]
+        for seed in (1, 2):
+            inst = kernelize(ds, g, opt, ds_table, shuffle_seed=seed)
+            assert inst.graph.n < g.n and opt_fast(ds, inst.graph)[0] <= inst.k
+
     def test_trace_length_counts_replacements(self, vc_table):
         from twkern.harness import gen_corpus
 
