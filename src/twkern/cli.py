@@ -13,7 +13,13 @@ from pathlib import Path
 from . import harness, io
 from .graphs import BoundariedGraph
 from .problems import get_problem
-from .replacement import build_replacement_table, format_table, kernelize, parse_table
+from .replacement import (
+    CERTIFY_LEVELS,
+    build_replacement_table,
+    format_table,
+    kernelize,
+    parse_table,
+)
 from .treedec import EXACT_TW_BUDGET, exact_treewidth, heuristic_decomposition
 
 
@@ -141,7 +147,7 @@ def main(argv=None) -> int:
     t.add_argument("--problem", required=True)
     t.add_argument("--t", type=int, default=1)
     t.add_argument("--size-bound", type=int, default=6)
-    t.add_argument("--certify", default="light", choices=["off", "light", "thorough", "exhaustive"])
+    t.add_argument("--certify", default="light", choices=list(CERTIFY_LEVELS))
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out")
     t.set_defaults(fn=_cmd_table_build)

@@ -8,6 +8,7 @@ every boundaried gadget universe used by the replacement tables.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 from .graphs import BoundariedGraph, Graph
@@ -193,7 +194,7 @@ def boundaried_universe(
         if b == 0:
             out.append(BoundariedGraph(g, {}))
             continue
-        for combo in _ordered_tuples(g.n, b):
+        for combo in permutations(range(g.n), b):
             bg = BoundariedGraph(g, {v: i + 1 for i, v in enumerate(combo)})
             key = canonical_key_bg(bg)
             if key not in seen:
@@ -201,14 +202,3 @@ def boundaried_universe(
                 out.append(bg)
     return out
 
-
-def _ordered_tuples(n: int, b: int) -> Iterator[tuple[int, ...]]:
-    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == b:
-            yield prefix
-            return
-        for v in range(n):
-            if v not in prefix:
-                yield from rec(prefix + (v,))
-
-    yield from rec(())

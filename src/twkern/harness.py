@@ -179,7 +179,7 @@ def verify_kernel_soundness(
     report = SoundnessReport()
     for idx, g in enumerate(corpus):
         if g.n > brute_budget():
-            raise ValueError(f"instance {idx} exceeds the oracle budget")
+            raise BudgetError(f"instance {idx} exceeds the oracle budget")
         opt = oracle(p, g)
         base_k = 0 if isinstance(opt, float) else int(opt)
         for k in range(base_k - k_window, base_k + k_window + 1):
@@ -283,9 +283,7 @@ def run_experiment(
     return report
 
 
-def problem_report_rows(
-    p: ProblemDefinition, corpus: list[Graph], tw_budget: int = EXACT_TW_BUDGET
-) -> list[str]:
+def problem_report_rows(p: ProblemDefinition, corpus: list[Graph]) -> list[str]:
     """Per-instance `instance,n,m,opt,tw,slack` rows.
 
     The slack column probes separability on a deterministic part: the ball
@@ -297,7 +295,7 @@ def problem_report_rows(
     out = []
     for idx, g in enumerate(corpus):
         opt = opt_fast(p, g)[0] if g.n <= brute_budget() else float("inf")
-        tw = exact_treewidth(g, max_vertices=tw_budget)[0] if g.n <= tw_budget else -1
+        tw = exact_treewidth(g)[0] if g.n <= EXACT_TW_BUDGET else -1
         part = _half_ball(g)
         rep = check_separability(p, g, part, oracle=lambda pp, gg: (opt_fast(pp, gg)))
         out.append(f"{idx},{g.n},{g.m},{format_opt(opt)},{tw},{rep.slack}")

@@ -1,10 +1,14 @@
 """Text formats: graphs, tree decompositions, protrusion decompositions.
 
 All writers emit canonical bytes (sorted edges, 1-indexed ids) so round trips
-are bit-exact.  Parsers report the offending line number on malformed input.
+are bit-exact.  Every parser reads through one `LineReader`, so all formats
+share one comment rule and report the offending line number on malformed
+input.
 """
 
 from __future__ import annotations
+
+import math
 
 from .graphs import BoundariedGraph, Graph
 from .protrusions import ProtrusionDecomposition
@@ -25,6 +29,60 @@ def parse_ints(line_no: int, toks: list[str]) -> list[int]:
         raise ParseError(line_no, f"expected integers, got {' '.join(toks)!r}") from None
 
 
+def _ids(line_no: int, toks: list[str], hi: float = math.inf) -> list[int]:
+    """1-indexed ids, each in 1..hi, as 0-indexed integers."""
+    ids = parse_ints(line_no, toks)
+    for i in ids:
+        if not 1 <= i <= hi:
+            raise ParseError(line_no, f"id {i} outside 1..{hi}")
+    return [i - 1 for i in ids]
+
+
+class LineReader:
+    """Cursor over the content lines of a text.
+
+    Lines keep their numbers in the text (from 1); blank lines and lines whose
+    first non-blank character is `#` are comments and skipped.
+    """
+
+    def __init__(self, text: str):
+        self.lines = [
+            (i + 1, ln.split())
+            for i, ln in enumerate(text.splitlines())
+            if ln.strip() and not ln.lstrip().startswith("#")
+        ]
+        self.pos = 0
+
+    def at_end(self) -> bool:
+        return self.pos == len(self.lines)
+
+    def peek(self, head: str) -> bool:
+        """Whether the next line starts with the keyword `head`."""
+        return not self.at_end() and self.lines[self.pos][1][0] == head
+
+    def take(self, head: str | None, arity: int | None) -> tuple[int, list[str]]:
+        """The next line's number and tokens after `head` (if given), of which
+        there must be `arity` (if given)."""
+        if self.at_end():
+            last = self.lines[-1][0] if self.lines else 1
+            raise ParseError(last, f"input ends early, expected {head or 'a line of integers'!r}")
+        no, toks = self.lines[self.pos]
+        self.pos += 1
+        if head is not None:
+            if toks[0] != head:
+                raise ParseError(no, f"expected {head!r} line, got {' '.join(toks)!r}")
+            toks = toks[1:]
+        if arity is not None and len(toks) != arity:
+            raise ParseError(no, f"expected {arity} values, got {' '.join(toks)!r}")
+        return no, toks
+
+    def end(self) -> None:
+        """ParseError naming the first line left unread, if any."""
+        if not self.at_end():
+            no, toks = self.lines[self.pos]
+            raise ParseError(no, f"expected end of input, got {' '.join(toks)!r}")
+
+
 def format_graph(g: Graph | BoundariedGraph) -> str:
     """Canonical text form: `n m`, then sorted edge lines `u v` (1-indexed,
     u < v), then `b v label` lines for a boundaried graph."""
@@ -40,53 +98,44 @@ def format_graph(g: Graph | BoundariedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_graph(lines: LineReader) -> BoundariedGraph:
+    """One graph body: `n m`, m distinct edge lines `u v` with u < v, then
+    every following `b v label` line (distinct vertices, distinct labels >= 1).
+    """
+    head_no, toks = lines.take(None, 2)
+    n, m = parse_ints(head_no, toks)
+    if n < 0 or m < 0:
+        raise ParseError(head_no, "negative counts")
+    edges: set[tuple[int, int]] = set()
+    for _ in range(m):
+        no, toks = lines.take(None, 2)
+        u, v = _ids(no, toks, n)
+        if u >= v:
+            raise ParseError(no, f"edges must satisfy u < v: {' '.join(toks)!r}")
+        if (u, v) in edges:
+            raise ParseError(no, f"repeated edge {u + 1} {v + 1}")
+        edges.add((u, v))
+    labels: dict[int, int] = {}
+    while lines.peek("b"):
+        no, toks = lines.take("b", 2)
+        v, lab = _ids(no, toks[:1], n)[0], parse_ints(no, toks[1:])[0]
+        if v in labels:
+            raise ParseError(no, f"duplicate boundary vertex {v + 1}")
+        if lab < 1 or lab in labels.values():
+            raise ParseError(no, f"label {lab} is not positive or already used")
+        labels[v] = lab
+    return BoundariedGraph(Graph(n, edges), labels)
+
+
 def parse_graph(text: str) -> Graph | BoundariedGraph:
-    """Parse the graph text format; `#` lines are comments.
+    """Parse the graph text format: one graph body and nothing after it.
 
     Returns a BoundariedGraph when `b` lines are present, else a Graph.
     """
-    rows = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not rows:
-        raise ParseError(1, "empty graph file")
-    line_no, head = rows[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ParseError(line_no, f"expected 'n m', got {head!r}")
-    n, m = parse_ints(line_no, parts)
-    if n < 0 or m < 0:
-        raise ParseError(line_no, "negative counts")
-    if len(rows) < 1 + m:
-        raise ParseError(rows[-1][0], f"expected {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for line_no, ln in rows[1 : 1 + m]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected edge 'u v', got {ln!r}")
-        u, v = parse_ints(line_no, parts)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(line_no, f"endpoint out of range 1..{n}: {ln!r}")
-        if u >= v:
-            raise ParseError(line_no, f"edges must satisfy u < v: {ln!r}")
-        edges.append((u - 1, v - 1))
-    labels: dict[int, int] = {}
-    for line_no, ln in rows[1 + m :]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] != "b":
-            raise ParseError(line_no, f"expected boundary line 'b v label', got {ln!r}")
-        v, lab = parse_ints(line_no, parts[1:])
-        if not (1 <= v <= n):
-            raise ParseError(line_no, f"boundary vertex out of range: {ln!r}")
-        if v - 1 in labels:
-            raise ParseError(line_no, f"duplicate boundary vertex: {ln!r}")
-        labels[v - 1] = lab
-    g = Graph(n, edges)
-    if labels:
-        return BoundariedGraph(g, labels)
-    return g
+    lines = LineReader(text)
+    bg = read_graph(lines)
+    lines.end()
+    return bg if bg.label_of else bg.graph
 
 
 def format_decomposition(td: TreeDecomposition, n: int) -> str:
@@ -100,44 +149,35 @@ def format_decomposition(td: TreeDecomposition, n: int) -> str:
 
 
 def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
-    """Returns (decomposition, declared vertex count)."""
-    rows = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not rows or not rows[0][1].startswith("s "):
-        raise ParseError(1, "missing 's nodes width n' header")
-    line_no, head = rows[0]
-    parts = head.split()
-    if len(parts) != 4:
-        raise ParseError(line_no, f"expected 's nodes width n', got {head!r}")
-    nodes, width, n = parse_ints(line_no, parts[1:])
+    """Returns (decomposition, declared vertex count).
+
+    The header is followed by exactly one bag line per node, then the tree
+    edges; bag vertices lie in 1..n and node ids in 1..nodes.
+    """
+    lines = LineReader(text)
+    head_no, toks = lines.take("s", 3)
+    nodes, width, n = parse_ints(head_no, toks)
+    if nodes < 0 or n < 0:
+        raise ParseError(head_no, "negative counts")
     bags: dict[int, frozenset[int]] = {}
+    for _ in range(nodes):
+        no, toks = lines.take("b", None)
+        if not toks:
+            raise ParseError(no, "expected 'b id v...', got 'b'")
+        node = _ids(no, toks[:1], nodes)[0]
+        if node in bags:
+            raise ParseError(no, f"duplicate bag {node + 1}")
+        bags[node] = frozenset(_ids(no, toks[1:], n))
     tree_edges = []
-    for line_no, ln in rows[1:]:
-        parts = ln.split()
-        if parts[0] == "b":
-            if len(parts) < 2:
-                raise ParseError(line_no, f"expected 'b id v...', got {ln!r}")
-            node, *bag = (v - 1 for v in parse_ints(line_no, parts[1:]))
-            if node in bags:
-                raise ParseError(line_no, f"duplicate bag {node + 1}")
-            bags[node] = frozenset(bag)
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise ParseError(line_no, f"expected 'e a b', got {ln!r}")
-            a, b = parse_ints(line_no, parts[1:])
-            if a == b or not (1 <= a <= nodes and 1 <= b <= nodes):
-                raise ParseError(line_no, f"tree edge outside 1..{nodes} or a loop: {ln!r}")
-            tree_edges.append((a - 1, b - 1))
-        else:
-            raise ParseError(line_no, f"unexpected line {ln!r}")
-    if sorted(bags) != list(range(nodes)):
-        raise ParseError(rows[-1][0], "bag ids must cover 1..nodes")
+    while not lines.at_end():
+        no, toks = lines.take("e", 2)
+        a, b = _ids(no, toks, nodes)
+        if a == b:
+            raise ParseError(no, f"tree edge is a loop: {' '.join(toks)!r}")
+        tree_edges.append((a, b))
     td = TreeDecomposition([bags[i] for i in range(nodes)], tree_edges)
     if td.width != width:
-        raise ParseError(rows[0][0], f"declared width {width} but bags give {td.width}")
+        raise ParseError(head_no, f"declared width {width} but bags give {td.width}")
     return td, n
 
 
@@ -149,23 +189,13 @@ def format_pd(pd: ProtrusionDecomposition) -> str:
 
 
 def parse_pd_sets(text: str) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-    """Core and parts as vertex sets; bounds are re-measured by the caller."""
-    core: frozenset[int] | None = None
+    """Core and parts as vertex sets: one `core:` line, then `part:` lines.
+    Bounds are re-measured by the caller."""
+    lines = LineReader(text)
+    core = frozenset(_ids(*lines.take("core:", None)))
     parts = []
-    for i, ln in enumerate(text.splitlines()):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("core:"):
-            if core is not None:
-                raise ParseError(i + 1, "duplicate core line")
-            core = frozenset(v - 1 for v in parse_ints(i + 1, ln[5:].split()))
-        elif ln.startswith("part:"):
-            parts.append(frozenset(v - 1 for v in parse_ints(i + 1, ln[5:].split())))
-        else:
-            raise ParseError(i + 1, f"unexpected line {ln!r}")
-    if core is None:
-        raise ParseError(1, "missing core line")
+    while not lines.at_end():
+        parts.append(frozenset(_ids(*lines.take("part:", None))))
     return core, tuple(parts)
 
 
@@ -175,6 +205,8 @@ def format_vertex_set(vs) -> str:
 
 
 def parse_vertex_set(text: str) -> frozenset[int]:
-    return frozenset(
-        v - 1 for i, ln in enumerate(text.splitlines()) for v in parse_ints(i + 1, ln.split())
-    )
+    lines = LineReader(text)
+    out: set[int] = set()
+    while not lines.at_end():
+        out.update(_ids(*lines.take(None, None)))
+    return frozenset(out)

@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import BudgetError, Graph, Separation, forest_roots
+from .graphs import BudgetError, Graph, Separation
 from .treedec import (
-    EXACT_TW_BUDGET,
     TreeDecomposition,
     decide_treewidth,
     exact_treewidth,
@@ -20,6 +19,8 @@ from .treedec import (
     treewidth_at_most,
     validate_decomposition,
 )
+
+EXACT_MODULATOR_BUDGET = 16
 
 
 def balanced_separation(g: Graph, q, td: TreeDecomposition) -> Separation:
@@ -83,18 +84,6 @@ class Modulator:
         return bool(res) and self.certificate.width <= self.eta
 
 
-def _eta_feasible(g: Graph, drop: frozenset[int], eta: int) -> bool:
-    """tw(G - drop) <= eta, with direct checks for eta <= 1."""
-    if eta == 0:
-        return all(u in drop or v in drop for u, v in g.edges)
-    if eta == 1:
-        kept = [v for v in g.vertices if v not in drop]
-        edges = [(u, v) for u, v in g.edges if u not in drop and v not in drop]
-        return forest_roots(kept, edges) is not None
-    sub, _ = g.delete_vertices(drop)
-    return bool(decide_treewidth(sub, eta))
-
-
 def _certify(g: Graph, drop: frozenset[int], eta: int) -> TreeDecomposition:
     sub, _ = g.delete_vertices(drop)
     td = treewidth_at_most(sub, eta)
@@ -103,17 +92,19 @@ def _certify(g: Graph, drop: frozenset[int], eta: int) -> TreeDecomposition:
     return td
 
 
-def exact_modulator(g: Graph, eta: int, max_vertices: int = 16) -> Modulator:
+def exact_modulator(g: Graph, eta: int) -> Modulator:
     """Minimum-cardinality treewidth-eta-modulator by subset enumeration."""
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    if g.n > max_vertices:
-        raise BudgetError(f"exact modulator budget is {max_vertices} vertices (got {g.n})")
+    if g.n > EXACT_MODULATOR_BUDGET:
+        raise BudgetError(
+            f"exact modulator budget is {EXACT_MODULATOR_BUDGET} vertices (got {g.n})"
+        )
     verts = list(g.vertices)
     for k in range(g.n + 1):
         for combo in combinations(verts, k):
             drop = frozenset(combo)
-            if _eta_feasible(g, drop, eta):
+            if decide_treewidth(g.delete_vertices(drop)[0], eta):
                 return Modulator(drop, eta, _certify(g, drop, eta))
     raise AssertionError("unreachable: deleting everything leaves treewidth -1")
 
@@ -161,7 +152,7 @@ def _recursive_pick(g: Graph, eta: int, seed: frozenset[int]) -> frozenset[int]:
 
 
 def modulator_treewidth_ratio(
-    corpus: list[Graph], eta: int, tw_budget: int = EXACT_TW_BUDGET
+    corpus: list[Graph], eta: int
 ) -> tuple[float, list[tuple[int, int]]]:
     """Measured max tw(G) / (|S|+1) over a corpus with exact modulators S.
 
@@ -171,7 +162,7 @@ def modulator_treewidth_ratio(
     rows = []
     worst = 0.0
     for g in corpus:
-        w, _ = exact_treewidth(g, max_vertices=tw_budget)
+        w, _ = exact_treewidth(g)
         s = exact_modulator(g, eta)
         rows.append((w, len(s.vertices)))
         worst = max(worst, w / (len(s.vertices) + 1))

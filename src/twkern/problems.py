@@ -22,7 +22,7 @@ from .dp import (
     VertexCoverMachine,
 )
 from .graphs import BudgetError, Graph
-from .treedec import EXACT_TW_BUDGET, decide_treewidth, exact_treewidth
+from .treedec import decide_treewidth, exact_treewidth
 
 BRUTE_BUDGET_DEFAULT = 22
 
@@ -166,9 +166,7 @@ def get_problem(name: str) -> ProblemDefinition:
 # oracles
 
 
-def opt_brute(
-    p: ProblemDefinition, g: Graph, max_vertices: int | None = None
-) -> tuple[int | float, frozenset[int] | None]:
+def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[int] | None]:
     """Reference oracle: subset enumeration ordered by size.
 
     Minimization stops at the first feasible size; maximization walks sizes
@@ -176,7 +174,7 @@ def opt_brute(
     maximization problems are closed under taking subsets).  Returns the
     +/- infinity sentinel and a None witness when nothing is feasible.
     """
-    budget = max_vertices if max_vertices is not None else brute_budget()
+    budget = brute_budget()
     if g.n > budget:
         raise BudgetError(f"opt_brute budget is {budget} vertices (got {g.n})")
     verts = list(g.vertices)
@@ -277,14 +275,14 @@ class ParameterTreewidthReport:
 
 
 def check_parameter_treewidth(
-    p: ProblemDefinition, corpus: list[Graph], oracle=opt_fast, tw_budget: int = EXACT_TW_BUDGET
+    p: ProblemDefinition, corpus: list[Graph], oracle=opt_fast
 ) -> ParameterTreewidthReport:
     """Collect (treewidth, OPT) pairs over a corpus and fit tw ~ OPT^eps."""
     import statistics  # only here: it loads decimal and fractions
 
     pairs = []
     for g in corpus:
-        w, _ = exact_treewidth(g, max_vertices=tw_budget)
+        w, _ = exact_treewidth(g)
         opt, _ = oracle(p, g)
         pairs.append((w, opt))
     usable = [(w, o) for w, o in pairs if w >= 1 and not isinstance(o, float) and o >= 2]

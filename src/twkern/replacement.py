@@ -21,7 +21,7 @@ from . import problems as problems_mod
 from .dp import interface_cost_table
 from .enumeration import boundaried_universe
 from .graphs import BoundariedGraph, BudgetError, Graph, glue
-from .io import ParseError, parse_ints
+from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
 from .problems import ProblemDefinition, opt_fast
 from .protrusions import Protrusion, iter_protrusions, validate_protrusion
 from .solvers import adjacency_masks
@@ -30,6 +30,10 @@ from .treedec import decide_treewidth
 logger = logging.getLogger(__name__)
 
 BRUTE_SIGNATURE_BUDGET = 16
+
+# certification level -> (largest exhaustive context, random contexts with up
+# to 8 vertices); 'off' probes nothing
+CERTIFY_LEVELS = {"off": (0, 0), "light": (5, 200), "thorough": (7, 1000), "exhaustive": (8, 0)}
 
 
 class TableConstructionError(RuntimeError):
@@ -267,36 +271,24 @@ def build_replacement_table(
     treewidth at most t, and at most size_bound vertices: exactly the boundaried
     forms that protrusion search can feed back (a t-protrusion induces
     treewidth at most t).  Every later member declared equivalent to a stored
-    representative is certified by context probing per the `certify` level:
-    'exhaustive' probes all connected contexts with up to 8 vertices,
-    'thorough' all contexts up to 7 plus 1000 random ones up to 8, 'light' all
-    contexts up to 5 plus 200 random ones up to 8, 'off' skips probing.  A
-    failed probe aborts construction.
+    representative is certified by probing the contexts of its `certify` level
+    in CERTIFY_LEVELS: every connected context up to the given size plus the
+    given number of random ones.  A failed probe aborts construction.
     """
     if t > 3:
         raise BudgetError("replacement tables support boundary size at most 3")
     if size_bound > 9:
         raise BudgetError("replacement table size bound is at most 9")
+    if certify not in CERTIFY_LEVELS:
+        raise ValueError(f"unknown certification level {certify!r}")
+    max_n, n_random = CERTIFY_LEVELS[certify]
     rng = random.Random(rng_seed)
     rows: dict[tuple, TableRow] = {}
     rep_caches: dict[tuple, dict] = {}
     for b in range(t + 1):
         members = boundaried_universe(size_bound, b, graphs=_gadget_pool(size_bound, t))
-        if certify == "exhaustive":
-            contexts: tuple = certificate_contexts(b, 8)
-            extra: tuple = ()
-        elif certify == "thorough":
-            contexts = certificate_contexts(b, 7)
-            extra = tuple(_random_context(rng, b, 8) for _ in range(1000))
-        elif certify == "light":
-            contexts = certificate_contexts(b, 5)
-            extra = tuple(_random_context(rng, b, 8) for _ in range(200))
-        elif certify == "off":
-            contexts = ()
-            extra = ()
-        else:
-            raise ValueError(f"unknown certification level {certify!r}")
-        probes = contexts + extra
+        contexts = certificate_contexts(b, max_n) if max_n else ()
+        probes = contexts + tuple(_random_context(rng, b, 8) for _ in range(n_random))
         for bg in members:
             sig = compute_signature(p, bg)
             key = sig.key
@@ -483,49 +475,22 @@ def format_table(table: ReplacementTable) -> str:
     for (b, _entries), row in sorted(table.rows.items(), key=sort_key):
         lines.append(f"row {b} {row.rep_offset}")
         lines.append("sig " + " ".join(_entry_str(e) for e in row.signature.entries))
-        rep = row.representative
-        lines.append(f"{rep.graph.n} {rep.graph.m}")
-        for u, v in sorted(rep.graph.edges):
-            lines.append(f"{u + 1} {v + 1}")
-        for v, lab in sorted(rep.label_of):
-            lines.append(f"b {v + 1} {lab}")
-        lines.append("endrow")
+        lines.append(format_graph(row.representative) + "endrow")
     return "\n".join(lines) + "\n"
 
 
 def parse_table(text: str) -> ReplacementTable:
     """Parse a table written by `format_table` and check it on load.
 
-    Every row's signature and offset are recomputed from its representative.
-    A malformed or truncated file, a row that disagrees with its
-    representative, labels other than 1..b, b > t, or a header whose row count
-    or max_rep_size disagrees with the rows raise ParseError naming the line.
+    Each row is `row b offset`, a `sig` line, a representative in the graph
+    format (`io.read_graph`) and `endrow`.  Every row's signature and offset
+    are recomputed from its representative.  A malformed or truncated file, a
+    row that disagrees with its representative, labels other than 1..b, b > t,
+    or a header whose row count or max_rep_size disagrees with the rows raise
+    ParseError naming the line.
     """
-    lines = [
-        (i + 1, ln.split())
-        for i, ln in enumerate(text.splitlines())
-        if ln.strip() and not ln.startswith("#")
-    ]
-    pos = 0
-
-    def take(head: str | None, arity: int | None) -> tuple[int, list[str]]:
-        """The next line's number and tokens after `head` (if given), of which
-        there must be `arity` (if given)."""
-        nonlocal pos
-        if pos == len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ParseError(last, f"table ends early, expected {head or 'a line of integers'!r}")
-        no, toks = lines[pos]
-        pos += 1
-        if head is not None:
-            if toks[0] != head:
-                raise ParseError(no, f"expected {head!r} line, got {' '.join(toks)!r}")
-            toks = toks[1:]
-        if arity is not None and len(toks) != arity:
-            raise ParseError(no, f"expected {arity} values, got {' '.join(toks)!r}")
-        return no, toks
-
-    head_no, toks = take("table", 4)
+    lines = LineReader(text)
+    head_no, toks = lines.take("table", 4)
     problem = toks[0]
     t, max_rep, nrows = parse_ints(head_no, toks[1:])
     try:
@@ -535,30 +500,21 @@ def parse_table(text: str) -> ReplacementTable:
     if p.machine is None:
         raise ParseError(head_no, f"problem {problem!r} has no boundary signatures")
     rows: dict[tuple, TableRow] = {}
-    while pos < len(lines):
-        row_no, toks = take("row", 2)
+    while not lines.at_end():
+        row_no, toks = lines.take("row", 2)
         b, rep_offset = parse_ints(row_no, toks)
         if not 0 <= b <= t:
             raise ParseError(row_no, f"boundary size {b} outside 0..t={t}")
-        no, toks = take("sig", None)
+        no, toks = lines.take("sig", None)
         entries = tuple(None if tok == "inf" else parse_ints(no, [tok])[0] for tok in toks)
-        no, toks = take(None, 2)
-        n, m = parse_ints(no, toks)
-        edges = [tuple(v - 1 for v in parse_ints(*take(None, 2))) for _ in range(m)]
-        labels = {}
-        for _ in range(b):
-            v, lab = parse_ints(*take("b", 2))
-            labels[v - 1] = lab
-        take("endrow", 0)
-        if sorted(labels.values()) != list(range(1, b + 1)) or len(labels) != b:
-            raise ParseError(row_no, f"row labels must be 1..{b} on distinct vertices")
+        rep = read_graph(lines)
+        lines.take("endrow", 0)
+        if sorted(lab for _, lab in rep.label_of) != list(range(1, b + 1)):
+            raise ParseError(row_no, f"row labels must be 1..{b}")
         try:
-            rep = BoundariedGraph(Graph(n, edges), labels)
             sig = compute_signature(p, rep)
-        except ValueError as e:  # BudgetError included
+        except BudgetError as e:
             raise ParseError(row_no, f"bad representative: {e}") from None
-        if rep.graph.m != m:
-            raise ParseError(row_no, "representative lists a repeated edge")
         if (sig.entries, sig.offset) != (entries, rep_offset):
             raise ParseError(
                 row_no,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from .graphs import Graph
 
+CYCLE_PACKING_BUDGET = 12
+
 
 def adjacency_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
@@ -227,12 +229,12 @@ def enumerate_cycles(g: Graph) -> list[frozenset[int]]:
     return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
-def cycle_packing_opt(g: Graph, max_vertices: int = 12) -> tuple[int, frozenset[int]]:
+def cycle_packing_opt(g: Graph) -> tuple[int, frozenset[int]]:
     """Maximum number of vertex-disjoint cycles, with one witness vertex per cycle."""
     from .graphs import BudgetError
 
-    if g.n > max_vertices:
-        raise BudgetError(f"cycle packing oracle limited to {max_vertices} vertices")
+    if g.n > CYCLE_PACKING_BUDGET:
+        raise BudgetError(f"cycle packing oracle limited to {CYCLE_PACKING_BUDGET} vertices")
     cycles = enumerate_cycles(g)
     masks = [sum(1 << v for v in c) for c in cycles]
     by_vertex: dict[int, list[int]] = {v: [] for v in range(g.n)}

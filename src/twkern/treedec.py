@@ -303,7 +303,7 @@ def _exact_treewidth_cached(g: Graph) -> tuple[int, TreeDecomposition]:
     return ub, decomposition_from_order(g, ub_order)
 
 
-def decide_treewidth(g: Graph, eta: int, exact_budget: int = EXACT_TW_BUDGET) -> bool | None:
+def decide_treewidth(g: Graph, eta: int) -> bool | None:
     """Is tw(g) <= eta?  True or False when certain, None when not.
 
     Width 0 is an edge test and width 1 a forest test; neither builds a
@@ -317,14 +317,12 @@ def decide_treewidth(g: Graph, eta: int, exact_budget: int = EXACT_TW_BUDGET) ->
         return g.m == 0
     if eta == 1:
         return g.is_acyclic()
-    if treewidth_at_most(g, eta, exact_budget) is not None:
+    if treewidth_at_most(g, eta) is not None:
         return True
-    return False if g.n <= exact_budget else None
+    return False if g.n <= EXACT_TW_BUDGET else None
 
 
-def treewidth_at_most(
-    g: Graph, eta: int, exact_budget: int = EXACT_TW_BUDGET
-) -> TreeDecomposition | None:
+def treewidth_at_most(g: Graph, eta: int) -> TreeDecomposition | None:
     """A width <= eta decomposition if one is found, else None.
 
     For eta <= 1 the answer is `decide_treewidth`'s.  From 2 on, min-fill
@@ -339,7 +337,7 @@ def treewidth_at_most(
     width, order = minfill_order(g)
     if width <= eta:
         return decomposition_from_order(g, order)
-    if g.n <= exact_budget:
+    if g.n <= EXACT_TW_BUDGET:
         w, td = _exact_treewidth_cached(g)
         if w <= eta:
             return td

@@ -63,9 +63,18 @@ class TestGraphFormat:
         with pytest.raises(ParseError, match="line 1"):
             parse_graph("two one\n")
 
+    def test_bad_boundary_labels_name_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_graph("1 0\nb 1 0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            parse_graph("2 0\nb 1 1\nb 2 1\n")
+
     def test_vertex_set_round_trip(self):
         vs = frozenset({0, 3, 7})
         assert parse_vertex_set(format_vertex_set(vs)) == vs
+
+    def test_vertex_set_skips_comment_lines(self):
+        assert parse_vertex_set("# mod\n1 2\n") == frozenset({0, 1})
 
     def test_vertex_set_non_integer_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -82,6 +91,11 @@ class TestGraphFormat:
     def test_decomposition_non_integer_bag_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_decomposition("s 1 1 2\nb 1 1 q\n")
+
+    def test_decomposition_bag_vertex_out_of_range_names_line(self):
+        for bag_line in ("b 1 0", "b 1 5"):
+            with pytest.raises(ParseError, match="line 2"):
+                parse_decomposition(f"s 1 0 2\n{bag_line}\n")
 
     def test_decomposition_lone_bag_keyword_names_line(self):
         with pytest.raises(ParseError, match="line 3"):

@@ -199,6 +199,10 @@ class TestTableConstruction:
         assert len(again) == len(vc_table)
         assert again.max_rep_size == vc_table.max_rep_size
 
+    def test_parse_skips_indented_comment_lines(self, vc_table):
+        text = format_table(vc_table)
+        assert format_table(parse_table("  # t=1 vertex cover\n" + text)) == text
+
     def test_parse_rejects_edited_offset(self, vc_table):
         from twkern.io import ParseError
 
