@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .dp import solve_via_dp
@@ -27,10 +28,11 @@ def _random_tree_edges(rng: random.Random, n: int, offset: int = 0) -> list[tupl
     return [(offset + rng.randrange(i), offset + i) for i in range(1, n)]
 
 
-def _random_maximal_planar(rng: random.Random, n: int) -> Graph:
-    """Random planar triangulation: insert each new vertex into a random face."""
+def _random_maximal_planar(rng: random.Random, n: int) -> tuple[Graph, list[tuple]]:
+    """Random planar triangulation and its faces: insert each new vertex into a
+    random face.  Below 3 vertices it is a path with no faces."""
     if n < 3:
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph(n, [(i, i + 1) for i in range(n - 1)]), []
     edges = {(0, 1), (0, 2), (1, 2)}
     faces = [(0, 1, 2), (0, 1, 2)]  # both sides of the starting triangle
     for v in range(3, n):
@@ -39,21 +41,46 @@ def _random_maximal_planar(rng: random.Random, n: int) -> Graph:
         for x, y in ((a, v), (b, v), (c, v)):
             edges.add((x, y) if x < y else (y, x))
         faces.extend([(a, b, v), (a, c, v), (b, c, v)])
-    return Graph(n, edges)
+    return Graph(n, edges), faces
+
+
+def _triangulates_sphere(g: Graph, faces: list[tuple[int, int, int]]) -> bool:
+    """Whether the triangles `faces` are the faces of a sphere embedding of g:
+    every edge of g is a side of two faces and no other side occurs, the faces
+    at each vertex close into one cycle (its link), g is connected and
+    n - m + f = 2.  Linear in the number of faces."""
+    sides: Counter[tuple[int, int]] = Counter()
+    links: list[dict[int, list[int]]] = [{} for _ in range(g.n)]
+    for a, b, c in faces:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            sides[(x, y) if x < y else (y, x)] += 1
+            links[x].setdefault(y, []).append(z)
+            links[x].setdefault(z, []).append(y)
+    if sides.keys() != g.edges or any(count != 2 for count in sides.values()):
+        return False
+    for link in links:
+        if not link or any(len(nbrs) != 2 for nbrs in link.values()):
+            return False
+        # walk the link's cycle from one vertex; it must pass every vertex
+        seen, prev, cur = set(), None, next(iter(link))
+        while cur not in seen:
+            seen.add(cur)
+            u, w = link[cur]
+            prev, cur = cur, w if u == prev else u
+        if len(seen) != len(link):
+            return False
+    return g.is_connected() and g.n - g.m + len(faces) == 2
 
 
 def _random_planar(rng: random.Random, n: int, keep_prob: float = 0.75) -> Graph:
-    """Random maximal planar construction, then random edge deletion; the
-    result is re-verified planar (a certifying check, not an assumption)."""
-    import networkx as nx
-
-    g = _random_maximal_planar(rng, n)
+    """Random maximal planar construction, then random edge deletion.  The
+    triangulation is certified planar from its faces (a certifying check, not
+    an assumption); deleting edges keeps it planar."""
+    g, faces = _random_maximal_planar(rng, n)
+    if n >= 3 and not _triangulates_sphere(g, faces):
+        raise AssertionError("planarity certificate failed on a generated triangulation")
     edges = [e for e in sorted(g.edges) if rng.random() < keep_prob]
-    out = Graph(n, edges)
-    ok, _ = nx.check_planarity(nx.Graph(list(out.edges)) if out.edges else nx.empty_graph(n))
-    if not ok:
-        raise AssertionError("planarity verification failed on a generated instance")
-    return out
+    return Graph(n, edges)
 
 
 def _grid_with_pendants(

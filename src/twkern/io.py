@@ -152,7 +152,7 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     """Returns (decomposition, declared vertex count).
 
     The header is followed by exactly one bag line per node, then the tree
-    edges; bag vertices lie in 1..n and node ids in 1..nodes.
+    edges, each once; bag vertices lie in 1..n and node ids in 1..nodes.
     """
     lines = LineReader(text)
     head_no, toks = lines.take("s", 3)
@@ -168,13 +168,15 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
         if node in bags:
             raise ParseError(no, f"duplicate bag {node + 1}")
         bags[node] = frozenset(_ids(no, toks[1:], n))
-    tree_edges = []
+    tree_edges: set[tuple[int, int]] = set()
     while not lines.at_end():
         no, toks = lines.take("e", 2)
         a, b = _ids(no, toks, nodes)
         if a == b:
             raise ParseError(no, f"tree edge is a loop: {' '.join(toks)!r}")
-        tree_edges.append((a, b))
+        if (min(a, b), max(a, b)) in tree_edges:
+            raise ParseError(no, f"repeated tree edge {a + 1} {b + 1}")
+        tree_edges.add((min(a, b), max(a, b)))
     td = TreeDecomposition([bags[i] for i in range(nodes)], tree_edges)
     if td.width != width:
         raise ParseError(head_no, f"declared width {width} but bags give {td.width}")

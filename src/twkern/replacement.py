@@ -30,6 +30,8 @@ from .treedec import decide_treewidth
 logger = logging.getLogger(__name__)
 
 BRUTE_SIGNATURE_BUDGET = 16
+# largest table t, built or loaded: kernelize searches boundary sets up to t
+MAX_TABLE_T = 3
 
 # certification level -> (largest exhaustive context, random contexts with up
 # to 8 vertices); 'off' probes nothing
@@ -157,7 +159,6 @@ def equivalence_constant(
 class TableRow:
     signature: Signature
     representative: BoundariedGraph
-    rep_offset: int
 
 
 class ReplacementTable:
@@ -224,6 +225,13 @@ def _glued_opt(p: ProblemDefinition, bg1: BoundariedGraph, bg2: BoundariedGraph)
     return opt_fast(p, glued)[0]
 
 
+def _shifted_by(before, after, c: int) -> bool:
+    """Whether optimum `after` is `before` + c; infeasible optima must match."""
+    if isinstance(before, float) or isinstance(after, float):
+        return before == after
+    return after == before + c
+
+
 def certify_pair(
     p: ProblemDefinition,
     member: BoundariedGraph,
@@ -236,21 +244,13 @@ def certify_pair(
 
     Raises TableConstructionError on the first violating context.
     """
+    cache = {} if rep_cache is None else rep_cache
     for idx, ctx in enumerate(contexts):
-        if rep_cache is not None and idx in rep_cache:
-            opt_rep = rep_cache[idx]
-        else:
-            opt_rep = _glued_opt(p, rep, ctx)
-            if rep_cache is not None:
-                rep_cache[idx] = opt_rep
+        if idx not in cache:
+            cache[idx] = _glued_opt(p, rep, ctx)
+        opt_rep = cache[idx]
         opt_mem = _glued_opt(p, member, ctx)
-        if isinstance(opt_mem, float) or isinstance(opt_rep, float):
-            if opt_mem == opt_rep:
-                continue
-            raise TableConstructionError(
-                f"certificate violation (infeasibility mismatch) on context {idx}"
-            )
-        if opt_rep != opt_mem + c:
+        if not _shifted_by(opt_mem, opt_rep, c):
             raise TableConstructionError(
                 f"certificate violation: OPT(rep+F)={opt_rep}, OPT(member+F)={opt_mem}, "
                 f"c={c} on context {idx} with {ctx.graph.n} vertices"
@@ -275,8 +275,8 @@ def build_replacement_table(
     in CERTIFY_LEVELS: every connected context up to the given size plus the
     given number of random ones.  A failed probe aborts construction.
     """
-    if t > 3:
-        raise BudgetError("replacement tables support boundary size at most 3")
+    if t > MAX_TABLE_T:
+        raise BudgetError(f"replacement tables support boundary size at most {MAX_TABLE_T}")
     if size_bound > 9:
         raise BudgetError("replacement table size bound is at most 9")
     if certify not in CERTIFY_LEVELS:
@@ -293,12 +293,12 @@ def build_replacement_table(
             sig = compute_signature(p, bg)
             key = sig.key
             if key not in rows:
-                rows[key] = TableRow(sig, bg, sig.offset)
+                rows[key] = TableRow(sig, bg)
                 rep_caches[key] = {}
                 continue
             row = rows[key]
             if probes:
-                c = row.rep_offset - sig.offset
+                c = row.signature.offset - sig.offset
                 certify_pair(p, bg, row.representative, c, probes, rep_caches[key])
     return ReplacementTable(p.name, t, rows)
 
@@ -335,14 +335,12 @@ class KernelInstance:
     trace: tuple[ReplacementStep, ...] = ()
 
 
-def _boundaried_form(g: Graph, x: frozenset[int]) -> tuple[BoundariedGraph, tuple[int, ...]]:
-    """The protrusion as a boundaried gadget: boundary sorted by vertex id,
-    labeled 1..b."""
-    bnd = sorted(g.boundary(x))
+def _boundaried_form(g: Graph, x: frozenset[int], bnd: list[int]) -> BoundariedGraph:
+    """G[x] as a boundaried graph whose boundary vertices `bnd` (all in x) are
+    labeled 1..b in that order."""
     sub, old = g.induced_subgraph(x)
     new_of = {o: i for i, o in enumerate(old)}
-    labels = {new_of[v]: i + 1 for i, v in enumerate(bnd)}
-    return BoundariedGraph(sub, labels), tuple(bnd)
+    return BoundariedGraph(sub, {new_of[v]: i + 1 for i, v in enumerate(bnd)})
 
 
 def replace_protrusion(
@@ -363,26 +361,22 @@ def replace_protrusion(
     check = validate_protrusion(g, x.vertices, table.t)
     if not check:
         raise ValueError(f"invalid protrusion: {check.message}")
-    prot_bg, bnd = _boundaried_form(g, x.vertices)
-    sig = compute_signature(p, prot_bg)
+    bnd = sorted(g.boundary(x.vertices))
+    sig = compute_signature(p, _boundaried_form(g, x.vertices, bnd))
     row = table.lookup(sig)
     if row is None:
         return inst
     rep = row.representative
     if rep.graph.n >= len(x.vertices):
         return inst
-    c = row.rep_offset - sig.offset
+    c = row.signature.offset - sig.offset
     if c > 0:
         logger.warning(
             "refusing replacement with positive constant c=%d (parameter must not grow)", c
         )
         return inst
     host_keep = (frozenset(g.vertices) - x.vertices) | frozenset(bnd)
-    host_sub, host_old = g.induced_subgraph(host_keep)
-    host_new_of = {o: i for i, o in enumerate(host_old)}
-    host_labels = {host_new_of[v]: i + 1 for i, v in enumerate(bnd)}
-    host_bg = BoundariedGraph(host_sub, host_labels)
-    glued, _, _ = glue(host_bg, rep)
+    glued, _, _ = glue(_boundaried_form(g, host_keep, bnd), rep)
     step = ReplacementStep(len(x.vertices), len(bnd), rep.graph.n, c)
     return KernelInstance(glued, inst.k + c, inst.problem, inst.trace + (step,))
 
@@ -451,11 +445,7 @@ def _check_step(p: ProblemDefinition, before: KernelInstance, after: KernelInsta
     c = after.k - before.k
     opt_before = opt_fast(p, before.graph)[0]
     opt_after = opt_fast(p, after.graph)[0]
-    if isinstance(opt_before, float) or isinstance(opt_after, float):
-        ok = opt_before == opt_after
-    else:
-        ok = opt_after == opt_before + c
-    if not ok:
+    if not _shifted_by(opt_before, opt_after, c):
         raise AssertionError(
             f"replacement changed the optimum: before={opt_before}, after={opt_after}, c={c}"
         )
@@ -473,7 +463,7 @@ def format_table(table: ReplacementTable) -> str:
     lines = [f"table {table.problem} {table.t} {table.max_rep_size} {len(table.rows)}"]
     sort_key = lambda kv: (kv[0][0], tuple(-1 if e is None else e for e in kv[0][1]))
     for (b, _entries), row in sorted(table.rows.items(), key=sort_key):
-        lines.append(f"row {b} {row.rep_offset}")
+        lines.append(f"row {b} {row.signature.offset}")
         lines.append("sig " + " ".join(_entry_str(e) for e in row.signature.entries))
         lines.append(format_graph(row.representative) + "endrow")
     return "\n".join(lines) + "\n"
@@ -485,14 +475,16 @@ def parse_table(text: str) -> ReplacementTable:
     Each row is `row b offset`, a `sig` line, a representative in the graph
     format (`io.read_graph`) and `endrow`.  Every row's signature and offset
     are recomputed from its representative.  A malformed or truncated file, a
-    row that disagrees with its representative, labels other than 1..b, b > t,
-    or a header whose row count or max_rep_size disagrees with the rows raise
-    ParseError naming the line.
+    header t outside 0..MAX_TABLE_T, a row that disagrees with its
+    representative, labels other than 1..b, b > t, or a header whose row count
+    or max_rep_size disagrees with the rows raise ParseError naming the line.
     """
     lines = LineReader(text)
     head_no, toks = lines.take("table", 4)
     problem = toks[0]
     t, max_rep, nrows = parse_ints(head_no, toks[1:])
+    if not 0 <= t <= MAX_TABLE_T:
+        raise ParseError(head_no, f"table boundary size t={t} outside 0..{MAX_TABLE_T}")
     try:
         p = problems_mod.get_problem(problem)
     except ValueError as e:
@@ -523,7 +515,7 @@ def parse_table(text: str) -> ReplacementTable:
             )
         if sig.key in rows:
             raise ParseError(row_no, "duplicate signature")
-        rows[sig.key] = TableRow(sig, rep, rep_offset)
+        rows[sig.key] = TableRow(sig, rep)
     table = ReplacementTable(problem, t, rows)
     if len(rows) != nrows or table.max_rep_size != max_rep:
         raise ParseError(

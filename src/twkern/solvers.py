@@ -150,9 +150,9 @@ def dominating_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
     return best[0], frozenset(_bits(best[1]))
 
 
-def _find_cycle(g: Graph, active: int) -> list[int] | None:
-    """A shortest cycle within the active vertex set, or None."""
-    adj = adjacency_masks(g)
+def _find_cycle(adj: list[int], active: int) -> list[int] | None:
+    """A shortest cycle within the active vertex set, or None when the active
+    vertices induce a forest."""
     best: list[int] | None = None
     for root in _bits(active):
         # BFS from root; first non-tree edge closing back gives a short cycle
@@ -191,17 +191,16 @@ def _find_cycle(g: Graph, active: int) -> list[int] | None:
 
 
 def feedback_vertex_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
+    adj = adjacency_masks(g)
     best: list = [g.n, 0]
 
     def rec(active: int, removed: int, size: int) -> None:
         if size >= best[0]:
             return
-        sub, old = g.induced_subgraph(list(_bits(active)))
-        if sub.is_acyclic():
-            if size < best[0]:
-                best[0], best[1] = size, removed
+        cyc = _find_cycle(adj, active)
+        if cyc is None:
+            best[0], best[1] = size, removed
             return
-        cyc = _find_cycle(g, active)
         for v in cyc:
             rec(active & ~(1 << v), removed | (1 << v), size + 1)
 

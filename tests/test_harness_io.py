@@ -1,5 +1,7 @@
 """Corpus generation, soundness verification, reports, text formats, CLI."""
 
+import hashlib
+import random
 import subprocess
 import sys
 
@@ -7,6 +9,8 @@ import pytest
 
 from twkern.graphs import BoundariedGraph, Graph, make_grid, path_graph
 from twkern.harness import (
+    _random_maximal_planar,
+    _triangulates_sphere,
     experiment_k,
     gen_corpus,
     is_member,
@@ -105,6 +109,11 @@ class TestGraphFormat:
         with pytest.raises(ParseError, match="line 4"):
             parse_decomposition("s 2 1 2\nb 1 1 2\nb 2 2\ne 1 3\n")
 
+    def test_decomposition_repeated_tree_edge_names_line(self):
+        for repeat in ("e 2 1", "e 1 2"):
+            with pytest.raises(ParseError, match="line 5"):
+                parse_decomposition(f"s 2 1 2\nb 1 1 2\nb 2 2\ne 1 2\n{repeat}\n")
+
     def test_pd_round_trip(self):
         from twkern.protrusions import ProtrusionDecomposition
 
@@ -134,6 +143,39 @@ class TestCorpus:
             gx.add_nodes_from(range(g.n))
             assert nx.check_planarity(gx)[0]
 
+    def test_corpus_fingerprint(self):
+        # random-planar corpora of the tests and the benchmark, pinned byte for byte
+        h = hashlib.sha256()
+        runs = [({"count": 20, "n_min": 1, "n_max": 60}, seed) for seed in range(40)]
+        runs += [({"count": 14, "n_min": n, "n_max": n}, 1000 + n) for n in range(8, 23)]
+        runs += [({"count": 50, "n_min": 20, "n_max": 60}, 42)]
+        for params, seed in runs:
+            for g in gen_corpus("random-planar", params, seed):
+                h.update(format_graph(g).encode())
+        assert h.hexdigest() == "e4466f9a0edac0c755da1cd8de036603338304e6a1a64067c3f616a1cd050d1f"
+
+    def test_no_third_party_module_is_loaded(self, tmp_path):
+        code = """
+import sys
+import twkern
+from twkern import cli
+from twkern.harness import gen_corpus
+from twkern.problems import CATALOG
+from twkern.replacement import build_replacement_table, format_table
+for family in ("grid", "grid+pendants", "random-planar", "union"):
+    gen_corpus(family, {"count": 2}, seed=0)
+path = sys.argv[1]
+with open(path, "w") as f:
+    f.write(format_table(build_replacement_table(CATALOG["vertex-cover"], 1, 4, certify="off")))
+assert cli.main(["verify", "--problem", "vertex-cover", "--table", path, "--count", "3"]) == 0
+assert "networkx" not in sys.modules
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "vc.table")], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "violations: 0" in proc.stdout
+
     def test_pendant_family_sizes(self):
         corpus = gen_corpus(
             "grid+pendants", {"count": 2, "t": 3, "tree_size": 5, "pendants": 2}, seed=2
@@ -148,6 +190,52 @@ class TestCorpus:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             gen_corpus("smallworld", {}, seed=0)
+
+
+def _with_faces(n: int, faces: list[tuple[int, int, int]]) -> tuple[Graph, list]:
+    edges = {tuple(sorted(pair)) for a, b, c in faces for pair in ((a, b), (b, c), (a, c))}
+    return Graph(n, edges), faces
+
+
+def _octahedron(north: int, south: int, equator: list[int]) -> list[tuple[int, int, int]]:
+    ring = list(zip(equator, equator[1:] + equator[:1]))
+    return [(pole, x, y) for pole in (north, south) for x, y in ring]
+
+
+TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+class TestSphereCertificate:
+    def test_accepts_spheres(self):
+        assert _triangulates_sphere(*_with_faces(4, TETRAHEDRON))
+        assert _triangulates_sphere(*_with_faces(3, [(0, 1, 2), (0, 1, 2)]))
+        assert _triangulates_sphere(*_with_faces(6, _octahedron(0, 1, [2, 3, 4, 5])))
+        for n in range(3, 40):
+            assert _triangulates_sphere(*_random_maximal_planar(random.Random(n), n))
+
+    def test_rejects_k7_torus(self):
+        faces = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+        faces += [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+        g, _ = _with_faces(7, faces)
+        assert g.m == 21 and len(faces) == 14
+        assert not _triangulates_sphere(g, faces)
+
+    def test_rejects_octahedra_sharing_antipodes(self):
+        # connected, every edge in two faces and n - m + f = 2, yet non-planar:
+        # the link of each shared pole is two cycles
+        faces = _octahedron(0, 1, [2, 3, 4, 5]) + _octahedron(0, 1, [6, 7, 8, 9])
+        g, _ = _with_faces(10, faces)
+        assert (g.n, g.m, len(faces)) == (10, 24, 16) and g.is_connected()
+        assert not _triangulates_sphere(g, faces)
+
+    def test_rejects_a_dropped_face(self):
+        g, faces = _random_maximal_planar(random.Random(7), 12)
+        for i in range(len(faces)):
+            assert not _triangulates_sphere(g, faces[:i] + faces[i + 1:])
+
+    def test_rejects_disjoint_tetrahedra(self):
+        faces = TETRAHEDRON + [(a + 4, b + 4, c + 4) for a, b, c in TETRAHEDRON]
+        assert not _triangulates_sphere(*_with_faces(8, faces))
 
 
 class TestSoundness:

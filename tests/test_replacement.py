@@ -177,7 +177,7 @@ class TestTableConstruction:
         for key, row in vc_table.rows.items():
             sig = compute_signature(VC, row.representative)
             assert sig.key == key
-            assert sig.offset == row.rep_offset
+            assert sig == row.signature
 
     def test_class_count_stabilizes(self):
         c8 = count_signature_classes(VC, 1, 8)
@@ -235,6 +235,15 @@ class TestTableConstruction:
         for variant in bad:
             with pytest.raises(ParseError):
                 parse_table(variant)
+
+    def test_parse_rejects_header_t_above_build_limit(self, vc_table):
+        from twkern.io import ParseError
+
+        text = format_table(vc_table)
+        assert text.startswith("table vertex-cover 1 ")
+        for t in (4, 6, -1):
+            with pytest.raises(ParseError, match="line 1"):
+                parse_table(text.replace("table vertex-cover 1 ", f"table vertex-cover {t} ", 1))
 
     def test_boundary_three_table_builds(self):
         # the largest supported boundary; light certificates stay affordable
