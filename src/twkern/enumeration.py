@@ -8,7 +8,6 @@ every boundaried gadget universe used by the replacement tables.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 from .graphs import BoundariedGraph, Graph
@@ -39,7 +38,7 @@ def _refine(n: int, masks: list[int], colors: list[int]) -> list[int]:
 
 def _leaf_key(n: int, masks: list[int], colors: list[int], seats: list[int]) -> tuple:
     """The graph relabeled by a discrete coloring, with each rank's initial
-    color, so that keys remember where the boundary seats went."""
+    color so that keys remember where the seats went; and the rank order."""
     order = sorted(range(n), key=lambda v: (colors[v], v))
     perm = [0] * n
     for rank, v in enumerate(order):
@@ -54,12 +53,16 @@ def _leaf_key(n: int, masks: list[int], colors: list[int], seats: list[int]) -> 
             if u > v:
                 p, q = sorted((perm[v], perm[u]))
                 bits |= 1 << (p * n + q)
-    return (bits, tuple(seats[v] for v in order))
+    return (bits, tuple(seats[v] for v in order)), order
 
 
 def _canon_search(
     n: int, masks: list[int], colors: list[int], seats: list[int], best: list
 ) -> None:
+    """Walk the whole individualization tree; `best` ends as [the least leaf
+    key, per rank the smallest vertex that a least leaf puts there].  Least
+    leaves differ by the automorphisms that fix every seat, all of them, so
+    the vertices at one rank form an orbit and best[1] holds its minimum."""
     colors = _refine(n, masks, colors)
     cells: dict[int, list[int]] = {}
     for v in range(n):
@@ -70,14 +73,26 @@ def _canon_search(
             target = cells[c]
             break
     if target is None:
-        key = _leaf_key(n, masks, colors, seats)
+        key, order = _leaf_key(n, masks, colors, seats)
         if best[0] is None or key < best[0]:
-            best[0] = key
+            best[0], best[1] = key, order
+        elif key == best[0]:
+            best[1] = [min(a, b) for a, b in zip(best[1], order)]
         return
     for v in target:
         child = list(colors)
         child[v] = -1  # individualize; refinement renumbers compactly
         _canon_search(n, masks, child, seats, best)
+
+
+def _seated_search(n: int, masks: list[int], seats: tuple[int, ...]) -> list:
+    """`_canon_search` of a graph whose i-th seat vertex carries label i+1."""
+    colors = [0] * n
+    for i, v in enumerate(seats):
+        colors[v] = -(i + 1)  # negative: fixed seats, refined into stable ids
+    best: list = [None, None]
+    _canon_search(n, masks, colors, colors, best)
+    return best
 
 
 def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
@@ -87,22 +102,9 @@ def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
     isomorphism must map the i-th boundary vertex to the i-th boundary vertex
     (label-preserving).
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return (0, (), ())
-    masks = adjacency_masks(g)
-    colors = [0] * n
-    for i, v in enumerate(boundary):
-        colors[v] = -(i + 1)  # negative: fixed seats, refined into stable ids
-    best: list = [None]
-    _canon_search(n, masks, colors, colors, best)
-    return (n,) + best[0]
-
-
-def canonical_key_bg(bg: BoundariedGraph) -> tuple:
-    """Canonical key of a boundaried graph (labels must be preserved)."""
-    labels = tuple(sorted(bg.label_set))
-    return (labels, canonical_key(bg.graph, bg.boundary))
+    return (g.n,) + _seated_search(g.n, adjacency_masks(g), tuple(boundary))[0]
 
 
 def connected_graphs_where(
@@ -178,6 +180,8 @@ def boundaried_universe(
     """Connected boundaried graphs with labels exactly 1..b, up to b vertices
     designated in every non-equivalent way, ordered by size then canonically.
 
+    Label i+1 goes on the smallest vertex of each orbit of the automorphisms
+    fixing labels 1..i: each placement is the least of its orbit, in order.
     `graphs` replaces the pool of every connected graph up to max_n vertices.
     """
     if graphs is None:
@@ -194,11 +198,24 @@ def boundaried_universe(
         if b == 0:
             out.append(BoundariedGraph(g, {}))
             continue
-        for combo in permutations(range(g.n), b):
-            bg = BoundariedGraph(g, {v: i + 1 for i, v in enumerate(combo)})
-            key = canonical_key_bg(bg)
-            if key not in seen:
-                seen.add(key)
-                out.append(bg)
+        masks = adjacency_masks(g)
+        key, orbit_min = _seated_search(g.n, masks, ())
+        if key in seen:  # isomorphic to an earlier graph of the pool
+            continue
+        seen.add(key)
+        for seats in _placements(g.n, masks, b, (), orbit_min):
+            out.append(BoundariedGraph(g, {v: i + 1 for i, v in enumerate(seats)}))
     return out
 
+
+def _placements(
+    n: int, masks: list[int], b: int, seats: tuple[int, ...], orbit_min: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The lexicographically least b-seat extension of `seats` in every orbit,
+    in lexicographic order; `orbit_min` is `_seated_search(n, masks, seats)[1]`."""
+    for v in sorted(set(orbit_min) - set(seats)):
+        more = seats + (v,)
+        if len(more) == b:
+            yield more
+        else:
+            yield from _placements(n, masks, b, more, _seated_search(n, masks, more)[1])

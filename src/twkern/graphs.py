@@ -374,6 +374,32 @@ def glue(
     return Graph(nxt, edges), heir1, heir2
 
 
+def glue_plan(g2: BoundariedGraph) -> tuple[tuple[int, ...], tuple]:
+    """The second operand of a glue as (label or 0 per vertex, edges)."""
+    labels = g2.labels
+    return tuple(labels.get(v, 0) for v in range(g2.graph.n)), tuple(g2.graph.edges)
+
+
+def glue_masks(adj1: list[int], vertex_of_label1: dict[int, int], plan2) -> list[int]:
+    """Adjacency masks of `glue(g1, g2)[0]` from g1's masks, g1's vertex per
+    label and `glue_plan(g2)`, with the numbering of `glue`: g1's vertices
+    first, then g2's unshared vertices in order.  No Graph is built."""
+    labels, edges = plan2
+    out = list(adj1)
+    heir = []
+    for lab in labels:
+        v = vertex_of_label1.get(lab)
+        if v is None:
+            v = len(out)
+            out.append(0)
+        heir.append(v)
+    for u, v in edges:
+        hu, hv = heir[u], heir[v]
+        out[hu] |= 1 << hv
+        out[hv] |= 1 << hu
+    return out
+
+
 # ---------------------------------------------------------------------------
 # separations
 

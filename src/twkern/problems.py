@@ -37,9 +37,9 @@ class ProblemDefinition:
     """A vertex subset problem: optimize |S| subject to feasibility(G, S).
 
     This is the one record per problem: a new problem is one CATALOG entry.
-    `solver` is the exact branch-and-bound oracle.  `machine` is the
-    tree-decomposition DP that computes optima and boundary signatures, None
-    when the problem has none (no signatures, no replacement tables).
+    `solver` is the exact branch-and-bound oracle on adjacency masks.
+    `machine` is the tree-decomposition DP that computes optima and boundary
+    signatures; None means no signatures and no replacement tables.
     `dp_width_cap` is the decomposition width up to which the reference
     oracle trusts the DP over subset enumeration.
     """
@@ -47,7 +47,7 @@ class ProblemDefinition:
     name: str
     feasibility: Callable[[Graph, frozenset[int]], bool]
     separability_f: Callable[[int], int]
-    solver: Callable[[Graph], tuple[int | float, frozenset[int] | None]]
+    solver: Callable[[list[int]], tuple[int | float, frozenset[int] | None]]
     maximize: bool
     minor_closed: bool
     machine: Machine | None = None
@@ -83,7 +83,7 @@ def phi_cycle_packing(g: Graph, s: frozenset[int]) -> bool:
     """
     if not s:
         return True
-    cycles = solvers.enumerate_cycles(g)
+    cycles = solvers.enumerate_cycles(solvers.adjacency_masks(g))
     usable: dict[int, list[frozenset[int]]] = {v: [] for v in s}
     for c in cycles:
         hit = c & s
@@ -201,7 +201,7 @@ def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[in
 
 def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[int] | None]:
     """Branch-and-bound oracle; exact, validated against opt_brute in tests."""
-    return p.solver(g)
+    return p.solver(solvers.adjacency_masks(g))
 
 
 # ---------------------------------------------------------------------------

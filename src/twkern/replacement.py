@@ -20,7 +20,7 @@ from itertools import combinations
 from . import problems as problems_mod
 from .dp import interface_cost_table
 from .enumeration import boundaried_universe
-from .graphs import BoundariedGraph, BudgetError, Graph, glue
+from .graphs import BoundariedGraph, BudgetError, Graph, glue, glue_masks, glue_plan
 from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
 from .problems import ProblemDefinition, opt_fast
 from .protrusions import Protrusion, iter_protrusions, validate_protrusion
@@ -220,11 +220,6 @@ def _random_context(rng: random.Random, b: int, max_n: int) -> BoundariedGraph:
     return BoundariedGraph(Graph(n, edges), labels)
 
 
-def _glued_opt(p: ProblemDefinition, bg1: BoundariedGraph, bg2: BoundariedGraph):
-    glued, _, _ = glue(bg1, bg2)
-    return opt_fast(p, glued)[0]
-
-
 def _shifted_by(before, after, c: int) -> bool:
     """Whether optimum `after` is `before` + c; infeasible optima must match."""
     if isinstance(before, float) or isinstance(after, float):
@@ -239,21 +234,27 @@ def certify_pair(
     c: int,
     contexts,
     rep_cache: dict | None = None,
+    plans=None,
 ) -> None:
-    """Probe: OPT(rep ⊕ F) must equal OPT(member ⊕ F) + c for every context F.
-
-    Raises TableConstructionError on the first violating context.
-    """
+    """Probe: OPT(rep ⊕ F) must equal OPT(member ⊕ F) + c for every context F,
+    solving on masks; `plans` are the contexts' `glue_plan`s, if made.  Raises
+    TableConstructionError on the first violating context."""
     cache = {} if rep_cache is None else rep_cache
-    for idx, ctx in enumerate(contexts):
+    if plans is None:
+        plans = [glue_plan(ctx) for ctx in contexts]
+    rep_adj = adjacency_masks(rep.graph)
+    rep_vertex_of = {lab: v for v, lab in rep.label_of}
+    mem_adj = adjacency_masks(member.graph)
+    mem_vertex_of = {lab: v for v, lab in member.label_of}
+    for idx, plan in enumerate(plans):
         if idx not in cache:
-            cache[idx] = _glued_opt(p, rep, ctx)
+            cache[idx] = p.solver(glue_masks(rep_adj, rep_vertex_of, plan))[0]
         opt_rep = cache[idx]
-        opt_mem = _glued_opt(p, member, ctx)
+        opt_mem = p.solver(glue_masks(mem_adj, mem_vertex_of, plan))[0]
         if not _shifted_by(opt_mem, opt_rep, c):
             raise TableConstructionError(
                 f"certificate violation: OPT(rep+F)={opt_rep}, OPT(member+F)={opt_mem}, "
-                f"c={c} on context {idx} with {ctx.graph.n} vertices"
+                f"c={c} on context {idx} with {len(plan[0])} vertices"
             )
 
 
@@ -289,6 +290,7 @@ def build_replacement_table(
         members = boundaried_universe(size_bound, b, graphs=_gadget_pool(size_bound, t))
         contexts = certificate_contexts(b, max_n) if max_n else ()
         probes = contexts + tuple(_random_context(rng, b, 8) for _ in range(n_random))
+        plans = [glue_plan(ctx) for ctx in probes]
         for bg in members:
             sig = compute_signature(p, bg)
             key = sig.key
@@ -299,7 +301,7 @@ def build_replacement_table(
             row = rows[key]
             if probes:
                 c = row.signature.offset - sig.offset
-                certify_pair(p, bg, row.representative, c, probes, rep_caches[key])
+                certify_pair(p, bg, row.representative, c, probes, rep_caches[key], plans)
     return ReplacementTable(p.name, t, rows)
 
 

@@ -1,13 +1,13 @@
 """Exact branch-and-bound solvers on bitmask adjacency.
 
-These are the workhorse oracles for instances up to a couple dozen vertices;
-`problems.opt_brute` stays the plain subset-enumeration reference they are
-validated against.
+Solvers take `adjacency_masks`, so the certificate probes never build a
+`Graph`.  They are the workhorse oracles for instances up to a couple dozen
+vertices; `problems.opt_brute` stays the reference they are validated against.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import BudgetError, Graph
 
 CYCLE_PACKING_BUDGET = 12
 
@@ -27,9 +27,9 @@ def _bits(mask: int):
         mask ^= b
 
 
-def vertex_cover_opt(g: Graph) -> tuple[int, frozenset[int]]:
-    adj = adjacency_masks(g)
-    best = [g.n, (1 << g.n) - 1]
+def vertex_cover_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+    n = len(adj)
+    best = [n, (1 << n) - 1]
 
     def matching_lb(active: int) -> int:
         used = 0
@@ -63,7 +63,7 @@ def vertex_cover_opt(g: Graph) -> tuple[int, frozenset[int]]:
         pick = -1
         deg = 0
         for v in _bits(active):
-            d = bin(adj[v] & active).count("1")
+            d = (adj[v] & active).bit_count()
             if d > deg:
                 deg, pick = d, v
         if pick < 0:
@@ -76,12 +76,12 @@ def vertex_cover_opt(g: Graph) -> tuple[int, frozenset[int]]:
         nb = adj[pick] & active
         rec(active & ~nb & ~(1 << pick), cover | nb, size + deg)
 
-    rec((1 << g.n) - 1, 0, 0)
+    rec((1 << n) - 1, 0, 0)
     return best[0], frozenset(_bits(best[1]))
 
 
-def independent_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
-    adj = adjacency_masks(g)
+def independent_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+    n = len(adj)
     best = [0, 0]
 
     def rec(active: int, chosen: int, size: int) -> None:
@@ -89,7 +89,7 @@ def independent_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
             low = -1
             for v in _bits(active):
                 d = adj[v] & active
-                if bin(d).count("1") <= 1:
+                if d.bit_count() <= 1:
                     low = v
                     break
             if low < 0:
@@ -101,48 +101,44 @@ def independent_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
             if size > best[0]:
                 best[0], best[1] = size, chosen
             return
-        if size + bin(active).count("1") <= best[0]:
+        if size + active.bit_count() <= best[0]:
             return
-        pick = max(_bits(active), key=lambda v: bin(adj[v] & active).count("1"))
+        pick = max(_bits(active), key=lambda v: (adj[v] & active).bit_count())
         rec(active & ~(adj[pick] | (1 << pick)), chosen | (1 << pick), size + 1)
         rec(active & ~(1 << pick), chosen, size)
 
-    rec((1 << g.n) - 1, 0, 0)
+    rec((1 << n) - 1, 0, 0)
     return best[0], frozenset(_bits(best[1]))
 
 
-def dominating_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
-    if g.n == 0:
+def dominating_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+    n = len(adj)
+    if n == 0:
         return 0, frozenset()
-    adj = adjacency_masks(g)
-    closed = [adj[v] | (1 << v) for v in range(g.n)]
-    full = (1 << g.n) - 1
+    closed = [adj[v] | (1 << v) for v in range(n)]
+    closed_size = [c.bit_count() for c in closed]
+    full = (1 << n) - 1
 
     # greedy upper bound seeds the search
     dominated, chosen = 0, 0
     while dominated != full:
-        v = max(range(g.n), key=lambda v: bin(closed[v] & ~dominated).count("1"))
+        v = max(range(n), key=lambda v: (closed[v] & ~dominated).bit_count())
         chosen |= 1 << v
         dominated |= closed[v]
-    best = [bin(chosen).count("1"), chosen]
-    max_cover = max(bin(c).count("1") for c in closed)
+    best = [chosen.bit_count(), chosen]
+    max_cover = max(closed_size)
 
     def rec(dominated: int, chosen: int, size: int) -> None:
         if dominated == full:
             if size < best[0]:
                 best[0], best[1] = size, chosen
             return
-        rest = bin(full & ~dominated).count("1")
+        rest = (full & ~dominated).bit_count()
         if size + -(-rest // max_cover) >= best[0]:
             return
         # branch on the undominated vertex with fewest potential dominators
-        v = min(
-            _bits(full & ~dominated),
-            key=lambda v: bin(closed[v]).count("1"),
-        )
-        cands = sorted(
-            _bits(closed[v]), key=lambda u: -bin(closed[u] & ~dominated).count("1")
-        )
+        v = min(_bits(full & ~dominated), key=closed_size.__getitem__)
+        cands = sorted(_bits(closed[v]), key=lambda u: -(closed[u] & ~dominated).bit_count())
         for u in cands:
             rec(dominated | closed[u], chosen | (1 << u), size + 1)
 
@@ -190,9 +186,9 @@ def _find_cycle(adj: list[int], active: int) -> list[int] | None:
     return best
 
 
-def feedback_vertex_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
-    adj = adjacency_masks(g)
-    best: list = [g.n, 0]
+def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+    n = len(adj)
+    best: list = [n, 0]
 
     def rec(active: int, removed: int, size: int) -> None:
         if size >= best[0]:
@@ -204,13 +200,12 @@ def feedback_vertex_set_opt(g: Graph) -> tuple[int, frozenset[int]]:
         for v in cyc:
             rec(active & ~(1 << v), removed | (1 << v), size + 1)
 
-    rec((1 << g.n) - 1, 0, 0)
+    rec((1 << n) - 1, 0, 0)
     return best[0], frozenset(_bits(best[1]))
 
 
-def enumerate_cycles(g: Graph) -> list[frozenset[int]]:
+def enumerate_cycles(adj: list[int]) -> list[frozenset[int]]:
     """All simple cycles as vertex sets (each once: rooted at their minimum)."""
-    adj = adjacency_masks(g)
     cycles = set()
 
     def extend(root: int, path: list[int], on_path: int) -> None:
@@ -223,20 +218,19 @@ def enumerate_cycles(g: Graph) -> list[frozenset[int]]:
                 extend(root, path, on_path | (1 << u))
                 path.pop()
 
-    for root in range(g.n):
+    for root in range(len(adj)):
         extend(root, [root], 1 << root)
     return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
-def cycle_packing_opt(g: Graph) -> tuple[int, frozenset[int]]:
+def cycle_packing_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
     """Maximum number of vertex-disjoint cycles, with one witness vertex per cycle."""
-    from .graphs import BudgetError
-
-    if g.n > CYCLE_PACKING_BUDGET:
+    n = len(adj)
+    if n > CYCLE_PACKING_BUDGET:
         raise BudgetError(f"cycle packing oracle limited to {CYCLE_PACKING_BUDGET} vertices")
-    cycles = enumerate_cycles(g)
+    cycles = enumerate_cycles(adj)
     masks = [sum(1 << v for v in c) for c in cycles]
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
     for i, m in enumerate(masks):
         for v in _bits(m):
             by_vertex[v].append(i)
@@ -247,7 +241,7 @@ def cycle_packing_opt(g: Graph) -> tuple[int, frozenset[int]]:
             best[0], best[1] = count, list(picked)
         if not available:
             return
-        if count + bin(available).count("1") // 3 <= best[0]:
+        if count + available.bit_count() // 3 <= best[0]:
             return
         v = (available & -available).bit_length() - 1
         for i in by_vertex[v]:
@@ -257,6 +251,6 @@ def cycle_packing_opt(g: Graph) -> tuple[int, frozenset[int]]:
                 picked.pop()
         rec(available & ~(1 << v), count, picked)
 
-    rec((1 << g.n) - 1, 0, [])
+    rec((1 << n) - 1, 0, [])
     witness = frozenset(min(cycles[i]) for i in best[1])
     return best[0], witness

@@ -1,4 +1,5 @@
-"""Test-only oracles: exhaustive canonical forms, grid-minor containment,
+"""Test-only oracles: exhaustive canonical forms, boundary placement by
+canonicalizing every ordered placement, grid-minor containment,
 connected-subset enumeration and annotated boundaried graphs.
 
 They are slow, exhaustive references that the package code is checked
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
+from twkern.enumeration import canonical_key
 from twkern.graphs import BoundariedGraph, BudgetError, Graph, contract_edge, glue, make_grid
 
 
@@ -65,6 +67,28 @@ def canonical_form(g: Graph, max_vertices: int = 8) -> Graph:
         if best is None or key < best:
             best = key
     return Graph(g.n, best)
+
+
+def boundaried_universe_by_placements(
+    pool: Iterable[Graph], b: int
+) -> list[BoundariedGraph]:
+    """Every graph of the pool with labels 1..b seated in every ordered way,
+    keeping the first placement of each class of boundaried graphs: every
+    ordered placement is canonicalized."""
+    out: list[BoundariedGraph] = []
+    seen = set()
+    for g in sorted(pool, key=lambda g: (g.n, g.m)):
+        if g.n < b:
+            continue
+        if b == 0:
+            out.append(BoundariedGraph(g, {}))
+            continue
+        for combo in itertools.permutations(range(g.n), b):
+            key = canonical_key(g, combo)
+            if key not in seen:
+                seen.add(key)
+                out.append(BoundariedGraph(g, {v: i + 1 for i, v in enumerate(combo)}))
+    return out
 
 
 def _subgraph_embeds(pattern: Graph, host: Graph) -> bool:

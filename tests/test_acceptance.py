@@ -20,7 +20,12 @@ from twkern.harness import gen_corpus, verify_kernel_soundness
 from twkern.modulators import balanced_separation, exact_modulator, recursive_modulator
 from twkern.problems import CATALOG, opt_brute, opt_fast
 from twkern.protrusions import build_pd, find_max_protrusion, validate_pd
-from twkern.replacement import build_replacement_table, count_signature_classes, kernelize
+from twkern.replacement import (
+    build_replacement_table,
+    certificate_contexts,
+    count_signature_classes,
+    kernelize,
+)
 from twkern.treedec import exact_treewidth, heuristic_decomposition, validate_decomposition
 
 from conftest import random_graph, sparse_random_graph
@@ -143,6 +148,20 @@ class TestC5EquivalenceCertificates:
             f"{len(table)} rows certified in {elapsed:.0f}s",
         )
         assert elapsed < 1800
+        # the contexts it probed, read back from the cache the build filled:
+        # connected graphs (OEIS A001349) and rooted ones (OEIS A126100)
+        published = {
+            0: (1, 1, 2, 6, 21, 112, 853, 11117),
+            1: (1, 1, 3, 11, 58, 407, 4306, 72489),
+        }
+        misses = certificate_contexts.cache_info().misses
+        for b, want in published.items():
+            counts = [0] * 8
+            for bg in certificate_contexts(b, 8):
+                counts[bg.graph.n - 1] += 1
+            assert tuple(counts) == want
+        assert certificate_contexts.cache_info().misses == misses
+        assert (sum(published[0]), sum(published[1])) == (12113, 77276)
 
     def test_vc_t2_certificates_thorough_contexts(self, acceptance):
         # all contexts up to 7 vertices plus 1000 random 8-vertex contexts;

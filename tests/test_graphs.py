@@ -28,6 +28,7 @@ from twkern.graphs import (
 from conftest import random_graph
 from graph_oracles import (
     AnnotatedBoundariedGraph,
+    boundaried_universe_by_placements,
     canonical_form,
     contains_grid_minor,
     glue_annotated,
@@ -308,13 +309,30 @@ class TestCanonicalForms:
         assert canonical_key(star, (1,)) == canonical_key(star, (3,))
 
     def test_rooted_context_counts_match_oeis(self):
-        # connected rooted graphs by vertex count: OEIS A126100
+        # connected graphs (OEIS A001349) and connected rooted graphs (OEIS
+        # A126100) by vertex count
         from twkern.replacement import certificate_contexts
 
-        counts = [0] * 6
-        for bg in certificate_contexts(1, 6):
-            counts[bg.graph.n - 1] += 1
-        assert tuple(counts) == (1, 1, 3, 11, 58, 407)
+        published = {0: (1, 1, 2, 6, 21, 112, 853), 1: (1, 1, 3, 11, 58, 407, 4306)}
+        for b, want in published.items():
+            counts = [0] * 7
+            for bg in certificate_contexts(b, 7):
+                counts[bg.graph.n - 1] += 1
+            assert tuple(counts) == want
+        assert sum(published[0]) == 996 and sum(published[1]) == 4787
+
+    def test_orbit_placements_match_every_ordered_placement(self):
+        from twkern.enumeration import boundaried_universe, connected_graphs
+        from twkern.replacement import _gadget_pool
+
+        for max_n, b in ((7, 1), (6, 2), (5, 3)):
+            pool = [g for n in range(1, max_n + 1) for g in connected_graphs(max_n)[n]]
+            assert boundaried_universe(max_n, b) == boundaried_universe_by_placements(pool, b)
+        for size, t in ((6, 1), (5, 2)):
+            pool = _gadget_pool(size, t)
+            for b in range(t + 1):
+                got = boundaried_universe(size, b, graphs=pool)
+                assert got == boundaried_universe_by_placements(pool, b)
 
 
 class TestGridMinorOracle:

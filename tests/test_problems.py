@@ -27,7 +27,7 @@ from twkern.problems import (
     opt_brute,
     opt_fast,
 )
-from twkern.solvers import enumerate_cycles
+from twkern.solvers import adjacency_masks, enumerate_cycles
 from twkern.treedec import exact_treewidth
 
 from conftest import random_graph, sparse_random_graph
@@ -240,9 +240,9 @@ class TestParameterTreewidth:
 
 class TestCycleEnumeration:
     def test_triangle_and_square(self):
-        assert len(enumerate_cycles(complete_graph(3))) == 1
-        assert len(enumerate_cycles(make_grid(2))) == 1
+        assert len(enumerate_cycles(adjacency_masks(complete_graph(3)))) == 1
+        assert len(enumerate_cycles(adjacency_masks(make_grid(2)))) == 1
 
     def test_k4_cycle_vertex_sets(self):
         # cycles collapse to vertex sets: 4 triangles plus the full 4-set
-        assert len(enumerate_cycles(complete_graph(4))) == 5
+        assert len(enumerate_cycles(adjacency_masks(complete_graph(4)))) == 5

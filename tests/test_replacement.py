@@ -1,17 +1,32 @@
 """Signatures, gadget equivalence, replacement tables, and the kernelizer."""
 
+import dataclasses
 import random
+import re
 import zlib
 
 import pytest
 
-from twkern.graphs import BoundariedGraph, Graph, glue, make_grid, path_graph
+from twkern.enumeration import boundaried_universe
+from twkern.graphs import (
+    BoundariedGraph,
+    Graph,
+    glue,
+    glue_masks,
+    glue_plan,
+    make_grid,
+    path_graph,
+)
 from twkern.problems import CATALOG, opt_fast
 from twkern.protrusions import find_max_protrusion, iter_protrusions
 from twkern.replacement import (
+    CERTIFY_LEVELS,
     KernelInstance,
     TableConstructionError,
+    _gadget_pool,
+    _random_context,
     build_replacement_table,
+    certificate_contexts,
     certify_pair,
     compute_signature,
     count_signature_classes,
@@ -21,6 +36,7 @@ from twkern.replacement import (
     parse_table,
     replace_protrusion,
 )
+from twkern.solvers import adjacency_masks
 
 from conftest import sparse_random_graph
 
@@ -154,10 +170,56 @@ class TestEquivalence:
                     assert o2 == o1 + c
 
     def test_bad_constant_fails_certification(self):
-        from twkern.replacement import certificate_contexts
-
-        with pytest.raises(TableConstructionError):
+        message = "OPT(rep+F)=2, OPT(member+F)=1, c=0 on context 0 with 1 vertices"
+        with pytest.raises(TableConstructionError, match=re.escape(message)):
             certify_pair(VC, pendant(2), pendant(4), 0, certificate_contexts(1, 5))
+
+
+class TestCertificateProbes:
+    @staticmethod
+    def _mask_glue(member: BoundariedGraph, ctx: BoundariedGraph) -> list[int]:
+        vertex_of = {lab: v for v, lab in member.label_of}
+        return glue_masks(adjacency_masks(member.graph), vertex_of, glue_plan(ctx))
+
+    def test_mask_glue_is_glue(self):
+        rng = random.Random(11)
+        for b in range(3):
+            contexts = certificate_contexts(b, 5)
+            contexts += tuple(_random_context(rng, b, 8) for _ in range(300))
+            for member in boundaried_universe(5, b):
+                for ctx in contexts:
+                    want = adjacency_masks(glue(member, ctx)[0])
+                    assert self._mask_glue(member, ctx) == want, (member, ctx)
+
+    def test_mask_glue_keeps_a_label_the_member_lacks_apart(self):
+        member = BoundariedGraph(path_graph(3), {1: 1})
+        ctx = BoundariedGraph(path_graph(3), {2: 1, 0: 2})
+        glued = glue(member, ctx)[0]
+        assert glued.n == 5
+        assert self._mask_glue(member, ctx) == adjacency_masks(glued)
+
+    def test_probe_count_is_the_closed_form(self, vc_table):
+        calls = [0]
+
+        def counting_solver(adj):
+            calls[0] += 1
+            return VC.solver(adj)
+
+        counted = dataclasses.replace(VC, solver=counting_solver)
+        table = build_replacement_table(counted, 1, 6, certify="light")
+        assert format_table(table) == format_table(vc_table)
+        max_n, n_random = CERTIFY_LEVELS["light"]
+        want = 0
+        for b in range(2):
+            classes: dict[tuple, int] = {}
+            for member in boundaried_universe(6, b, graphs=_gadget_pool(6, 1)):
+                key = compute_signature(VC, member).key
+                classes[key] = classes.get(key, 0) + 1
+            others = sum(size - 1 for size in classes.values())
+            probed_classes = sum(1 for size in classes.values() if size > 1)
+            want += (others + probed_classes) * (len(certificate_contexts(b, max_n)) + n_random)
+        # b=0: (13 + 1) * (31 + 200); b=1: (32 + 5) * (74 + 200)
+        assert calls[0] == want == 13372
 
 
 class TestTableConstruction:
