@@ -41,10 +41,9 @@ from .problems import (
     opt_fast,
 )
 from .protrusions import (
-    Protrusion,
     ProtrusionDecomposition,
     build_pd,
-    find_max_protrusion,
+    iter_protrusions,
     validate_pd,
     validate_protrusion,
 )

@@ -109,21 +109,20 @@ def exact_modulator(g: Graph, eta: int) -> Modulator:
     raise AssertionError("unreachable: deleting everything leaves treewidth -1")
 
 
-def recursive_modulator(g: Graph, eta: int, seed=None) -> Modulator:
+def recursive_modulator(g: Graph, eta: int) -> Modulator:
     """A certified modulator via recursive balanced separation.
 
     No size optimality promise: if the treewidth already fits, the modulator is
-    empty; otherwise a balanced separator of (G, seed) joins the modulator and
+    empty; otherwise a separator balanced for all of G joins the modulator and
     the two strict sides recurse.  Small sides are closed exactly.
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    seed_set = frozenset(seed) if seed is not None else frozenset(g.vertices)
-    chosen = _recursive_pick(g, eta, seed_set)
+    chosen = _recursive_pick(g, eta)
     return Modulator(chosen, eta, _certify(g, chosen, eta))
 
 
-def _recursive_pick(g: Graph, eta: int, seed: frozenset[int]) -> frozenset[int]:
+def _recursive_pick(g: Graph, eta: int) -> frozenset[int]:
     if decide_treewidth(g, eta):
         return frozenset()
     comps = g.connected_components()
@@ -131,14 +130,12 @@ def _recursive_pick(g: Graph, eta: int, seed: frozenset[int]) -> frozenset[int]:
         out: set[int] = set()
         for comp in comps:
             sub, old = g.induced_subgraph(comp)
-            sub_seed = frozenset(i for i, o in enumerate(old) if o in seed)
-            out |= {old[v] for v in _recursive_pick(sub, eta, sub_seed)}
+            out |= {old[v] for v in _recursive_pick(sub, eta)}
         return frozenset(out)
     if g.n <= max(eta + 2, 4):
         return exact_modulator(g, eta).vertices
     td = heuristic_decomposition(g)
-    q = seed if seed else frozenset(g.vertices)
-    sep = balanced_separation(g, q, td)
+    sep = balanced_separation(g, g.vertices, td)
     x = sep.separator
     out = set(x)
     for side in (sep.a1 - sep.a2, sep.a2 - sep.a1):
@@ -146,8 +143,7 @@ def _recursive_pick(g: Graph, eta: int, seed: frozenset[int]) -> frozenset[int]:
             raise RuntimeError("balanced separation failed to shrink a side")
         if side:
             sub, old = g.induced_subgraph(side)
-            sub_seed = frozenset(i for i, o in enumerate(old) if o in seed)
-            out |= {old[v] for v in _recursive_pick(sub, eta, sub_seed)}
+            out |= {old[v] for v in _recursive_pick(sub, eta)}
     return frozenset(out)
 
 

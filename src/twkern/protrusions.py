@@ -16,12 +16,10 @@ from .graphs import Graph
 from .modulators import Modulator, balanced_separation
 from .treedec import (
     EXACT_TW_BUDGET,
-    TreeDecomposition,
     ValidationResult,
     decide_treewidth,
     exact_treewidth,
     heuristic_decomposition,
-    treewidth_at_most,
 )
 
 
@@ -30,13 +28,6 @@ def _width_upper_bound(g: Graph) -> int:
     if g.n <= EXACT_TW_BUDGET:
         return exact_treewidth(g)[0]
     return heuristic_decomposition(g).width
-
-
-@dataclass(frozen=True)
-class Protrusion:
-    vertices: frozenset[int]
-    t: int
-    certificate: TreeDecomposition  # decomposition of G[X] over sorted relabeling
 
 
 def validate_protrusion(g: Graph, x, t: int) -> ValidationResult:
@@ -264,8 +255,9 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
 
 def iter_protrusions(
     g: Graph, t: int, min_size: int, seeds: tuple[frozenset[int], ...] = ()
-) -> Iterator[Protrusion]:
-    """Yield valid t-protrusions of at least min_size vertices, largest first.
+) -> Iterator[frozenset[int]]:
+    """Yield the vertex sets of valid t-protrusions of at least min_size
+    vertices, largest first.
 
     The seeds (e.g. protrusion-decomposition parts) are tried first, via
     their closed neighborhoods.  Then every connected X != V with
@@ -273,7 +265,7 @@ def iter_protrusions(
     (-|X|, sorted X), except that of sets mapped onto each other by swapping
     copies of components (see `_boundary_unions`) only the first is tried:
     they are t-protrusions alike and replace alike.  A set is yielded when
-    `treewidth_at_most` certifies tw(G[X]) <= t, which is exact except for
+    `decide_treewidth` certifies tw(G[X]) <= t, which is exact except for
     t >= 2 above the exact budget.
     """
     seen: set[frozenset[int]] = set()
@@ -287,17 +279,5 @@ def iter_protrusions(
             # all-boundary candidates have no interior to replace
             continue
         sub, _ = g.induced_subgraph(xs)
-        td = treewidth_at_most(sub, t) if sub.is_connected() else None
-        if td is not None:
-            yield Protrusion(xs, t, td)
-
-
-def find_max_protrusion(
-    g: Graph, t: int, min_size: int, seeds: tuple[frozenset[int], ...] = ()
-) -> Protrusion | None:
-    """Largest t-protrusion with at least min_size vertices, or None; see
-    `iter_protrusions` for when a None is certain.
-    """
-    for p in iter_protrusions(g, t, min_size, seeds):
-        return p
-    return None
+        if sub.is_connected() and decide_treewidth(sub, t):
+            yield xs

@@ -22,8 +22,8 @@ from .dp import interface_cost_table
 from .enumeration import boundaried_universe
 from .graphs import BoundariedGraph, BudgetError, Graph, glue, glue_masks, glue_plan
 from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
-from .problems import ProblemDefinition, opt_fast
-from .protrusions import Protrusion, iter_protrusions, validate_protrusion
+from .problems import ProblemDefinition
+from .protrusions import iter_protrusions, validate_protrusion
 from .solvers import adjacency_masks
 from .treedec import decide_treewidth
 
@@ -232,24 +232,21 @@ def certify_pair(
     member: BoundariedGraph,
     rep: BoundariedGraph,
     c: int,
-    contexts,
-    rep_cache: dict | None = None,
-    plans=None,
+    plans: list,
+    rep_cache: dict,
 ) -> None:
     """Probe: OPT(rep ⊕ F) must equal OPT(member ⊕ F) + c for every context F,
-    solving on masks; `plans` are the contexts' `glue_plan`s, if made.  Raises
+    given as its `glue_plan`, solving on masks.  `rep_cache` holds rep's optima
+    by plan index across the calls that share rep and plans.  Raises
     TableConstructionError on the first violating context."""
-    cache = {} if rep_cache is None else rep_cache
-    if plans is None:
-        plans = [glue_plan(ctx) for ctx in contexts]
     rep_adj = adjacency_masks(rep.graph)
     rep_vertex_of = {lab: v for v, lab in rep.label_of}
     mem_adj = adjacency_masks(member.graph)
     mem_vertex_of = {lab: v for v, lab in member.label_of}
     for idx, plan in enumerate(plans):
-        if idx not in cache:
-            cache[idx] = p.solver(glue_masks(rep_adj, rep_vertex_of, plan))[0]
-        opt_rep = cache[idx]
+        if idx not in rep_cache:
+            rep_cache[idx] = p.solver(glue_masks(rep_adj, rep_vertex_of, plan))[0]
+        opt_rep = rep_cache[idx]
         opt_mem = p.solver(glue_masks(mem_adj, mem_vertex_of, plan))[0]
         if not _shifted_by(opt_mem, opt_rep, c):
             raise TableConstructionError(
@@ -276,6 +273,8 @@ def build_replacement_table(
     in CERTIFY_LEVELS: every connected context up to the given size plus the
     given number of random ones.  A failed probe aborts construction.
     """
+    if t < 0:
+        raise ValueError(f"table boundary size t={t} is negative")
     if t > MAX_TABLE_T:
         raise BudgetError(f"replacement tables support boundary size at most {MAX_TABLE_T}")
     if size_bound > 9:
@@ -299,9 +298,9 @@ def build_replacement_table(
                 rep_caches[key] = {}
                 continue
             row = rows[key]
-            if probes:
+            if plans:
                 c = row.signature.offset - sig.offset
-                certify_pair(p, bg, row.representative, c, probes, rep_caches[key], plans)
+                certify_pair(p, bg, row.representative, c, plans, rep_caches[key])
     return ReplacementTable(p.name, t, rows)
 
 
@@ -346,9 +345,10 @@ def _boundaried_form(g: Graph, x: frozenset[int], bnd: list[int]) -> BoundariedG
 
 
 def replace_protrusion(
-    inst: KernelInstance, x: Protrusion, table: ReplacementTable
+    inst: KernelInstance, xs: frozenset[int], table: ReplacementTable
 ) -> KernelInstance:
-    """Swap the protrusion interior for its table representative.
+    """Swap the interior of the protrusion xs (boundary and width at most
+    table.t) for its table representative.
 
     Skip semantics: an unknown signature, a representative at least as large as
     the protrusion, or a positive transposition constant (which would raise k)
@@ -360,16 +360,16 @@ def replace_protrusion(
         raise ValueError(
             f"table was built for {table.problem!r}, instance is {p.name!r}"
         )
-    check = validate_protrusion(g, x.vertices, table.t)
+    check = validate_protrusion(g, xs, table.t)
     if not check:
         raise ValueError(f"invalid protrusion: {check.message}")
-    bnd = sorted(g.boundary(x.vertices))
-    sig = compute_signature(p, _boundaried_form(g, x.vertices, bnd))
+    bnd = sorted(g.boundary(xs))
+    sig = compute_signature(p, _boundaried_form(g, xs, bnd))
     row = table.lookup(sig)
     if row is None:
         return inst
     rep = row.representative
-    if rep.graph.n >= len(x.vertices):
+    if rep.graph.n >= len(xs):
         return inst
     c = row.signature.offset - sig.offset
     if c > 0:
@@ -377,9 +377,9 @@ def replace_protrusion(
             "refusing replacement with positive constant c=%d (parameter must not grow)", c
         )
         return inst
-    host_keep = (frozenset(g.vertices) - x.vertices) | frozenset(bnd)
+    host_keep = (frozenset(g.vertices) - xs) | frozenset(bnd)
     glued, _, _ = glue(_boundaried_form(g, host_keep, bnd), rep)
-    step = ReplacementStep(len(x.vertices), len(bnd), rep.graph.n, c)
+    step = ReplacementStep(len(xs), len(bnd), rep.graph.n, c)
     return KernelInstance(glued, inst.k + c, inst.problem, inst.trace + (step,))
 
 
@@ -389,8 +389,6 @@ def kernelize(
     k: int,
     table: ReplacementTable,
     eta: int | None = None,
-    check_each_step: bool = False,
-    shuffle_seed: int | None = None,
 ) -> KernelInstance:
     """Reduce the instance by repeated protrusion replacement until no
     replaceable protrusion larger than the table's representatives is found.
@@ -398,34 +396,22 @@ def kernelize(
     When eta is given, protrusion search is seeded with the parts of a
     protrusion decomposition built from a recursive treewidth-eta-modulator.
     Each replacement strictly shrinks the graph, so this terminates.
-    `check_each_step` re-derives the optimum before and after every step
-    against the exact oracle (test builds only).
     """
     if table.problem != p.name:
         raise ValueError(f"table was built for {table.problem!r}, not {p.name!r}")
     inst = KernelInstance(g, k, p.name, ())
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
     while True:
         cur = inst.graph
         seeds: tuple[frozenset[int], ...] = ()
         if eta is not None:
             seeds = _modulator_seeds(cur, eta)
         min_size = table.max_rep_size + 1
-        candidates = iter_protrusions(cur, table.t, min_size, seeds)
-        if rng is not None:
-            pool = list(candidates)
-            rng.shuffle(pool)
-            candidates = iter(pool)
-        applied = False
-        for x in candidates:
-            new_inst = replace_protrusion(inst, x, table)
+        for xs in iter_protrusions(cur, table.t, min_size, seeds):
+            new_inst = replace_protrusion(inst, xs, table)
             if new_inst.graph.n < inst.graph.n:
-                if check_each_step and cur.n <= problems_mod.brute_budget():
-                    _check_step(p, inst, new_inst)
                 inst = new_inst
-                applied = True
                 break
-        if not applied:
+        else:
             return inst
 
 
@@ -441,16 +427,6 @@ def _modulator_seeds(g: Graph, eta: int) -> tuple[frozenset[int], ...]:
         return pd.parts
     except (BudgetError, RuntimeError):
         return ()
-
-
-def _check_step(p: ProblemDefinition, before: KernelInstance, after: KernelInstance) -> None:
-    c = after.k - before.k
-    opt_before = opt_fast(p, before.graph)[0]
-    opt_after = opt_fast(p, after.graph)[0]
-    if not _shifted_by(opt_before, opt_after, c):
-        raise AssertionError(
-            f"replacement changed the optimum: before={opt_before}, after={opt_after}, c={c}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -78,3 +78,57 @@ def ds_table():
     from twkern.replacement import build_replacement_table
 
     return build_replacement_table(CATALOG["dominating-set"], 1, 6, certify="light")
+
+
+@pytest.fixture
+def step_checks(monkeypatch):
+    """Check every applied replacement on graphs within the brute budget: the
+    optimum after must be the optimum before shifted by the step's constant.
+    Returns the list of checked steps."""
+    from twkern import replacement
+    from twkern.problems import brute_budget, get_problem, opt_fast
+
+    replace = replacement.replace_protrusion
+    checked = []
+
+    def replace_and_check(inst, xs, table):
+        out = replace(inst, xs, table)
+        if out.graph.n < inst.graph.n and inst.graph.n <= brute_budget():
+            p = get_problem(inst.problem)
+            before, after = opt_fast(p, inst.graph)[0], opt_fast(p, out.graph)[0]
+            c = out.k - inst.k
+            assert replacement._shifted_by(before, after, c), (
+                f"replacement changed the optimum: before={before}, after={after}, c={c}"
+            )
+            checked.append(out.trace[-1])
+        return out
+
+    monkeypatch.setattr(replacement, "replace_protrusion", replace_and_check)
+    return checked
+
+
+@pytest.fixture
+def kernelize_shuffled():
+    """`kernelize(p, g, k, table, seed)` that tries each round's protrusions
+    in an order shuffled by one random.Random(seed) per call; seed None keeps
+    the search order.  The whole candidate list of a round is drawn, as a
+    search whose candidates are all rejected draws it."""
+    from twkern import replacement
+
+    search = replacement.iter_protrusions
+
+    def run(p, g, k, table, seed):
+        if seed is None:
+            return replacement.kernelize(p, g, k, table)
+        rng = random.Random(seed)
+
+        def shuffled_search(*args):
+            pool = list(search(*args))
+            rng.shuffle(pool)
+            return iter(pool)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(replacement, "iter_protrusions", shuffled_search)
+            return replacement.kernelize(p, g, k, table)
+
+    return run

@@ -10,7 +10,6 @@ from twkern.problems import CATALOG, opt_fast
 from twkern.protrusions import (
     ProtrusionDecomposition,
     build_pd,
-    find_max_protrusion,
     iter_protrusions,
     validate_pd,
     validate_protrusion,
@@ -189,16 +188,16 @@ def _modulator_with(g: Graph, vertices, eta: int) -> Modulator:
 
 class TestProtrusionSearch:
     def test_long_path_returns_subpath(self):
-        x = find_max_protrusion(path_graph(12), 1, 3)
-        assert x is not None and len(x.vertices) >= 3
+        xs = next(iter_protrusions(path_graph(12), 1, 3), None)
+        assert xs is not None and len(xs) >= 3
 
     def test_k6_has_no_interior_2_protrusion(self):
-        assert find_max_protrusion(complete_graph(6), 2, 2) is None
+        assert next(iter_protrusions(complete_graph(6), 2, 2), None) is None
 
     def test_min_size_respected(self):
         g = pendant_path_graph()
-        x = find_max_protrusion(g, 1, 4)
-        assert x is not None and len(x.vertices) >= 4
+        xs = next(iter_protrusions(g, 1, 4), None)
+        assert xs is not None and len(xs) >= 4
 
     def test_found_protrusions_always_validate(self):
         rng = random.Random(31)
@@ -206,8 +205,8 @@ class TestProtrusionSearch:
 
         for _ in range(40):
             g = sparse_random_graph(rng, rng.randint(2, 12))
-            for x in iter_protrusions(g, 2, 2):
-                assert validate_protrusion(g, x.vertices, 2).ok
+            for xs in iter_protrusions(g, 2, 2):
+                assert validate_protrusion(g, xs, 2).ok
 
     def test_union_of_two_small_components(self):
         # a 5x5 grid with a K4 hanging off vertex 0 by one edge and two
@@ -217,8 +216,8 @@ class TestProtrusionSearch:
         k4 = [(a, b) for a in range(25, 29) for b in range(a + 1, 29)]
         paths = [(0, 29), (29, 30), (30, 31), (0, 32), (32, 33), (33, 34)]
         g = Graph(35, [*g0.edges, *k4, (0, 25), *paths])
-        x = find_max_protrusion(g, 1, 6)
-        assert x is not None and x.vertices == frozenset({0, *range(29, 35)})
+        xs = next(iter_protrusions(g, 1, 6), None)
+        assert xs == frozenset({0, *range(29, 35)})
 
     def test_renumbered_pendant_forks_are_copies(self):
         # a centre with 6 leaves and 12 pendant forks (a vertex with a leaf
@@ -241,5 +240,5 @@ class TestProtrusionSearch:
         big_parts = [p for p in pd.parts if len(p) >= 3]
         if big_parts:
             seeds = tuple(big_parts)
-            x = find_max_protrusion(g, pd.r, 3, seeds=seeds)
-            assert x is not None
+            xs = next(iter_protrusions(g, pd.r, 3, seeds=seeds), None)
+            assert xs is not None

@@ -18,7 +18,7 @@ from twkern.graphs import (
     path_graph,
 )
 from twkern.problems import CATALOG, opt_fast
-from twkern.protrusions import find_max_protrusion, iter_protrusions
+from twkern.protrusions import iter_protrusions
 from twkern.replacement import (
     CERTIFY_LEVELS,
     KernelInstance,
@@ -143,7 +143,8 @@ class TestEquivalence:
         # certified against every small context
         from twkern.replacement import certificate_contexts
 
-        certify_pair(VC, pendant(2), pendant(4), 1, certificate_contexts(1, 6))
+        plans = [glue_plan(ctx) for ctx in certificate_contexts(1, 6)]
+        certify_pair(VC, pendant(2), pendant(4), 1, plans, {})
 
     def test_leaf_vs_two_path_not_equivalent(self):
         assert equivalence_constant(VC, pendant(1), pendant(2)) is None
@@ -171,8 +172,9 @@ class TestEquivalence:
 
     def test_bad_constant_fails_certification(self):
         message = "OPT(rep+F)=2, OPT(member+F)=1, c=0 on context 0 with 1 vertices"
+        plans = [glue_plan(ctx) for ctx in certificate_contexts(1, 5)]
         with pytest.raises(TableConstructionError, match=re.escape(message)):
-            certify_pair(VC, pendant(2), pendant(4), 0, certificate_contexts(1, 5))
+            certify_pair(VC, pendant(2), pendant(4), 0, plans, {})
 
 
 class TestCertificateProbes:
@@ -253,6 +255,10 @@ class TestTableConstruction:
             build_replacement_table(VC, 4, 5)
         with pytest.raises(BudgetError):
             build_replacement_table(VC, 1, 10)
+        # parse_table reads t in 0..MAX_TABLE_T only, so no table is built
+        # outside it either
+        with pytest.raises(ValueError, match="t=-1"):
+            build_replacement_table(VC, -1, 5, certify="off")
 
     def test_round_trip_bit_exact(self, vc_table):
         text = format_table(vc_table)
@@ -332,9 +338,9 @@ class TestReplaceProtrusion:
     def test_replaces_pendant_path(self, vc_table):
         g = self._instance()
         inst = KernelInstance(g, 5, "vertex-cover")
-        x = find_max_protrusion(g, 1, vc_table.max_rep_size + 1)
-        assert x is not None
-        out = replace_protrusion(inst, x, vc_table)
+        xs = next(iter_protrusions(g, 1, vc_table.max_rep_size + 1), None)
+        assert xs is not None
+        out = replace_protrusion(inst, xs, vc_table)
         assert out.graph.n < g.n
         assert out.k <= inst.k
         assert len(out.trace) == 1
@@ -347,24 +353,22 @@ class TestReplaceProtrusion:
         # feeding a protrusion whose class is present but representative equal
         g = path_graph(3)
         inst = KernelInstance(g, 2, "vertex-cover")
-        x = find_max_protrusion(g, 1, 2)
-        if x is not None and len(x.vertices) <= vc_table.max_rep_size:
-            out = replace_protrusion(inst, x, vc_table)
+        xs = next(iter_protrusions(g, 1, 2), None)
+        if xs is not None and len(xs) <= vc_table.max_rep_size:
+            out = replace_protrusion(inst, xs, vc_table)
             assert out.graph.n <= g.n
 
     def test_invalid_protrusion_rejected(self, vc_table):
-        from twkern.protrusions import Protrusion
-        from twkern.treedec import TreeDecomposition
-
         g = make_grid(3)
-        fake = Protrusion(frozenset(g.vertices), 1, TreeDecomposition([set(range(9))]))
+        inst = KernelInstance(g, 3, "vertex-cover")
         with pytest.raises(ValueError):
-            replace_protrusion(KernelInstance(g, 3, "vertex-cover"), fake, vc_table)
+            replace_protrusion(inst, frozenset(g.vertices), vc_table)
 
 
 class TestKernelize:
-    def test_path20_shrinks_to_constant(self, vc_table):
-        inst = kernelize(VC, path_graph(20), 10, vc_table, check_each_step=True)
+    def test_path20_shrinks_to_constant(self, vc_table, step_checks):
+        inst = kernelize(VC, path_graph(20), 10, vc_table)
+        assert step_checks
         assert inst.graph.n <= vc_table.max_rep_size + 2
         assert inst.k <= 10
         ok_before = opt_fast(VC, path_graph(20))[0] <= 10
@@ -376,20 +380,20 @@ class TestKernelize:
         inst = kernelize(VC, g, 4, vc_table)
         assert inst.graph == g and inst.k == 4 and inst.trace == ()
 
-    def test_star_with_many_leaves(self, vc_table, ds_table):
+    def test_star_with_many_leaves(self, vc_table, ds_table, kernelize_shuffled):
         # 2^40 unions of leaves hang off the centre: the search must stay lazy
         # when the first is replaced (vertex cover) and list the leaves as
         # copies when every union is rejected (no dominating-set row forces
         # the centre)
         star = Graph(41, [(0, i) for i in range(1, 41)])
         for seed in (None, 1):
-            inst = kernelize(VC, star, 1, vc_table, shuffle_seed=seed)
+            inst = kernelize_shuffled(VC, star, 1, vc_table, seed)
             assert inst.graph.n == 6 and inst.k == 1
         inst = kernelize(CATALOG["dominating-set"], star, 1, ds_table)
         assert inst.graph == star and inst.k == 1
 
-    def test_shuffled_order_on_renumbered_pendant_paths(self, ds_table):
-        # shuffle_seed lists every candidate of a round, as a search whose
+    def test_shuffled_order_on_renumbered_pendant_paths(self, ds_table, kernelize_shuffled):
+        # a shuffled search lists every candidate of a round, as a search whose
         # candidates are all rejected does: randomly numbered pendant paths
         # must still be listed as copies, not as 2^16 unions
         ds = CATALOG["dominating-set"]
@@ -402,7 +406,7 @@ class TestKernelize:
         g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
         opt = opt_fast(ds, g)[0]
         for seed in (1, 2):
-            inst = kernelize(ds, g, opt, ds_table, shuffle_seed=seed)
+            inst = kernelize_shuffled(ds, g, opt, ds_table, seed)
             assert inst.graph.n < g.n and opt_fast(ds, inst.graph)[0] <= inst.k
 
     def test_trace_length_counts_replacements(self, vc_table):
@@ -413,7 +417,7 @@ class TestKernelize:
         assert len(inst.trace) >= 1
         assert inst.graph.n == g.n - sum(s.protrusion_size - s.rep_size for s in inst.trace)
 
-    def test_confluent_membership_under_shuffled_order(self, vc_table):
+    def test_confluent_membership_under_shuffled_order(self, vc_table, kernelize_shuffled):
         from twkern.harness import gen_corpus
 
         corpus = gen_corpus("grid+pendants", {"count": 3, "t": 3, "tree_size": 8, "pendants": 2}, 9)
@@ -422,7 +426,7 @@ class TestKernelize:
             k = opt
             outcomes = set()
             for seed in (None, 1, 2):
-                inst = kernelize(VC, g, k, vc_table, shuffle_seed=seed)
+                inst = kernelize_shuffled(VC, g, k, vc_table, seed)
                 member = opt_fast(VC, inst.graph)[0] <= inst.k
                 outcomes.add(member)
             assert len(outcomes) == 1
@@ -434,7 +438,7 @@ class TestKernelize:
         inst = kernelize(VC, g, 8, vc_table, eta=1)
         assert inst.graph.n < g.n
 
-    def test_opt_preserved_per_step_on_corpus(self, fvs_table, ds_table, vc_table):
+    def test_opt_preserved_per_step_on_corpus(self, fvs_table, ds_table, vc_table, step_checks):
         from twkern.harness import gen_corpus
 
         corpus = gen_corpus("random-planar", {"count": 10, "n_min": 10, "n_max": 18}, seed=23)
@@ -446,7 +450,9 @@ class TestKernelize:
         for name, table in tables.items():
             p = CATALOG[name]
             for g in corpus:
-                kernelize(p, g, 5, table, check_each_step=True)
+                kernelize(p, g, 5, table)
+        # only feedback vertex set replaces anything on this corpus
+        assert step_checks
 
     def test_cross_problem_table_rejected(self, vc_table):
         with pytest.raises(ValueError, match="built for"):
@@ -456,17 +462,18 @@ class TestKernelize:
         inst = kernelize(VC, Graph(0), 0, vc_table)
         assert inst.graph == Graph(0) and inst.trace == ()
 
-    def test_whole_component_replacement_via_boundary_zero_row(self, vc_table):
+    def test_whole_component_replacement_via_boundary_zero_row(self, vc_table, step_checks):
         from twkern.graphs import disjoint_union
 
         g = disjoint_union(make_grid(3), path_graph(7))
         opt_before = opt_fast(VC, g)[0]
-        inst = kernelize(VC, g, opt_before, vc_table, check_each_step=True)
+        inst = kernelize(VC, g, opt_before, vc_table)
+        assert step_checks
         # the path component collapses through the empty-boundary class
         assert inst.graph.n < g.n
         assert opt_fast(VC, inst.graph)[0] <= inst.k
 
-    def test_independent_set_kernelization_sound(self):
+    def test_independent_set_kernelization_sound(self, step_checks):
         # maximization: replacements still shift membership by the stored
         # constant, and the refusal path keeps k from growing
         from twkern.harness import gen_corpus
@@ -478,11 +485,12 @@ class TestKernelize:
         for g in corpus:
             opt = opt_fast(p, g)[0]
             for k in (opt - 1, opt, opt + 1):
-                inst = kernelize(p, g, k, table, check_each_step=True)
+                inst = kernelize(p, g, k, table)
                 assert inst.k <= k
                 before = opt >= k
                 after = opt_fast(p, inst.graph)[0] >= inst.k
                 assert before == after
+        assert step_checks
 
     def test_union_corpus_soundness(self, vc_table):
         from twkern.harness import gen_corpus, verify_kernel_soundness
@@ -499,10 +507,9 @@ class TestKernelize:
         assert (opt_fast(VC, g)[0] <= -1) == (opt_fast(VC, inst.graph)[0] <= inst.k) == False
 
     def test_pendant_grid_kernel_pinned(self, monkeypatch):
-        """Protrusion search decides width without a decomposition for every
-        rejected candidate, nor for the validity check of a yielded one: at
-        most 2 min-fill runs per applied replacement (the yielded certificate
-        and the signature), and the kernel is the one the search has always
+        """Protrusion search decides width without a decomposition, for the
+        yielded candidates too: at most 1 min-fill run per applied replacement
+        (the signature's), and the kernel is the one the search has always
         produced."""
         import twkern.treedec
         from twkern.harness import gen_corpus
@@ -519,7 +526,7 @@ class TestKernelize:
         monkeypatch.setattr(twkern.treedec, "minfill_order", counting)
         inst = kernelize(VC, g, 67, table)
         assert g.n == 156 and len(inst.trace) >= 1
-        assert len(calls) <= 2 * len(inst.trace)
+        assert len(calls) <= len(inst.trace)
         # the 6x6 grid keeps one pendant vertex, on grid vertex 31
         expected_edges = sorted(make_grid(6).edges | {(31, 36)})
         assert (inst.graph.n, inst.k, sorted(inst.graph.edges)) == (37, 18, expected_edges)
