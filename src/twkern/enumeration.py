@@ -60,9 +60,10 @@ def _canon_search(
     n: int, masks: list[int], colors: list[int], seats: list[int], best: list
 ) -> None:
     """Walk the whole individualization tree; `best` ends as [the least leaf
-    key, per rank the smallest vertex that a least leaf puts there].  Least
-    leaves differ by the automorphisms that fix every seat, all of them, so
-    the vertices at one rank form an orbit and best[1] holds its minimum."""
+    key, the vertex order of every least leaf].  Least leaves differ by the
+    automorphisms that fix every seat, all of them: the vertices that least
+    leaves put at one rank form an orbit, and mapping the first least leaf's
+    order onto each one's gives every automorphism."""
     colors = _refine(n, masks, colors)
     cells: dict[int, list[int]] = {}
     for v in range(n):
@@ -75,9 +76,9 @@ def _canon_search(
     if target is None:
         key, order = _leaf_key(n, masks, colors, seats)
         if best[0] is None or key < best[0]:
-            best[0], best[1] = key, order
+            best[0], best[1] = key, [order]
         elif key == best[0]:
-            best[1] = [min(a, b) for a, b in zip(best[1], order)]
+            best[1].append(order)
         return
     for v in target:
         child = list(colors)
@@ -107,6 +108,32 @@ def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
     return (g.n,) + _seated_search(g.n, adjacency_masks(g), tuple(boundary))[0]
 
 
+def _orbit_least_subsets(n: int, orders: list[list[int]]) -> Iterator[int]:
+    """Ascending, every nonempty vertex mask that no automorphism maps to a
+    smaller integer.  `orders` holds the vertex order of every least leaf
+    (`_canon_search`): mapping the first onto each gives every automorphism,
+    so an orbit is the images of any one member."""
+    auts = []
+    for order in orders:
+        aut = [0] * n
+        for a, b in zip(orders[0], order):
+            aut[a] = b
+        auts.append(aut)
+    done = bytearray(1 << n)
+    for nb in range(1, 1 << n):
+        if done[nb]:
+            continue
+        yield nb
+        for aut in auts:
+            image = 0
+            m = nb
+            while m:
+                low = m & -m
+                m ^= low
+                image |= 1 << aut[low.bit_length() - 1]
+            done[image] = 1
+
+
 def connected_graphs_where(
     max_n: int, keep: Callable[[Graph], bool] | None = None
 ) -> dict[int, list[Graph]]:
@@ -116,8 +143,13 @@ def connected_graphs_where(
     Built by vertex augmentation: every connected graph on n+1 vertices arises
     from a connected graph on n vertices (delete a non-cut vertex, which always
     exists) by attaching a new vertex to a nonempty neighborhood.  `keep` must
-    be closed under vertex deletion (e.g. a treewidth bound), which makes
-    filtering at every level complete.
+    be invariant under isomorphism and closed under vertex deletion (e.g. a
+    treewidth bound), which makes filtering at every level complete.
+    Neighborhoods in one orbit of Aut(parent) give isomorphic graphs, so each
+    parent is extended only by the least neighborhood of every orbit (canonical
+    augmentation, McKay 1998).  Within a parent the first neighborhood to give
+    a class is the least of its orbit, so the graph kept per class is the one
+    that extending by every neighborhood keeps.
     """
     if max_n < 1:
         return {}
@@ -125,21 +157,24 @@ def connected_graphs_where(
     if keep is not None:
         base = [g for g in base if keep(g)]
     out: dict[int, list[Graph]] = {1: base}
+    level = [(g, [[0]]) for g in base]
     for n in range(1, max_n):
-        seen: dict[tuple, Graph] = {}
-        for g in out[n]:
+        last = n + 1 == max_n
+        seen: dict[tuple, tuple[Graph, list[list[int]] | None]] = {}
+        for g, orders in level:
+            masks = adjacency_masks(g)
             base_edges = list(g.edges)
-            for nb in range(1, 1 << n):
-                edges = base_edges + [
-                    (v, n) for v in range(n) if nb >> v & 1
-                ]
-                h = Graph(n + 1, edges)
+            for nb in _orbit_least_subsets(n, orders):
+                h = Graph(n + 1, base_edges + [(v, n) for v in range(n) if nb >> v & 1])
                 if keep is not None and not keep(h):
                     continue
-                key = canonical_key(h)
+                h_masks = [m | (nb >> v & 1) << n for v, m in enumerate(masks)] + [nb]
+                key, h_orders = _seated_search(n + 1, h_masks, ())
                 if key not in seen:
-                    seen[key] = h
-        out[n + 1] = [seen[k] for k in sorted(seen)]
+                    # the last level is never extended: drop its automorphisms
+                    seen[key] = (h, None if last else h_orders)
+        level = [seen[k] for k in sorted(seen)]
+        out[n + 1] = [h for h, _ in level]
     return out
 
 
@@ -147,29 +182,6 @@ def connected_graphs_where(
 def connected_graphs(max_n: int) -> dict[int, list[Graph]]:
     """All connected graphs with 1..max_n vertices, one per isomorphism class."""
     return connected_graphs_where(max_n)
-
-
-def all_graphs(max_n: int) -> Iterator[Graph]:
-    """All graphs (connected or not) with 1..max_n vertices up to isomorphism.
-
-    A graph is the disjoint union of its components, and components are drawn
-    from the canonical connected pool, so multisets of pieces enumerated in
-    non-decreasing (size, index) order cover every class exactly once.
-    """
-    from .graphs import disjoint_union
-
-    conn = connected_graphs(max_n)
-
-    def unions(budget: int, min_size: int, min_index: int) -> Iterator[Graph]:
-        for size in range(min_size, budget + 1):
-            start = min_index if size == min_size else 0
-            for i in range(start, len(conn[size])):
-                piece = conn[size][i]
-                yield piece
-                for rest in unions(budget - size, size, i):
-                    yield disjoint_union(piece, rest)
-
-    yield from unions(max_n, 1, 0)
 
 
 def boundaried_universe(
@@ -199,21 +211,23 @@ def boundaried_universe(
             out.append(BoundariedGraph(g, {}))
             continue
         masks = adjacency_masks(g)
-        key, orbit_min = _seated_search(g.n, masks, ())
+        key, orders = _seated_search(g.n, masks, ())
         if key in seen:  # isomorphic to an earlier graph of the pool
             continue
         seen.add(key)
-        for seats in _placements(g.n, masks, b, (), orbit_min):
+        for seats in _placements(g.n, masks, b, (), orders):
             out.append(BoundariedGraph(g, {v: i + 1 for i, v in enumerate(seats)}))
     return out
 
 
 def _placements(
-    n: int, masks: list[int], b: int, seats: tuple[int, ...], orbit_min: list[int]
+    n: int, masks: list[int], b: int, seats: tuple[int, ...], orders: list[list[int]]
 ) -> Iterator[tuple[int, ...]]:
     """The lexicographically least b-seat extension of `seats` in every orbit,
-    in lexicographic order; `orbit_min` is `_seated_search(n, masks, seats)[1]`."""
-    for v in sorted(set(orbit_min) - set(seats)):
+    in lexicographic order; `orders` is `_seated_search(n, masks, seats)[1]`,
+    and the least vertex it puts at a rank is the least of an orbit."""
+    orbit_min = {min(at_rank) for at_rank in zip(*orders)}
+    for v in sorted(orbit_min - set(seats)):
         more = seats + (v,)
         if len(more) == b:
             yield more

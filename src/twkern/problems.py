@@ -37,7 +37,8 @@ class ProblemDefinition:
     """A vertex subset problem: optimize |S| subject to feasibility(G, S).
 
     This is the one record per problem: a new problem is one CATALOG entry.
-    `solver` is the exact branch-and-bound oracle on adjacency masks.
+    `solver` is the exact branch-and-bound oracle on adjacency masks; it
+    returns the optimum and a witness as a vertex mask.
     `machine` is the tree-decomposition DP that computes optima and boundary
     signatures; None means no signatures and no replacement tables.
     `dp_width_cap` is the decomposition width up to which the reference
@@ -47,7 +48,7 @@ class ProblemDefinition:
     name: str
     feasibility: Callable[[Graph, frozenset[int]], bool]
     separability_f: Callable[[int], int]
-    solver: Callable[[list[int]], tuple[int | float, frozenset[int] | None]]
+    solver: Callable[[list[int]], tuple[int | float, int]]
     maximize: bool
     minor_closed: bool
     machine: Machine | None = None
@@ -199,9 +200,10 @@ def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[in
     return p.infeasible_value, None
 
 
-def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[int] | None]:
+def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[int]]:
     """Branch-and-bound oracle; exact, validated against opt_brute in tests."""
-    return p.solver(solvers.adjacency_masks(g))
+    value, witness = p.solver(solvers.adjacency_masks(g))
+    return value, frozenset(v for v in range(g.n) if witness >> v & 1)
 
 
 # ---------------------------------------------------------------------------

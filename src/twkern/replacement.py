@@ -71,7 +71,7 @@ def _raw_table_brute(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
         state = p.machine.brute_state(adj, boundary, smask)
         if state is None:
             continue
-        size = bin(smask).count("1")
+        size = smask.bit_count()
         if state not in out or better(size, out[state]) == size:
             out[state] = size
     return out

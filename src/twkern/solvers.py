@@ -1,8 +1,11 @@
 """Exact branch-and-bound solvers on bitmask adjacency.
 
 Solvers take `adjacency_masks`, so the certificate probes never build a
-`Graph`.  They are the workhorse oracles for instances up to a couple dozen
-vertices; `problems.opt_brute` stays the reference they are validated against.
+`Graph`, and return the optimum with a witness as a vertex mask, which the
+probes never read.  Their loops walk set bits inline (`low = m & -m`): a
+generator there was the largest self time of table certification.  They are
+the workhorse oracles for instances up to a couple dozen vertices;
+`problems.opt_brute` stays the reference they are validated against.
 """
 
 from __future__ import annotations
@@ -20,49 +23,48 @@ def adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def vertex_cover_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+def vertex_cover_opt(adj: list[int]) -> tuple[int, int]:
+    """Minimum vertex cover: its size and a cover as a vertex mask."""
     n = len(adj)
     best = [n, (1 << n) - 1]
 
     def matching_lb(active: int) -> int:
         used = 0
         count = 0
-        for v in _bits(active):
-            if used >> v & 1:
+        m = active
+        while m:
+            low = m & -m
+            m ^= low
+            if used & low:
                 continue
-            free = adj[v] & active & ~used
+            free = adj[low.bit_length() - 1] & active & ~used
             if free:
-                used |= (1 << v) | (free & -free)
+                used |= low | (free & -free)
                 count += 1
         return count
 
     def rec(active: int, cover: int, size: int) -> None:
-        # peel degree-1 vertices: always take the other endpoint
-        while True:
-            leaf = -1
-            for v in _bits(active):
-                d = adj[v] & active
-                if d and d & (d - 1) == 0:
-                    leaf = v
-                    break
-            if leaf < 0:
-                break
-            w = (adj[leaf] & active).bit_length() - 1
-            cover |= 1 << w
-            size += 1
-            active &= ~(1 << w)
-            if size >= best[0]:
-                return
+        # peel degree-1 vertices, lowest first: always take the other endpoint
+        m = active
+        while m:
+            low = m & -m
+            m ^= low
+            d = adj[low.bit_length() - 1] & active
+            if d and d & (d - 1) == 0:
+                cover |= d
+                size += 1
+                if size >= best[0]:
+                    return
+                active ^= d
+                # only the taken vertex's neighbours changed degree
+                m = (m | adj[d.bit_length() - 1]) & active
         pick = -1
         deg = 0
-        for v in _bits(active):
+        m = active
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
             d = (adj[v] & active).bit_count()
             if d > deg:
                 deg, pick = d, v
@@ -77,54 +79,70 @@ def vertex_cover_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
         rec(active & ~nb & ~(1 << pick), cover | nb, size + deg)
 
     rec((1 << n) - 1, 0, 0)
-    return best[0], frozenset(_bits(best[1]))
+    return best[0], best[1]
 
 
-def independent_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+def independent_set_opt(adj: list[int]) -> tuple[int, int]:
+    """Maximum independent set: its size and a set as a vertex mask."""
     n = len(adj)
     best = [0, 0]
 
     def rec(active: int, chosen: int, size: int) -> None:
         while True:
-            low = -1
-            for v in _bits(active):
-                d = adj[v] & active
-                if d.bit_count() <= 1:
-                    low = v
+            m = active
+            while m:
+                low = m & -m
+                m ^= low
+                if (adj[low.bit_length() - 1] & active).bit_count() <= 1:
                     break
-            if low < 0:
+            else:
                 break
-            chosen |= 1 << low
+            chosen |= low
             size += 1
-            active &= ~(adj[low] | (1 << low))
+            active &= ~(adj[low.bit_length() - 1] | low)
         if not active:
             if size > best[0]:
                 best[0], best[1] = size, chosen
             return
         if size + active.bit_count() <= best[0]:
             return
-        pick = max(_bits(active), key=lambda v: (adj[v] & active).bit_count())
+        # the first vertex of largest degree, as max() picks it
+        pick = -1
+        deg = -1
+        m = active
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & active).bit_count()
+            if d > deg:
+                deg, pick = d, v
         rec(active & ~(adj[pick] | (1 << pick)), chosen | (1 << pick), size + 1)
         rec(active & ~(1 << pick), chosen, size)
 
     rec((1 << n) - 1, 0, 0)
-    return best[0], frozenset(_bits(best[1]))
+    return best[0], best[1]
 
 
-def dominating_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
+    """Minimum dominating set: its size and a set as a vertex mask."""
     n = len(adj)
     if n == 0:
-        return 0, frozenset()
+        return 0, 0
     closed = [adj[v] | (1 << v) for v in range(n)]
     closed_size = [c.bit_count() for c in closed]
     full = (1 << n) - 1
 
-    # greedy upper bound seeds the search
+    # greedy upper bound seeds the search: the first vertex of largest gain
     dominated, chosen = 0, 0
     while dominated != full:
-        v = max(range(n), key=lambda v: (closed[v] & ~dominated).bit_count())
-        chosen |= 1 << v
-        dominated |= closed[v]
+        pick, gain = 0, -1
+        for v in range(n):
+            g = (closed[v] & ~dominated).bit_count()
+            if g > gain:
+                pick, gain = v, g
+        chosen |= 1 << pick
+        dominated |= closed[pick]
     best = [chosen.bit_count(), chosen]
     max_cover = max(closed_size)
 
@@ -133,24 +151,43 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
             if size < best[0]:
                 best[0], best[1] = size, chosen
             return
-        rest = (full & ~dominated).bit_count()
-        if size + -(-rest // max_cover) >= best[0]:
+        rest = full & ~dominated
+        if size + -(-rest.bit_count() // max_cover) >= best[0]:
             return
-        # branch on the undominated vertex with fewest potential dominators
-        v = min(_bits(full & ~dominated), key=closed_size.__getitem__)
-        cands = sorted(_bits(closed[v]), key=lambda u: -(closed[u] & ~dominated).bit_count())
-        for u in cands:
+        # branch on the first undominated vertex with fewest potential dominators
+        v, fewest = -1, n + 1
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            if closed_size[u] < fewest:
+                v, fewest = u, closed_size[u]
+        # dominators by decreasing gain, ties by ascending vertex
+        cands = []
+        m = closed[v]
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            cands.append((-(closed[u] & rest).bit_count(), u))
+        cands.sort()
+        for _, u in cands:
             rec(dominated | closed[u], chosen | (1 << u), size + 1)
 
     rec(0, 0, 0)
-    return best[0], frozenset(_bits(best[1]))
+    return best[0], best[1]
 
 
 def _find_cycle(adj: list[int], active: int) -> list[int] | None:
     """A shortest cycle within the active vertex set, or None when the active
     vertices induce a forest."""
     best: list[int] | None = None
-    for root in _bits(active):
+    roots = active
+    while roots:
+        r = roots & -roots
+        roots ^= r
+        root = r.bit_length() - 1
         # BFS from root; first non-tree edge closing back gives a short cycle
         parent = {root: -1}
         dist = {root: 0}
@@ -159,7 +196,11 @@ def _find_cycle(adj: list[int], active: int) -> list[int] | None:
         while qi < len(queue):
             v = queue[qi]
             qi += 1
-            for u in _bits(adj[v] & active):
+            m = adj[v] & active
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     parent[u] = v
@@ -186,7 +227,8 @@ def _find_cycle(adj: list[int], active: int) -> list[int] | None:
     return best
 
 
-def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
+def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
+    """Minimum feedback vertex set: its size and a set as a vertex mask."""
     n = len(adj)
     best: list = [n, 0]
 
@@ -201,7 +243,7 @@ def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
             rec(active & ~(1 << v), removed | (1 << v), size + 1)
 
     rec((1 << n) - 1, 0, 0)
-    return best[0], frozenset(_bits(best[1]))
+    return best[0], best[1]
 
 
 def enumerate_cycles(adj: list[int]) -> list[frozenset[int]]:
@@ -209,8 +251,11 @@ def enumerate_cycles(adj: list[int]) -> list[frozenset[int]]:
     cycles = set()
 
     def extend(root: int, path: list[int], on_path: int) -> None:
-        v = path[-1]
-        for u in _bits(adj[v]):
+        m = adj[path[-1]]
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
             if u == root and len(path) >= 3 and path[1] < path[-1]:
                 cycles.add(frozenset(path))
             elif u > root and not on_path >> u & 1:
@@ -223,16 +268,17 @@ def enumerate_cycles(adj: list[int]) -> list[frozenset[int]]:
     return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
-def cycle_packing_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
-    """Maximum number of vertex-disjoint cycles, with one witness vertex per cycle."""
+def cycle_packing_opt(adj: list[int]) -> tuple[int, int]:
+    """Maximum number of vertex-disjoint cycles, with one witness vertex per
+    cycle, as a vertex mask."""
     n = len(adj)
     if n > CYCLE_PACKING_BUDGET:
         raise BudgetError(f"cycle packing oracle limited to {CYCLE_PACKING_BUDGET} vertices")
     cycles = enumerate_cycles(adj)
     masks = [sum(1 << v for v in c) for c in cycles]
     by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
-    for i, m in enumerate(masks):
-        for v in _bits(m):
+    for i, c in enumerate(cycles):
+        for v in c:
             by_vertex[v].append(i)
     best = [0, []]
 
@@ -252,5 +298,7 @@ def cycle_packing_opt(adj: list[int]) -> tuple[int, frozenset[int]]:
         rec(available & ~(1 << v), count, picked)
 
     rec((1 << n) - 1, 0, [])
-    witness = frozenset(min(cycles[i]) for i in best[1])
+    witness = 0
+    for i in best[1]:
+        witness |= 1 << min(cycles[i])
     return best[0], witness

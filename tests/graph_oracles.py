@@ -1,6 +1,7 @@
-"""Test-only oracles: exhaustive canonical forms, boundary placement by
-canonicalizing every ordered placement, grid-minor containment,
-connected-subset enumeration and annotated boundaried graphs.
+"""Test-only oracles: exhaustive canonical forms, graph generation by
+canonicalizing every one-vertex extension, all graphs up to isomorphism,
+boundary placement by canonicalizing every ordered placement, grid-minor
+containment, connected-subset enumeration and annotated boundaried graphs.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -9,10 +10,18 @@ against; nothing in the package uses them.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from twkern.enumeration import canonical_key
-from twkern.graphs import BoundariedGraph, BudgetError, Graph, contract_edge, glue, make_grid
+from twkern.enumeration import canonical_key, connected_graphs
+from twkern.graphs import (
+    BoundariedGraph,
+    BudgetError,
+    Graph,
+    contract_edge,
+    disjoint_union,
+    glue,
+    make_grid,
+)
 
 
 class AnnotatedBoundariedGraph:
@@ -67,6 +76,53 @@ def canonical_form(g: Graph, max_vertices: int = 8) -> Graph:
         if best is None or key < best:
             best = key
     return Graph(g.n, best)
+
+
+def connected_graphs_by_extensions(
+    max_n: int, keep: Callable[[Graph], bool] | None = None
+) -> dict[int, list[Graph]]:
+    """`connected_graphs_where` by extending every graph of a level by every
+    nonempty neighborhood of a new vertex and canonicalizing each extension."""
+    if max_n < 1:
+        return {}
+    base = [Graph(1)]
+    if keep is not None:
+        base = [g for g in base if keep(g)]
+    out: dict[int, list[Graph]] = {1: base}
+    for n in range(1, max_n):
+        seen: dict[tuple, Graph] = {}
+        for g in out[n]:
+            base_edges = list(g.edges)
+            for nb in range(1, 1 << n):
+                h = Graph(n + 1, base_edges + [(v, n) for v in range(n) if nb >> v & 1])
+                if keep is not None and not keep(h):
+                    continue
+                key = canonical_key(h)
+                if key not in seen:
+                    seen[key] = h
+        out[n + 1] = [seen[k] for k in sorted(seen)]
+    return out
+
+
+def all_graphs(max_n: int) -> Iterator[Graph]:
+    """All graphs (connected or not) with 1..max_n vertices up to isomorphism.
+
+    A graph is the disjoint union of its components, and components are drawn
+    from the canonical connected pool, so multisets of pieces enumerated in
+    non-decreasing (size, index) order cover every class exactly once.
+    """
+    conn = connected_graphs(max_n)
+
+    def unions(budget: int, min_size: int, min_index: int) -> Iterator[Graph]:
+        for size in range(min_size, budget + 1):
+            start = min_index if size == min_size else 0
+            for i in range(start, len(conn[size])):
+                piece = conn[size][i]
+                yield piece
+                for rest in unions(budget - size, size, i):
+                    yield disjoint_union(piece, rest)
+
+    yield from unions(max_n, 1, 0)
 
 
 def boundaried_universe_by_placements(

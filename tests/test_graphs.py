@@ -30,6 +30,7 @@ from graph_oracles import (
     AnnotatedBoundariedGraph,
     boundaried_universe_by_placements,
     canonical_form,
+    connected_graphs_by_extensions,
     contains_grid_minor,
     glue_annotated,
 )
@@ -333,6 +334,21 @@ class TestCanonicalForms:
             for b in range(t + 1):
                 got = boundaried_universe(size, b, graphs=pool)
                 assert got == boundaried_universe_by_placements(pool, b)
+
+    def test_orbit_pruned_generation_matches_every_extension(self):
+        from twkern.enumeration import connected_graphs_where
+        from twkern.treedec import decide_treewidth
+
+        # no filter, and the treewidth filters of _gadget_pool(6, 1) and (5, 2)
+        runs = [(7, None)] + [
+            (size, lambda g, t=t: bool(decide_treewidth(g, t))) for size, t in ((6, 1), (5, 2))
+        ]
+        for max_n, keep in runs:
+            got = connected_graphs_where(max_n, keep)
+            want = connected_graphs_by_extensions(max_n, keep)
+            assert list(got) == list(want)
+            for n, graphs in want.items():
+                assert [(h.n, h.edges) for h in got[n]] == [(h.n, h.edges) for h in graphs]
 
 
 class TestGridMinorOracle:

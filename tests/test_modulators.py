@@ -85,7 +85,7 @@ class TestExactModulator:
             assert len(exact_modulator(g, 0).vertices) == opt_brute(CATALOG["vertex-cover"], g)[0]
 
     def test_monotone_under_vertex_deletion(self):
-        from twkern.enumeration import all_graphs
+        from graph_oracles import all_graphs
 
         for eta in (0, 1):
             for g in all_graphs(6):

@@ -22,6 +22,7 @@ from twkern.protrusions import iter_protrusions
 from twkern.replacement import (
     CERTIFY_LEVELS,
     KernelInstance,
+    ReplacementTable,
     TableConstructionError,
     _gadget_pool,
     _random_context,
@@ -349,14 +350,23 @@ class TestReplaceProtrusion:
         assert opt_fast(VC, out.graph)[0] == opt_fast(VC, g)[0] + c
 
     def test_unknown_signature_skips(self, vc_table):
-        # dominating-set signatures are not vertex-cover rows; emulate by
-        # feeding a protrusion whose class is present but representative equal
+        # {0, 1} of a 3-vertex path, bounded by vertex 1, is the pendant leaf;
+        # a table without the leaf's row has no row for its signature
         g = path_graph(3)
         inst = KernelInstance(g, 2, "vertex-cover")
-        xs = next(iter_protrusions(g, 1, 2), None)
-        if xs is not None and len(xs) <= vc_table.max_rep_size:
-            out = replace_protrusion(inst, xs, vc_table)
-            assert out.graph.n <= g.n
+        leaf_key = compute_signature(VC, pendant(1)).key
+        rows = {key: row for key, row in vc_table.rows.items() if key != leaf_key}
+        assert len(rows) == len(vc_table) - 1
+        table = ReplacementTable(vc_table.problem, vc_table.t, rows)
+        assert replace_protrusion(inst, frozenset({0, 1}), table) is inst
+
+    def test_representative_not_smaller_skips(self, vc_table):
+        # the pendant leaf's row holds a 2-vertex representative: swapping it
+        # for the 2-vertex protrusion {0, 1} would not shrink the graph
+        g = path_graph(3)
+        inst = KernelInstance(g, 2, "vertex-cover")
+        assert vc_table.lookup(compute_signature(VC, pendant(1))).representative.graph.n == 2
+        assert replace_protrusion(inst, frozenset({0, 1}), vc_table) is inst
 
     def test_invalid_protrusion_rejected(self, vc_table):
         g = make_grid(3)

@@ -110,7 +110,7 @@ class TestExactTreewidth:
             assert heuristic_decomposition(g).width >= w
 
     def test_vertex_deletion_monotone(self):
-        from twkern.enumeration import all_graphs
+        from graph_oracles import all_graphs
         from twkern.graphs import delete_vertex
 
         for g in all_graphs(6):
