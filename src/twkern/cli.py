@@ -1,7 +1,9 @@
 """Command-line front end: one verb per pipeline stage.
 
 Subcommands: decompose, table-build, kernelize, verify, experiment.
-The KERNEL_BUDGET_N environment variable overrides the oracle size budget.
+A missing or malformed input file ends the command with exit status 2 and one
+error line naming the file (and the line, when malformed); status 1 means
+`verify` found a violation.
 """
 
 from __future__ import annotations
@@ -23,8 +25,17 @@ from .replacement import (
 from .treedec import EXACT_TW_BUDGET, exact_treewidth, heuristic_decomposition
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _load(path: str, parse):
+    """`parse` applied to the text of the file at `path`.  A missing or
+    malformed file exits with status 2, as a bad argument does."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as e:
+        reason = e.strerror or e
+    except (io.ParseError, UnicodeDecodeError) as e:  # a ParseError names the line
+        reason = e
+    print(f"twkern: error: {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -35,7 +46,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_graph(path: str):
-    g = io.parse_graph(_read(path))
+    g = _load(path, io.parse_graph)
     return g.graph if isinstance(g, BoundariedGraph) else g
 
 
@@ -66,7 +77,7 @@ def _cmd_table_build(args) -> int:
 def _cmd_kernelize(args) -> int:
     p = get_problem(args.problem)
     g = _load_graph(args.input)
-    table = parse_table(_read(args.table))
+    table = _load(args.table, parse_table)
     inst = kernelize(p, g, args.k, table, eta=args.eta)
     _emit(io.format_graph(inst.graph), args.out)
     print(
@@ -91,7 +102,7 @@ def _corpus_from_args(args):
 
 def _cmd_verify(args) -> int:
     p = get_problem(args.problem)
-    table = parse_table(_read(args.table))
+    table = _load(args.table, parse_table)
     if args.input:
         corpus = [_load_graph(args.input)]
     else:
@@ -114,7 +125,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     p = get_problem(args.problem)
-    table = parse_table(_read(args.table))
+    table = _load(args.table, parse_table)
     corpus = _corpus_from_args(args)
     report = harness.run_experiment(
         p,

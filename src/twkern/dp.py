@@ -22,7 +22,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import BudgetError, Graph, forest_roots
-from .treedec import TreeDecomposition, heuristic_decomposition
+from .treedec import TreeDecomposition
 
 if TYPE_CHECKING:
     from .problems import ProblemDefinition
@@ -434,18 +434,3 @@ def solve_via_dp(
     better = max if problem.maximize else min
     return better(root.values(), key=lambda entry: entry[0])
 
-
-def interface_cost_table(
-    p: ProblemDefinition,
-    bg_graph: Graph,
-    boundary: tuple[int, ...],
-    td: TreeDecomposition | None = None,
-) -> dict:
-    """Raw interface table: state over `boundary` -> min (max) interior cost.
-
-    States at the root are expressed over boundary vertex ids; callers
-    translate them to label space with `p.machine.label_state`.
-    """
-    if td is None:
-        td = heuristic_decomposition(bg_graph)
-    return {s: val for s, (val, _) in run_dp(p, bg_graph, td, pinned=boundary).items()}

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .dp import solve_via_dp
 from .graphs import BudgetError, Graph, disjoint_union, make_grid
-from .problems import ProblemDefinition, brute_budget, opt_brute, opt_fast
+from .problems import BRUTE_BUDGET, ProblemDefinition, opt_brute, opt_fast
 from .replacement import KernelInstance, ReplacementTable, kernelize
-from .treedec import EXACT_TW_BUDGET, heuristic_decomposition
+from .treedec import heuristic_decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def verify_kernel_soundness(
     """
     report = SoundnessReport()
     for idx, g in enumerate(corpus):
-        if g.n > brute_budget():
+        if g.n > BRUTE_BUDGET:
             raise BudgetError(f"instance {idx} exceeds the oracle budget")
         opt = oracle(p, g)
         base_k = 0 if isinstance(opt, float) else int(opt)
@@ -271,7 +271,7 @@ def experiment_k(p: ProblemDefinition, g: Graph) -> int:
     able to handle the instance (branch and bound within the oracle budget,
     the width-capped DP beyond it), else 0.
     """
-    if g.n <= brute_budget():
+    if g.n <= BRUTE_BUDGET:
         opt = opt_fast(p, g)[0]
     else:
         try:
@@ -309,43 +309,3 @@ def run_experiment(
         report.rows.append(row)
     return report
 
-
-def problem_report_rows(p: ProblemDefinition, corpus: list[Graph]) -> list[str]:
-    """Per-instance `instance,n,m,opt,tw,slack` rows.
-
-    The slack column probes separability on a deterministic part: the ball
-    around vertex 0 holding half the vertices.
-    """
-    from .problems import check_separability, format_opt
-    from .treedec import exact_treewidth
-
-    out = []
-    for idx, g in enumerate(corpus):
-        opt = opt_fast(p, g)[0] if g.n <= brute_budget() else float("inf")
-        tw = exact_treewidth(g)[0] if g.n <= EXACT_TW_BUDGET else -1
-        part = _half_ball(g)
-        rep = check_separability(p, g, part, oracle=lambda pp, gg: (opt_fast(pp, gg)))
-        out.append(f"{idx},{g.n},{g.m},{format_opt(opt)},{tw},{rep.slack}")
-    return out
-
-
-def _half_ball(g: Graph) -> frozenset[int]:
-    if g.n == 0:
-        return frozenset()
-    want = max(1, g.n // 2)
-    seen = [0]
-    seen_set = {0}
-    qi = 0
-    while len(seen) < want and qi < len(seen):
-        v = seen[qi]
-        qi += 1
-        for u in sorted(g.neighbors(v)):
-            if u not in seen_set and len(seen) < want:
-                seen_set.add(u)
-                seen.append(u)
-    extra = iter(sorted(set(g.vertices) - seen_set))
-    while len(seen) < want:
-        v = next(extra)
-        seen_set.add(v)
-        seen.append(v)
-    return frozenset(seen)

@@ -1,4 +1,4 @@
-"""Text formats: graphs, tree decompositions, protrusion decompositions.
+"""Text formats: graphs and tree decompositions.
 
 All writers emit canonical bytes (sorted edges, 1-indexed ids) so round trips
 are bit-exact.  Every parser reads through one `LineReader`, so all formats
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .graphs import BoundariedGraph, Graph
-from .protrusions import ProtrusionDecomposition
 from .treedec import TreeDecomposition
 
 
@@ -182,33 +181,3 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
         raise ParseError(head_no, f"declared width {width} but bags give {td.width}")
     return td, n
 
-
-def format_pd(pd: ProtrusionDecomposition) -> str:
-    lines = ["core: " + " ".join(str(v + 1) for v in sorted(pd.core))]
-    for part in pd.parts:
-        lines.append("part: " + " ".join(str(v + 1) for v in sorted(part)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_pd_sets(text: str) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-    """Core and parts as vertex sets: one `core:` line, then `part:` lines.
-    Bounds are re-measured by the caller."""
-    lines = LineReader(text)
-    core = frozenset(_ids(*lines.take("core:", None)))
-    parts = []
-    while not lines.at_end():
-        parts.append(frozenset(_ids(*lines.take("part:", None))))
-    return core, tuple(parts)
-
-
-def format_vertex_set(vs) -> str:
-    """Modulators and other vertex sets serialize as 1-indexed id lists."""
-    return " ".join(str(v + 1) for v in sorted(vs)) + "\n"
-
-
-def parse_vertex_set(text: str) -> frozenset[int]:
-    lines = LineReader(text)
-    out: set[int] = set()
-    while not lines.at_end():
-        out.update(_ids(*lines.take(None, None)))
-    return frozenset(out)

@@ -14,7 +14,6 @@ from .graphs import BudgetError, Graph, Separation
 from .treedec import (
     TreeDecomposition,
     decide_treewidth,
-    exact_treewidth,
     heuristic_decomposition,
     treewidth_at_most,
     validate_decomposition,
@@ -146,20 +145,3 @@ def _recursive_pick(g: Graph, eta: int) -> frozenset[int]:
             out |= {old[v] for v in _recursive_pick(sub, eta)}
     return frozenset(out)
 
-
-def modulator_treewidth_ratio(
-    corpus: list[Graph], eta: int
-) -> tuple[float, list[tuple[int, int]]]:
-    """Measured max tw(G) / (|S|+1) over a corpus with exact modulators S.
-
-    Reports the constant; finiteness holds by construction (the ratio is a max
-    over finitely many instances).
-    """
-    rows = []
-    worst = 0.0
-    for g in corpus:
-        w, _ = exact_treewidth(g)
-        s = exact_modulator(g, eta)
-        rows.append((w, len(s.vertices)))
-        worst = max(worst, w / (len(s.vertices) + 1))
-    return worst, rows

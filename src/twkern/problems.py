@@ -8,7 +8,6 @@ branch-and-bound solver and is validated against `opt_brute` in the tests.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
@@ -24,12 +23,7 @@ from .dp import (
 from .graphs import BudgetError, Graph
 from .treedec import decide_treewidth, exact_treewidth
 
-BRUTE_BUDGET_DEFAULT = 22
-
-
-def brute_budget() -> int:
-    """Oracle size budget; the KERNEL_BUDGET_N environment variable overrides it."""
-    return int(os.environ.get("KERNEL_BUDGET_N", BRUTE_BUDGET_DEFAULT))
+BRUTE_BUDGET = 22  # largest graph subset enumeration is run on
 
 
 @dataclass(frozen=True)
@@ -175,9 +169,8 @@ def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[in
     maximization problems are closed under taking subsets).  Returns the
     +/- infinity sentinel and a None witness when nothing is feasible.
     """
-    budget = brute_budget()
-    if g.n > budget:
-        raise BudgetError(f"opt_brute budget is {budget} vertices (got {g.n})")
+    if g.n > BRUTE_BUDGET:
+        raise BudgetError(f"opt_brute budget is {BRUTE_BUDGET} vertices (got {g.n})")
     verts = list(g.vertices)
     if p.maximize:
         best: tuple[int | float, frozenset[int] | None] = (p.infeasible_value, None)
@@ -296,9 +289,3 @@ def check_parameter_treewidth(
         exponent = 0.0
     return ParameterTreewidthReport(pairs, exponent)
 
-
-def format_opt(value: int | float) -> str:
-    """Serialize an optimum; infinities become the explicit infeasible token."""
-    if isinstance(value, float) and math.isinf(value):
-        return "infeasible"
-    return str(value)

@@ -71,7 +71,8 @@ class ProtrusionDecomposition:
 
 
 def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
-    """Check the partition, the size bound, and every closed part."""
+    """Check the partition, the size bound, that parts see only the core, and
+    that every closed part is an r-protrusion (`validate_protrusion`)."""
     pieces = [pd.core, *pd.parts]
     if set().union(*pieces) != set(g.vertices) or sum(map(len, pieces)) != g.n:
         return ValidationResult(False, "core and parts do not partition the vertex set")
@@ -85,15 +86,9 @@ def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
         nb = g.open_neighborhood(part)
         if not nb <= pd.core:
             return ValidationResult(False, f"part {i} has neighbors outside the core")
-        closed = part | nb
-        bnd = g.boundary(closed)
-        if len(bnd) > pd.r:
-            return ValidationResult(False, f"closed part {i} has boundary {len(bnd)} > r={pd.r}")
-        fits = decide_treewidth(g.induced_subgraph(closed)[0], pd.r)
-        if fits is None:
-            return ValidationResult(False, f"closed part {i} treewidth not certifiable")
-        if not fits:
-            return ValidationResult(False, f"closed part {i} treewidth exceeds r={pd.r}")
+        res = validate_protrusion(g, part | nb, pd.r)
+        if not res:
+            return ValidationResult(False, f"closed part {i}: {res.message}")
     return ValidationResult(True)
 
 

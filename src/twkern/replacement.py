@@ -18,14 +18,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import problems as problems_mod
-from .dp import interface_cost_table
+from .dp import run_dp
 from .enumeration import boundaried_universe
 from .graphs import BoundariedGraph, BudgetError, Graph, glue, glue_masks, glue_plan
 from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
 from .problems import ProblemDefinition
 from .protrusions import iter_protrusions, validate_protrusion
 from .solvers import adjacency_masks
-from .treedec import decide_treewidth
+from .treedec import decide_treewidth, heuristic_decomposition
 
 logger = logging.getLogger(__name__)
 
@@ -54,8 +54,8 @@ def state_space(p: ProblemDefinition, b: int) -> tuple:
 
 def _raw_table_dp(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
     boundary = bg.boundary
-    table = interface_cost_table(p, bg.graph, boundary)
-    return {p.machine.label_state(state, boundary): cost for state, cost in table.items()}
+    root = run_dp(p, bg.graph, heuristic_decomposition(bg.graph), pinned=boundary)
+    return {p.machine.label_state(state, boundary): cost for state, (cost, _) in root.items()}
 
 
 def _raw_table_brute(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
@@ -302,12 +302,6 @@ def build_replacement_table(
                 c = row.signature.offset - sig.offset
                 certify_pair(p, bg, row.representative, c, plans, rep_caches[key])
     return ReplacementTable(p.name, t, rows)
-
-
-def count_signature_classes(p: ProblemDefinition, t: int, size_bound: int) -> dict[int, int]:
-    """Realized signature classes per boundary size (no certification)."""
-    rows = build_replacement_table(p, t, size_bound, certify="off").rows
-    return {b: sum(1 for key_b, _ in rows if key_b == b) for b in range(t + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -306,10 +306,10 @@ def _exact_treewidth_cached(g: Graph) -> tuple[int, TreeDecomposition]:
 def decide_treewidth(g: Graph, eta: int) -> bool | None:
     """Is tw(g) <= eta?  True or False when certain, None when not.
 
-    Width 0 is an edge test and width 1 a forest test; neither builds a
-    decomposition and both are exact.  From 2 on, see `treewidth_at_most`: a
-    no is certain only within the exact budget, so a larger graph on which
-    min-fill exceeds eta gets None.
+    Width 0 is an edge test and width 1 a forest test; both are exact.  From
+    2 on, a min-fill width <= eta is a yes, and within the exact budget exact
+    treewidth decides; a larger graph on which min-fill exceeds eta gets None.
+    No decomposition is built.
     """
     if eta < 0:
         return g.n == 0
@@ -317,23 +317,19 @@ def decide_treewidth(g: Graph, eta: int) -> bool | None:
         return g.m == 0
     if eta == 1:
         return g.is_acyclic()
-    if treewidth_at_most(g, eta) is not None:
+    if minfill_order(g)[0] <= eta:
         return True
-    return False if g.n <= EXACT_TW_BUDGET else None
+    return _exact_treewidth_cached(g)[0] <= eta if g.n <= EXACT_TW_BUDGET else None
 
 
 def treewidth_at_most(g: Graph, eta: int) -> TreeDecomposition | None:
     """A width <= eta decomposition if one is found, else None.
 
-    For eta <= 1 the answer is `decide_treewidth`'s.  From 2 on, min-fill
-    first, then exact treewidth within the budget; a None for a larger graph
-    means the min-fill bound exceeded eta, not a proof that tw(g) > eta.  The
-    min-fill decomposition is built only when its width fits.
+    Min-fill first (exact on forests, so on every eta <= 1 question), then
+    exact treewidth within the budget; a None for a larger graph means the
+    min-fill bound exceeded eta, not a proof that tw(g) > eta.  The min-fill
+    decomposition is built only when its width fits.
     """
-    if eta <= 1:
-        if not decide_treewidth(g, eta):
-            return None
-        return heuristic_decomposition(g) if eta == 1 else _exact_treewidth_cached(g)[1]
     width, order = minfill_order(g)
     if width <= eta:
         return decomposition_from_order(g, order)

@@ -86,14 +86,14 @@ def step_checks(monkeypatch):
     optimum after must be the optimum before shifted by the step's constant.
     Returns the list of checked steps."""
     from twkern import replacement
-    from twkern.problems import brute_budget, get_problem, opt_fast
+    from twkern.problems import BRUTE_BUDGET, get_problem, opt_fast
 
     replace = replacement.replace_protrusion
     checked = []
 
     def replace_and_check(inst, xs, table):
         out = replace(inst, xs, table)
-        if out.graph.n < inst.graph.n and inst.graph.n <= brute_budget():
+        if out.graph.n < inst.graph.n and inst.graph.n <= BRUTE_BUDGET:
             p = get_problem(inst.problem)
             before, after = opt_fast(p, inst.graph)[0], opt_fast(p, out.graph)[0]
             c = out.k - inst.k

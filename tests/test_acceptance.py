@@ -11,11 +11,12 @@ import math
 import random
 import time
 import zlib
+from collections import Counter
 
 import pytest
 
 from twkern.dp import solve_via_dp
-from twkern.graphs import Graph, make_gamma, make_grid
+from twkern.graphs import make_gamma, make_grid
 from twkern.harness import gen_corpus, verify_kernel_soundness
 from twkern.modulators import balanced_separation, exact_modulator, recursive_modulator
 from twkern.problems import CATALOG, opt_brute, opt_fast
@@ -23,7 +24,6 @@ from twkern.protrusions import build_pd, iter_protrusions, validate_pd
 from twkern.replacement import (
     build_replacement_table,
     certificate_contexts,
-    count_signature_classes,
     kernelize,
 )
 from twkern.treedec import exact_treewidth, heuristic_decomposition, validate_decomposition
@@ -178,8 +178,11 @@ class TestC5EquivalenceCertificates:
 
     def test_class_count_stabilizes_between_8_and_9(self, acceptance):
         t0 = time.perf_counter()
-        c8 = count_signature_classes(VC, 1, 8)
-        c9 = count_signature_classes(VC, 1, 9)
+        counts = []
+        for size_bound in (8, 9):  # realized classes per boundary size
+            rows = build_replacement_table(VC, 1, size_bound, certify="off").rows
+            counts.append(dict(sorted(Counter(b for b, _ in rows).items())))
+        c8, c9 = counts
         elapsed = time.perf_counter() - t0
         ok = c8 == c9
         acceptance(

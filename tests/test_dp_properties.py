@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twkern.dp import interface_cost_table, solve_via_dp
+from twkern.dp import run_dp, solve_via_dp
 from twkern.graphs import BoundariedGraph, Graph
 from twkern.problems import CATALOG, opt_brute
 from twkern.replacement import _raw_table_brute, compute_signature
@@ -43,8 +43,8 @@ def test_pinned_table_matches_brute(bg, p):
     assert compute_signature(p, bg, "dp") == compute_signature(p, bg, "brute")
     brute = _raw_table_brute(p, bg)
     for td in _decompositions(bg.graph):
-        table = interface_cost_table(p, bg.graph, bg.boundary, td)
-        assert {p.machine.label_state(s, bg.boundary): c for s, c in table.items()} == brute
+        root = run_dp(p, bg.graph, td, pinned=bg.boundary)
+        assert {p.machine.label_state(s, bg.boundary): c for s, (c, _) in root.items()} == brute
 
 
 @DERANDOMIZED

@@ -14,7 +14,6 @@ from twkern.harness import (
     experiment_k,
     gen_corpus,
     is_member,
-    problem_report_rows,
     run_experiment,
     reference_oracle,
     verify_kernel_soundness,
@@ -22,12 +21,8 @@ from twkern.harness import (
 from twkern.io import (
     ParseError,
     format_graph,
-    format_pd,
-    format_vertex_set,
     parse_decomposition,
     parse_graph,
-    parse_pd_sets,
-    parse_vertex_set,
 )
 from twkern.problems import CATALOG
 
@@ -73,21 +68,6 @@ class TestGraphFormat:
         with pytest.raises(ParseError, match="line 3"):
             parse_graph("2 0\nb 1 1\nb 2 1\n")
 
-    def test_vertex_set_round_trip(self):
-        vs = frozenset({0, 3, 7})
-        assert parse_vertex_set(format_vertex_set(vs)) == vs
-
-    def test_vertex_set_skips_comment_lines(self):
-        assert parse_vertex_set("# mod\n1 2\n") == frozenset({0, 1})
-
-    def test_vertex_set_non_integer_names_line(self):
-        with pytest.raises(ParseError, match="line 1"):
-            parse_vertex_set("1 2 x")
-
-    def test_pd_non_integer_core_names_line(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_pd_sets("# pd\ncore: 1 z\npart: 2\n")
-
     def test_decomposition_non_integer_header_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_decomposition("s 1 x 2\nb 1 1 2\n")
@@ -113,14 +93,6 @@ class TestGraphFormat:
         for repeat in ("e 2 1", "e 1 2"):
             with pytest.raises(ParseError, match="line 5"):
                 parse_decomposition(f"s 2 1 2\nb 1 1 2\nb 2 2\ne 1 2\n{repeat}\n")
-
-    def test_pd_round_trip(self):
-        from twkern.protrusions import ProtrusionDecomposition
-
-        pd = ProtrusionDecomposition(frozenset({0, 1}), (frozenset({2}), frozenset({3, 4})), 2, 1)
-        core, parts = parse_pd_sets(format_pd(pd))
-        assert core == pd.core and parts == pd.parts
-
 
 class TestCorpus:
     def test_grid_family(self):
@@ -294,26 +266,6 @@ class TestExperiment:
         # the DP reference oracle walks a decomposition about 1500 levels deep
         assert experiment_k(VC, path_graph(1500)) == 750
 
-    def test_problem_report_rows(self):
-        rows = problem_report_rows(VC, [make_grid(2), path_graph(5)])
-        assert len(rows) == 2
-        for row in rows:
-            parts = row.split(",")
-            assert len(parts) == 6
-
-
-class TestBudgetOverride:
-    def test_env_var_overrides_oracle_budget(self, monkeypatch):
-        from twkern.graphs import BudgetError
-        from twkern.problems import opt_brute
-
-        g = Graph(24)
-        with pytest.raises(BudgetError):
-            opt_brute(VC, g)
-        monkeypatch.setenv("KERNEL_BUDGET_N", "25")
-        assert opt_brute(VC, g)[0] == 0
-
-
 class TestSpecOracle:
     def test_matches_fast_solver(self):
         from twkern.problems import opt_fast
@@ -375,6 +327,39 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert lines[1] == "instance_id,n,m,k,kernel_n,kernel_m,k_prime,replacements,wall_time"
         assert len(lines) == 4
+
+    def _assert_input_error(self, proc, line):
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == f"twkern: error: {line}\n"
+
+    def test_damaged_graph_names_file_and_line(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        gpath = tmp_path / "g.gr"
+        gpath.write_text("3 2\n1 2\n2 x\n")
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        proc = self._run(
+            "kernelize", "--problem", "vertex-cover", "--input", str(gpath),
+            "--k", "1", "--table", str(tpath), expect_ok=False,
+        )
+        self._assert_input_error(proc, f"{gpath}: line 3: expected integers, got '2 x'")
+
+    def test_damaged_table_names_file_and_line(self, tmp_path):
+        tpath = tmp_path / "t.txt"
+        tpath.write_text("# a table\ntable vertex-cover 9 1 0\n")
+        proc = self._run(
+            "experiment", "--problem", "vertex-cover", "--table", str(tpath), expect_ok=False
+        )
+        self._assert_input_error(proc, f"{tpath}: line 2: table boundary size t=9 outside 0..3")
+
+    def test_missing_table_names_file(self, tmp_path):
+        tpath = tmp_path / "missing.txt"
+        proc = self._run(
+            "verify", "--problem", "vertex-cover", "--table", str(tpath), expect_ok=False
+        )
+        self._assert_input_error(proc, f"{tpath}: No such file or directory")
 
     def test_table_build_cli(self, tmp_path):
         tpath = tmp_path / "vc.txt"

@@ -11,15 +11,10 @@ from twkern.io import (
     ParseError,
     format_decomposition,
     format_graph,
-    format_pd,
-    format_vertex_set,
     parse_decomposition,
     parse_graph,
-    parse_pd_sets,
-    parse_vertex_set,
 )
 from twkern.problems import CATALOG
-from twkern.protrusions import ProtrusionDecomposition
 from twkern.replacement import ReplacementTable, build_replacement_table, format_table, parse_table
 from twkern.treedec import TreeDecomposition
 
@@ -35,10 +30,6 @@ def decompositions(draw):
     pairs = [(a, b) for a in range(nodes) for b in range(a + 1, nodes)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return TreeDecomposition(bags, edges), n
-
-
-vertex_sets = st.frozensets(st.integers(0, 40))
-pd_sets = st.tuples(vertex_sets, st.lists(vertex_sets, max_size=4).map(tuple))
 
 
 @lru_cache(maxsize=None)
@@ -70,12 +61,6 @@ FORMATS = {
         parse_graph,
     ),
     "decomposition": (decompositions(), lambda v: format_decomposition(*v), parse_decomposition),
-    "pd sets": (
-        pd_sets,
-        lambda v: format_pd(ProtrusionDecomposition(*v, alpha=0, r=0)),
-        parse_pd_sets,
-    ),
-    "vertex set": (vertex_sets, format_vertex_set, parse_vertex_set),
     "table": (
         tables(),
         lambda v: format_table(ReplacementTable(*v)),

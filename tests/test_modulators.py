@@ -8,7 +8,6 @@ from twkern.graphs import BudgetError, Graph, complete_graph, delete_vertex, dis
 from twkern.modulators import (
     balanced_separation,
     exact_modulator,
-    modulator_treewidth_ratio,
     recursive_modulator,
 )
 from twkern.treedec import exact_treewidth, heuristic_decomposition, validate_decomposition
@@ -140,10 +139,3 @@ class TestRecursiveModulator:
         m = recursive_modulator(g, 1)
         assert m.validate(g)
 
-
-class TestRatioReport:
-    def test_measured_constant_finite(self):
-        corpus = [make_grid(2), make_grid(3), path_graph(8)]
-        worst, rows = modulator_treewidth_ratio(corpus, 1)
-        assert len(rows) == 3
-        assert 0 <= worst < float("inf")

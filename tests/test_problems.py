@@ -23,13 +23,11 @@ from twkern.problems import (
     check_bidimensionality,
     check_parameter_treewidth,
     check_separability,
-    format_opt,
     get_problem,
     opt_brute,
     opt_fast,
 )
 from twkern.solvers import adjacency_masks, enumerate_cycles
-from twkern.treedec import exact_treewidth
 
 from conftest import random_graph, sparse_random_graph
 
@@ -127,11 +125,6 @@ class TestOracles:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             get_problem("min-fun")
-
-    def test_infeasible_sentinel_serialization(self):
-        assert format_opt(math.inf) == "infeasible"
-        assert format_opt(-math.inf) == "infeasible"
-        assert format_opt(4) == "4"
 
 
 class TestClosureSpotChecks:

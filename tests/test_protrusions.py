@@ -87,7 +87,7 @@ class TestValidatePd:
         g = Graph(25, [(i, (i + 1) % 24) for i in range(24)] + [(0, 24)])
         pd = ProtrusionDecomposition(frozenset({24}), (frozenset(range(24)),), alpha=1, r=1)
         res = validate_pd(g, pd)
-        assert not res.ok and res.message == "closed part 0 treewidth exceeds r=1"
+        assert not res.ok and res.message == "closed part 0: induced treewidth exceeds 1"
 
 
 class TestBuildPd:

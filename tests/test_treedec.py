@@ -9,11 +9,14 @@ from twkern.dp import DP_WIDTH_BUDGET, solve_via_dp
 from twkern.graphs import BudgetError, Graph, complete_graph, disjoint_union, make_grid, path_graph
 from twkern.problems import CATALOG, opt_brute
 from twkern.treedec import (
+    EXACT_TW_BUDGET,
     TreeDecomposition,
+    decide_treewidth,
     exact_treewidth,
     heuristic_decomposition,
     minfill_order,
     mmw_lower_bound,
+    treewidth_at_most,
     validate_decomposition,
 )
 
@@ -186,6 +189,30 @@ class TestHeuristic:
         for _ in range(60):
             g = random_graph(rng, rng.randint(0, 12))
             assert validate_decomposition(g, heuristic_decomposition(g)).ok
+
+
+class TestWidthQuestions:
+    def test_decision_agrees_with_decomposition(self):
+        # a yes from decide_treewidth exactly when treewidth_at_most finds a
+        # valid decomposition of width <= eta; certain within the exact budget
+        rng = random.Random(8)
+        # min-fill gives width 4 on `fooled`, whose treewidth is 3
+        fooled = Graph(9, [(0, 3), (0, 5), (0, 8), (1, 2), (1, 6), (2, 3), (2, 5), (2, 6),
+                           (2, 7), (3, 4), (4, 5), (4, 6), (4, 7), (6, 8), (7, 8)])
+        assert minfill_order(fooled)[0] == 4 and exact_treewidth(fooled)[0] == 3
+        cases = [fooled, make_grid(5), complete_graph(4)]
+        for _ in range(150):
+            n = rng.randint(0, 26)
+            tree_edges = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.8]
+            cases += [Graph(n, tree_edges), sparse_random_graph(rng, min(n, 14))]
+        for g in cases:
+            for eta in range(-1, 4):
+                fits, td = decide_treewidth(g, eta), treewidth_at_most(g, eta)
+                assert (fits is True) == (td is not None)
+                if td is not None:
+                    assert validate_decomposition(g, td).ok and td.width <= eta
+                if g.n <= EXACT_TW_BUDGET:
+                    assert fits == (exact_treewidth(g)[0] <= eta)
 
 
 class TestSolveViaDp:
