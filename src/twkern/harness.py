@@ -202,6 +202,10 @@ def verify_kernel_soundness(
 ) -> SoundnessReport:
     """Is (G, k) in the problem iff the kernelized instance is, for k around
     the optimum?  Membership on both sides comes from the reference oracles.
+
+    `eta` does nothing.  It selected modulator seeding, which is gone; it is
+    still accepted because the `verify-planar` benchmark workload passes
+    `eta=1`, and goes when that workload stops passing it.
     """
     report = SoundnessReport()
     for idx, g in enumerate(corpus):
@@ -210,7 +214,7 @@ def verify_kernel_soundness(
         opt = oracle(p, g)
         base_k = 0 if isinstance(opt, float) else int(opt)
         for k in range(base_k - k_window, base_k + k_window + 1):
-            kern = kernelize(p, g, k, table, eta=eta)
+            kern = kernelize(p, g, k, table)
             opt_after = oracle(p, kern.graph)
             row = SoundnessRow(
                 idx,
@@ -247,6 +251,8 @@ class ExperimentReport:
     family: str
     seed: int
     rows: list[ExperimentRow] = field(default_factory=list)
+    # instances planted k = 0 because no oracle was within budget
+    unplanted: int = 0
 
     @property
     def max_ratio(self) -> float:
@@ -266,10 +272,11 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def experiment_k(p: ProblemDefinition, g: Graph) -> int:
+def experiment_k(p: ProblemDefinition, g: Graph) -> int | None:
     """The parameter an experiment plants: the optimum via the cheapest oracle
     able to handle the instance (branch and bound within the oracle budget,
-    the width-capped DP beyond it), else 0.
+    the width-capped DP beyond it), 0 for an infeasible instance, or None when
+    no oracle is within budget.
     """
     if g.n <= BRUTE_BUDGET:
         opt = opt_fast(p, g)[0]
@@ -277,7 +284,7 @@ def experiment_k(p: ProblemDefinition, g: Graph) -> int:
         try:
             opt = reference_oracle(p, g)
         except BudgetError:  # too wide for the DP, too large to enumerate
-            return 0
+            return None
     return 0 if isinstance(opt, float) else int(opt)
 
 
@@ -285,12 +292,12 @@ def run_experiment(
     p: ProblemDefinition,
     corpus: list[Graph],
     table: ReplacementTable,
-    eta: int | None = None,
     family: str = "custom",
     seed: int = 0,
     deterministic_timing: bool = False,
 ) -> ExperimentReport:
-    """Kernelize every instance at k = OPT and record the shrinkage.
+    """Kernelize every instance at k = OPT and record the shrinkage.  Where no
+    oracle is within budget, k = 0 is planted and counted in `unplanted`.
 
     deterministic_timing zeroes the wall_time column so reports are
     byte-identical across runs (timings are inherently noisy).
@@ -298,8 +305,11 @@ def run_experiment(
     report = ExperimentReport(family, seed)
     for idx, g in enumerate(corpus):
         k = experiment_k(p, g)
+        if k is None:
+            report.unplanted += 1
+            k = 0
         t0 = time.perf_counter()
-        kern: KernelInstance = kernelize(p, g, k, table, eta=eta)
+        kern: KernelInstance = kernelize(p, g, k, table)
         dt = 0.0 if deterministic_timing else time.perf_counter() - t0
         row = ExperimentRow(
             idx, g.n, g.m, k, kern.graph.n, kern.graph.m, kern.k, len(kern.trace), dt

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator
 
 from .graphs import Graph
@@ -64,10 +64,6 @@ class ProtrusionDecomposition:
     alpha: int
     r: int
     max_sep_order: int = 0
-
-    @property
-    def ell(self) -> int:
-        return len(self.parts)
 
 
 def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
@@ -248,31 +244,25 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
                 push(i, counts[:j] + (counts[j] - 1,) + counts[j + 1 :], j)
 
 
-def iter_protrusions(
-    g: Graph, t: int, min_size: int, seeds: tuple[frozenset[int], ...] = ()
-) -> Iterator[frozenset[int]]:
+def iter_protrusions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]]:
     """Yield the vertex sets of valid t-protrusions of at least min_size
     vertices, largest first.
 
-    The seeds (e.g. protrusion-decomposition parts) are tried first, via
-    their closed neighborhoods.  Then every connected X != V with
-    |∂X| <= t, an interior and min_size <= |X| is tried, in order
-    (-|X|, sorted X), except that of sets mapped onto each other by swapping
-    copies of components (see `_boundary_unions`) only the first is tried:
-    they are t-protrusions alike and replace alike.  A set is yielded when
+    Every connected X != V with |∂X| <= t, an interior and min_size <= |X| is
+    tried, in order (-|X|, sorted X), except that of sets mapped onto each
+    other by swapping copies of components (see `_boundary_unions`) only the
+    first is tried: they are t-protrusions alike and replace alike.  Each
+    candidate B ∪ U has ∂X ⊆ B, so its boundary, interior and size hold by
+    construction.  A set is yielded when it is connected and
     `decide_treewidth` certifies tw(G[X]) <= t, which is exact except for
     t >= 2 above the exact budget.
     """
     seen: set[frozenset[int]] = set()
-    closed_seeds = (frozenset(s) | g.open_neighborhood(s) for s in seeds)
-    for xs in chain(closed_seeds, _boundary_unions(g, t, min_size)):
-        if xs in seen or not min_size <= len(xs) < g.n:
+    for xs in _boundary_unions(g, t, min_size):
+        # one X can come from two boundary sets; X = V replaces nothing
+        if xs in seen or len(xs) == g.n:
             continue
         seen.add(xs)
-        bnd = g.boundary(xs)
-        if len(bnd) > t or len(bnd) == len(xs):
-            # all-boundary candidates have no interior to replace
-            continue
         sub, _ = g.induced_subgraph(xs)
         if sub.is_connected() and decide_treewidth(sub, t):
             yield xs

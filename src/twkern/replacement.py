@@ -378,49 +378,28 @@ def replace_protrusion(
 
 
 def kernelize(
-    p: ProblemDefinition,
-    g: Graph,
-    k: int,
-    table: ReplacementTable,
-    eta: int | None = None,
+    p: ProblemDefinition, g: Graph, k: int, table: ReplacementTable
 ) -> KernelInstance:
     """Reduce the instance by repeated protrusion replacement until no
     replaceable protrusion larger than the table's representatives is found.
 
-    When eta is given, protrusion search is seeded with the parts of a
-    protrusion decomposition built from a recursive treewidth-eta-modulator.
-    Each replacement strictly shrinks the graph, so this terminates.
+    Each round replaces the first candidate of `iter_protrusions` that the
+    table shrinks.  That search is complete over boundary sets, so it needs
+    no protrusion decomposition to start from.  Each replacement strictly
+    shrinks the graph, so this terminates.
     """
     if table.problem != p.name:
         raise ValueError(f"table was built for {table.problem!r}, not {p.name!r}")
     inst = KernelInstance(g, k, p.name, ())
+    min_size = table.max_rep_size + 1
     while True:
-        cur = inst.graph
-        seeds: tuple[frozenset[int], ...] = ()
-        if eta is not None:
-            seeds = _modulator_seeds(cur, eta)
-        min_size = table.max_rep_size + 1
-        for xs in iter_protrusions(cur, table.t, min_size, seeds):
+        for xs in iter_protrusions(inst.graph, table.t, min_size):
             new_inst = replace_protrusion(inst, xs, table)
             if new_inst.graph.n < inst.graph.n:
                 inst = new_inst
                 break
         else:
             return inst
-
-
-def _modulator_seeds(g: Graph, eta: int) -> tuple[frozenset[int], ...]:
-    from .modulators import recursive_modulator
-    from .protrusions import build_pd
-
-    try:
-        mod = recursive_modulator(g, eta)
-        if not mod.vertices:
-            return ()
-        pd = build_pd(g, mod)
-        return pd.parts
-    except (BudgetError, RuntimeError):
-        return ()
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
     closed_size = [c.bit_count() for c in closed]
     full = (1 << n) - 1
 
-    # greedy upper bound seeds the search: the first vertex of largest gain
+    # greedy upper bound starts the search: the first vertex of largest gain
     dominated, chosen = 0, 0
     while dominated != full:
         pick, gain = 0, -1

@@ -193,7 +193,7 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
             j = min(pos[w] for w in nb)
             tree_edges.append((i, j))
         elif i + 1 < len(cliques):
-            # isolated at elimination time; chain to keep the tree connected
+            # isolated at elimination time; link to the next bag to keep the tree connected
             tree_edges.append((i, i + 1))
     return TreeDecomposition(bags, tree_edges)
 

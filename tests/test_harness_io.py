@@ -233,10 +233,11 @@ class TestSoundness:
         with pytest.raises(ValueError):
             verify_kernel_soundness(VC, [Graph(40)], vc_table)
 
-    def test_soundness_with_modulator_seeding(self, vc_table):
+    def test_eta_is_accepted_and_changes_no_row(self, vc_table):
         corpus = gen_corpus("random-planar", {"count": 8, "n_min": 10, "n_max": 18}, seed=14)
         rep = verify_kernel_soundness(VC, corpus, vc_table, k_window=1, eta=1)
         assert rep.ok
+        assert rep.rows == verify_kernel_soundness(VC, corpus, vc_table, k_window=1).rows
 
 
 class TestExperiment:
@@ -327,6 +328,24 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert lines[1] == "instance_id,n,m,k,kernel_n,kernel_m,k_prime,replacements,wall_time"
         assert len(lines) == 4
+
+    def test_experiment_counts_instances_without_an_oracle(self, tmp_path, fvs_table):
+        # FVS's DP stops at width 5: a 6x6 grid with pendants (n = 44) is
+        # too wide for it and too large to enumerate, a 4x4 one (n = 24) is not
+        from twkern.replacement import format_table
+
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(fvs_table))
+        for grid_t, hit, ratio in (("6", 2, "n/a"), ("4", 0, "4.000")):
+            out = self._run(
+                "experiment", "--problem", "feedback-vertex-set", "--table", str(tpath),
+                "--family", "grid+pendants", "--count", "2", "--grid-t", grid_t,
+                "--tree-size", "4", "--pendants", "2", "--seed", "1", "--no-timing",
+            )
+            assert out.stderr == (
+                f"max kernel_n/k over corpus: {ratio}\n"
+                f"k planted as 0, no oracle within budget: {hit} of 2 instances\n"
+            )
 
     def _assert_input_error(self, proc, line):
         assert proc.returncode == 2

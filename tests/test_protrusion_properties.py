@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twkern.graphs import Graph
-from twkern.protrusions import iter_protrusions, validate_protrusion
+from twkern.protrusions import _boundary_unions, iter_protrusions, validate_protrusion
 from twkern.treedec import exact_treewidth
 
 
@@ -66,3 +66,8 @@ def test_search_is_complete_up_to_automorphism(g, t, min_size):
             assert any(_automorphic(g, xs, ys) for ys in earlier)
     for xs in found:
         assert validate_protrusion(g, xs, t).ok
+    # every candidate has at most t boundary vertices, an interior and at
+    # least min_size vertices, so the search need not test them
+    for xs in _boundary_unions(g, t, min_size):
+        bnd = g.boundary(xs)
+        assert len(bnd) <= t and len(bnd) < len(xs) and len(xs) >= min_size

@@ -232,13 +232,3 @@ class TestProtrusionSearch:
         renumbered = Graph(n, [(perm[u], perm[v]) for u, v in edges])
         counts = [sum(1 for _ in iter_protrusions(h, 1, 7)) for h in (Graph(n, edges), renumbered)]
         assert counts[0] == counts[1]
-
-    def test_seeded_search_finds_pd_parts(self):
-        g = make_grid(4)
-        mod = exact_modulator(g, 1)
-        pd = build_pd(g, mod)
-        big_parts = [p for p in pd.parts if len(p) >= 3]
-        if big_parts:
-            seeds = tuple(big_parts)
-            xs = next(iter_protrusions(g, pd.r, 3, seeds=seeds), None)
-            assert xs is not None

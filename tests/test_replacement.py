@@ -435,13 +435,6 @@ class TestKernelize:
                 outcomes.add(member)
             assert len(outcomes) == 1
 
-    def test_eta_seeding_works(self, vc_table):
-        from twkern.harness import gen_corpus
-
-        g = gen_corpus("grid+pendants", {"count": 1, "t": 4, "tree_size": 12, "pendants": 2}, 3)[0]
-        inst = kernelize(VC, g, 8, vc_table, eta=1)
-        assert inst.graph.n < g.n
-
     def test_opt_preserved_per_step_on_corpus(self, fvs_table, ds_table, vc_table, step_checks):
         from twkern.harness import gen_corpus
 
