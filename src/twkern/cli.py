@@ -1,9 +1,10 @@
 """Command-line front end: one verb per pipeline stage.
 
 Subcommands: decompose, table-build, kernelize, verify, experiment.
-A missing or malformed input file ends the command with exit status 2 and one
-error line naming the file (and the line, when malformed); status 1 means
-`verify` found a violation.
+A missing or malformed input file, or an argument out of range (an instance
+over an oracle budget, a table built for another problem), ends the command
+with exit status 2 and one error line, naming the file (and the line, when
+malformed) if there is one; status 1 means `verify` found a violation.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import harness, io
 from .graphs import BoundariedGraph
-from .problems import get_problem
+from .problems import CATALOG, get_problem
 from .replacement import (
     CERTIFY_LEVELS,
     build_replacement_table,
@@ -25,17 +27,20 @@ from .replacement import (
 from .treedec import EXACT_TW_BUDGET, exact_treewidth, heuristic_decomposition
 
 
+def _fail(message) -> NoReturn:
+    print(f"twkern: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load(path: str, parse):
     """`parse` applied to the text of the file at `path`.  A missing or
     malformed file exits with status 2, as a bad argument does."""
     try:
         return parse(Path(path).read_text())
     except OSError as e:
-        reason = e.strerror or e
+        _fail(f"{path}: {e.strerror or e}")
     except (io.ParseError, UnicodeDecodeError) as e:  # a ParseError names the line
-        reason = e
-    print(f"twkern: error: {path}: {reason}", file=sys.stderr)
-    raise SystemExit(2)
+        _fail(f"{path}: {e}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -156,8 +161,9 @@ def main(argv=None) -> int:
     d.add_argument("--out")
     d.set_defaults(fn=_cmd_decompose)
 
+    problems = sorted(CATALOG)
     t = sub.add_parser("table-build", help="build a protrusion replacement table")
-    t.add_argument("--problem", required=True)
+    t.add_argument("--problem", required=True, choices=problems)
     t.add_argument("--t", type=int, default=1)
     t.add_argument("--size-bound", type=int, default=6)
     t.add_argument("--certify", default="light", choices=list(CERTIFY_LEVELS))
@@ -166,7 +172,7 @@ def main(argv=None) -> int:
     t.set_defaults(fn=_cmd_table_build)
 
     k = sub.add_parser("kernelize", help="kernelize an instance with a table")
-    k.add_argument("--problem", required=True)
+    k.add_argument("--problem", required=True, choices=problems)
     k.add_argument("--input", required=True)
     k.add_argument("--k", type=int, required=True)
     k.add_argument("--table", required=True)
@@ -175,9 +181,11 @@ def main(argv=None) -> int:
 
     for name, fn in (("verify", _cmd_verify), ("experiment", _cmd_experiment)):
         s = sub.add_parser(name)
-        s.add_argument("--problem", required=True)
+        s.add_argument("--problem", required=True, choices=problems)
         s.add_argument("--table", required=True)
-        s.add_argument("--input", help="single instance file (verify only)" if name == "verify" else argparse.SUPPRESS)
+        if name == "verify":
+            s.add_argument("--input", help="single instance file instead of a corpus")
+            s.add_argument("--k-window", type=int, default=1)
         s.add_argument("--family", default="random-planar",
                        choices=["grid", "grid+pendants", "random-planar", "union"])
         s.add_argument("--count", type=int, default=10)
@@ -187,14 +195,16 @@ def main(argv=None) -> int:
         s.add_argument("--tree-size", type=int, default=15)
         s.add_argument("--pendants", type=int, default=3)
         s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--k-window", type=int, default=1)
         s.add_argument("--no-timing", action="store_true",
                        help="zero the wall_time column for byte-identical reports")
         s.add_argument("--out")
         s.set_defaults(fn=fn)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:  # includes BudgetError: a request the code declines
+        _fail(e)
 
 
 if __name__ == "__main__":

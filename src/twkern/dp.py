@@ -10,15 +10,17 @@ The engine walks the decomposition children first.  A child's table reaches
 its parent's bag by forgetting, then introducing, one vertex at a time, and
 sibling tables are joined.  Every graph edge is applied exactly once, at the
 first node whose bag holds both ends, which keeps the forest bookkeeping of
-the feedback-vertex DP and the domination updates exact.  A table maps each
-state to (value, witness): the witness is the set of vertices that `intro`
-added at cost 1.
+the feedback-vertex DP and the domination updates exact.  States are integer
+masks over vertex ids, or tuples of them.  A table maps each state to
+(value, witness): the witness is the mask of the vertices that `intro` added
+at cost 1.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import product
+from operator import or_
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import BudgetError, Graph, forest_roots
@@ -49,8 +51,6 @@ def _rgs(block_keys: Iterable) -> tuple[int, ...]:
 
 def _rgs_strings(k: int) -> list[tuple[int, ...]]:
     """Restricted growth strings of length k: canonical set partitions."""
-    if k == 0:
-        return [()]
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], mx: int) -> None:
@@ -67,12 +67,13 @@ def _rgs_strings(k: int) -> list[tuple[int, ...]]:
 class Machine:
     """The tree-decomposition DP of one problem and its boundary states.
 
-    DP states are hashable interface snapshots over vertex ids.  Boundary
-    states ("label space") describe a boundaried gadget's interface by label
-    position instead: `boundary_states` lists them in canonical order,
-    `label_state` translates a DP root state into one, and `brute_state`
-    derives one directly from an interior solution set without the DP, so
-    that the brute-force route stays an independent reference.
+    DP states are hashable interface snapshots over vertex ids: integer masks
+    (bit v for vertex v), or tuples of them.  Boundary states ("label space")
+    describe a boundaried gadget's interface by label position instead:
+    `boundary_states` lists them in canonical order, `label_state` translates
+    a DP root state into one, and `brute_state` derives one directly from an
+    interior solution set without the DP, so that the brute-force route stays
+    an independent reference.
 
     `empty` is the state of the empty bag.  `intro` returns each successor
     state with its cost: 1 exactly when v joins the solution, else 0.
@@ -115,25 +116,27 @@ class Machine:
 
 
 class VertexCoverMachine(Machine):
-    empty = frozenset()
+    """States: the mask of bag vertices in the solution."""
+
+    empty = 0
 
     def intro(self, state, v):
-        return [(state, 0), (state | {v}, 1)]
+        return [(state, 0), (state | 1 << v, 1)]
 
     def forget(self, state, v):
-        return state - {v}
+        return state & ~(1 << v)
 
     def edge(self, state, u, v):
-        return state if (u in state or v in state) else None
+        return state if (state >> u | state >> v) & 1 else None
 
     def join_overlap(self, state):
-        return len(state)
+        return state.bit_count()
 
     def boundary_states(self, b):
         return tuple(range(1 << b))
 
     def label_state(self, state, boundary):
-        return _label_mask(v in state for v in boundary)
+        return _label_mask(state >> v & 1 for v in boundary)
 
     def brute_state(self, adj, boundary, s):
         if any(nb & ~s for v, nb in enumerate(adj) if not s >> v & 1):
@@ -143,7 +146,7 @@ class VertexCoverMachine(Machine):
 
 class IndependentSetMachine(VertexCoverMachine):
     def edge(self, state, u, v):
-        return None if (u in state and v in state) else state
+        return None if state >> u & state >> v & 1 else state
 
     def brute_state(self, adj, boundary, s):
         if any(nb & s for v, nb in enumerate(adj) if s >> v & 1):
@@ -152,65 +155,45 @@ class IndependentSetMachine(VertexCoverMachine):
 
 
 class DominatingSetMachine(Machine):
-    """States map each bag vertex to IN / DOM / NEED (not yet dominated)."""
+    """States: (IN mask, NEED mask) over the bag.  IN vertices are in the set,
+    NEED vertices are not yet dominated, and the rest of the bag is DOM.
+    Boundary states: one status per label."""
 
-    empty = ()
-
-    @staticmethod
-    def _set(state, v, status):
-        return tuple(sorted([(x, s) for x, s in state if x != v] + [(v, status)]))
-
-    @staticmethod
-    def _get(state, v):
-        for x, s in state:
-            if x == v:
-                return s
-        raise KeyError(v)
+    empty = (0, 0)
 
     def intro(self, state, v):
-        return [
-            (tuple(sorted(state + ((v, IN),))), 1),
-            (tuple(sorted(state + ((v, NEED),))), 0),
-        ]
+        ins, need = state
+        return [((ins | 1 << v, need), 1), ((ins, need | 1 << v), 0)]
 
     def forget(self, state, v):
-        if self._get(state, v) == NEED:
-            return None
-        return tuple((x, s) for x, s in state if x != v)
+        ins, need = state
+        return None if need >> v & 1 else (ins & ~(1 << v), need)
 
     def edge(self, state, u, v):
-        su, sv = self._get(state, u), self._get(state, v)
-        if su == IN and sv == NEED:
-            state = self._set(state, v, DOM)
-        elif sv == IN and su == NEED:
-            state = self._set(state, u, DOM)
-        return state
+        ins, need = state
+        if ins >> u & 1:
+            need &= ~(1 << v)
+        if ins >> v & 1:
+            need &= ~(1 << u)
+        return (ins, need)
 
     def join_key(self, state):
-        return frozenset(v for v, s in state if s == IN)
+        return state[0]
 
     def join(self, s1, s2):
-        st2 = dict(s2)
-        merged = []
-        for v, s in s1:
-            o = st2[v]
-            if s == IN or o == IN:
-                if s != o:
-                    return None
-                merged.append((v, IN))
-            else:
-                merged.append((v, DOM if DOM in (s, o) else NEED))
-        return tuple(sorted(merged))
+        # equal IN masks (join_key): a vertex still needs a dominator only if
+        # neither side dominated it
+        return (s1[0], s1[1] & s2[1])
 
     def join_overlap(self, state):
-        return sum(1 for _, s in state if s == IN)
+        return state[0].bit_count()
 
     def boundary_states(self, b):
         return tuple(product((IN, DOM, NEED), repeat=b))
 
     def label_state(self, state, boundary):
-        status = dict(state)
-        return tuple(status[v] for v in boundary)
+        ins, need = state
+        return tuple(IN if ins >> v & 1 else NEED if need >> v & 1 else DOM for v in boundary)
 
     def brute_state(self, adj, boundary, s):
         dominated = 0
@@ -225,83 +208,72 @@ class DominatingSetMachine(Machine):
         )
 
 
-class FeedbackVertexSetMachine(Machine):
-    """States: (deleted bag subset, partition of kept bag vertices into
-    forest components).  Boundary states: (mask of deleted labels, restricted
-    growth string of the kept labels' components)."""
+def _block_of(blocks: frozenset[int], v: int) -> int:
+    """The component mask in `blocks` that holds vertex v."""
+    return next(b for b in blocks if b >> v & 1)
 
-    empty = (frozenset(), frozenset())
+
+class FeedbackVertexSetMachine(Machine):
+    """States: (mask of deleted bag vertices, frozenset of masks partitioning
+    the kept bag vertices into forest components).  Boundary states: (mask of
+    deleted labels, restricted growth string of the kept labels' components)."""
+
+    empty = (0, frozenset())
 
     def intro(self, state, v):
         dele, blocks = state
-        return [
-            ((dele | {v}, blocks), 1),
-            ((dele, blocks | {frozenset([v])}), 0),
-        ]
+        return [((dele | 1 << v, blocks), 1), ((dele, blocks | {1 << v}), 0)]
 
     def forget(self, state, v):
         dele, blocks = state
-        if v in dele:
-            return (dele - {v}, blocks)
-        new_blocks = []
-        for b in blocks:
-            if v in b:
-                rest = b - {v}
-                if rest:
-                    new_blocks.append(rest)
-            else:
-                new_blocks.append(b)
-        return (dele, frozenset(new_blocks))
+        bit = 1 << v
+        if dele & bit:
+            return (dele & ~bit, blocks)
+        b = _block_of(blocks, v)
+        rest = blocks - {b}
+        return (dele, rest | {b & ~bit} if b != bit else rest)
 
     def edge(self, state, u, v):
         dele, blocks = state
-        if u in dele or v in dele:
+        if (dele >> u | dele >> v) & 1:
             return state
-        bu = bv = None
-        for b in blocks:
-            if u in b:
-                bu = b
-            if v in b:
-                bv = b
-        if bu is bv:
+        bu = _block_of(blocks, u)
+        if bu >> v & 1:
             return None  # closes a cycle
-        merged = (blocks - {bu, bv}) | {bu | bv}
-        return (dele, merged)
+        bv = _block_of(blocks, v)
+        return (dele, blocks - {bu, bv} | {bu | bv})
 
     def join_key(self, state):
         return state[0]
 
     def join(self, s1, s2):
         dele, blocks1 = s1
-        _, blocks2 = s2
-        links = []
-        for b in (*blocks1, *blocks2):
-            vs = sorted(b)
-            links.extend((v, vs[0]) for v in vs[1:])
-        roots = forest_roots((v for b in blocks1 for v in b), links)
-        if roots is None:
+        blocks2 = s2[1]
+        merged = set(blocks1)
+        for b in blocks2:
+            touched = {m for m in merged if m & b}
+            merged -= touched
+            merged.add(reduce(or_, touched))
+        # a side with c components links the kept set K by |K| - c forest
+        # edges; the union is a forest iff its edges number |K| - c_merged
+        kept = sum(b.bit_count() for b in blocks1)
+        if kept + len(merged) != len(blocks1) + len(blocks2):
             return None  # two forests close a cycle
-        groups: dict[int, set[int]] = {}
-        for v, r in roots.items():
-            groups.setdefault(r, set()).add(v)
-        return (dele, frozenset(frozenset(s) for s in groups.values()))
+        return (dele, frozenset(merged))
 
     def join_overlap(self, state):
-        return len(state[0])
+        return state[0].bit_count()
 
     def boundary_states(self, b):
-        states = []
-        for mask in range(1 << b):
-            kept = [i for i in range(b) if not mask >> i & 1]
-            for rgs in _rgs_strings(len(kept)):
-                states.append((mask, rgs))
-        return tuple(states)
+        # per mask of deleted labels, every partition of the kept ones
+        return tuple(
+            (mask, rgs) for mask in range(1 << b) for rgs in _rgs_strings(b - mask.bit_count())
+        )
 
     def label_state(self, state, boundary):
         dele, blocks = state
-        block_of = {v: blk for blk in blocks for v in blk}
-        mask = _label_mask(v in dele for v in boundary)
-        return (mask, _rgs(block_of[v] for v in boundary if v not in dele))
+        mask = _label_mask(dele >> v & 1 for v in boundary)
+        return (mask, _rgs(_block_of(blocks, v) for v in boundary if not dele >> v & 1))
 
     def brute_state(self, adj, boundary, s):
         kept = [v for v in range(len(adj)) if not s >> v & 1]
@@ -313,8 +285,6 @@ class FeedbackVertexSetMachine(Machine):
         return (mask, _rgs(roots[v] for v in boundary if not s >> v & 1))
 
 
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -324,7 +294,8 @@ def run_dp(
 ) -> dict:
     """Root table of problem p's DP: state over `pinned` -> (value, witness).
 
-    The witness is a solution set of size `value` that realises the state.
+    The witness is the mask of a solution set of size `value` that realises
+    the state.
     Raises BudgetError when a bag together with the pinned vertices holds
     more than DP_WIDTH_BUDGET + 1 vertices, and ValueError when p has no DP
     or the decomposition misses a graph edge.
@@ -360,7 +331,7 @@ def run_dp(
                 for s2, dc in m.intro(s, v):
                     cand = val + dc
                     if s2 not in out or better(cand, out[s2][0]) == cand:
-                        out[s2] = (cand, wit | {v} if dc else wit)
+                        out[s2] = (cand, wit | 1 << v if dc else wit)
             table = out
         return table
 
@@ -394,7 +365,7 @@ def run_dp(
             if j not in parent:
                 parent[j] = i
                 stack.append(j)
-    leaf = {m.empty: (0, frozenset())}
+    leaf = {m.empty: (0, 0)}
     pending: dict[int, list[dict]] = {}  # node -> child tables moved to its bag
     applied: set[tuple[int, int]] = set()
     for i in reversed(order):
@@ -432,5 +403,6 @@ def solve_via_dp(
     if not root:
         return problem.infeasible_value, frozenset()
     better = max if problem.maximize else min
-    return better(root.values(), key=lambda entry: entry[0])
+    value, witness = better(root.values(), key=lambda entry: entry[0])
+    return value, frozenset(v for v in range(g.n) if witness >> v & 1)
 

@@ -117,23 +117,23 @@ def _normalize(p: ProblemDefinition, raw: dict, b: int) -> Signature:
     return Signature(p.name, b, entries, offset)
 
 
-def compute_signature(p: ProblemDefinition, bg: BoundariedGraph, method: str = "auto") -> Signature:
+def compute_signature(p: ProblemDefinition, bg: BoundariedGraph) -> Signature:
     """Signature of a boundaried gadget.
 
-    The dynamic program over a heuristic decomposition is the primary route;
-    plain interior enumeration is the reference route for small gadgets and,
-    with method "auto", the fallback when the DP is over its width budget.
+    The dynamic program over a heuristic decomposition is the primary route.
+    Plain interior enumeration, the reference route, is the fallback when the
+    DP is over its width budget and the gadget has at most
+    BRUTE_SIGNATURE_BUDGET vertices.
     """
     if p.machine is None:
         raise ValueError(f"no boundary signatures for problem {p.name!r}")
-    b = len(bg.label_of)
-    if method != "brute":
-        try:
-            return _normalize(p, _raw_table_dp(p, bg), b)
-        except BudgetError:
-            if method == "dp" or bg.graph.n > BRUTE_SIGNATURE_BUDGET:
-                raise
-    return _normalize(p, _raw_table_brute(p, bg), b)
+    try:
+        raw = _raw_table_dp(p, bg)
+    except BudgetError:
+        if bg.graph.n > BRUTE_SIGNATURE_BUDGET:
+            raise
+        raw = _raw_table_brute(p, bg)
+    return _normalize(p, raw, len(bg.label_of))
 
 
 def equivalence_constant(

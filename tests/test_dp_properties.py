@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from twkern.dp import run_dp, solve_via_dp
 from twkern.graphs import BoundariedGraph, Graph
 from twkern.problems import CATALOG, opt_brute
-from twkern.replacement import _raw_table_brute, compute_signature
-from twkern.treedec import exact_treewidth, heuristic_decomposition
+from twkern.replacement import _normalize, _raw_table_brute, _raw_table_dp
+from twkern.treedec import decomposition_from_order, exact_treewidth, heuristic_decomposition
 
 PROBLEMS = [
     CATALOG[name]
@@ -32,26 +32,29 @@ def boundaried_graphs(draw):
     return BoundariedGraph(g, {v: i + 1 for i, v in enumerate(seats)})
 
 
-def _decompositions(g: Graph):
-    """Min-fill and exact decompositions: two tree shapes for one graph."""
-    return heuristic_decomposition(g), exact_treewidth(g)[1]
+def _decompositions(g: Graph, data):
+    """Min-fill, exact and drawn-elimination-order decompositions: three tree
+    shapes for one graph."""
+    order = data.draw(st.permutations(range(g.n)), label="elimination order")
+    return heuristic_decomposition(g), exact_treewidth(g)[1], decomposition_from_order(g, order)
 
 
 @DERANDOMIZED
-@given(bg=boundaried_graphs(), p=st.sampled_from(PROBLEMS))
-def test_pinned_table_matches_brute(bg, p):
-    assert compute_signature(p, bg, "dp") == compute_signature(p, bg, "brute")
+@given(bg=boundaried_graphs(), p=st.sampled_from(PROBLEMS), data=st.data())
+def test_pinned_table_matches_brute(bg, p, data):
     brute = _raw_table_brute(p, bg)
-    for td in _decompositions(bg.graph):
+    b = len(bg.label_of)
+    assert _normalize(p, _raw_table_dp(p, bg), b) == _normalize(p, brute, b)
+    for td in _decompositions(bg.graph, data):
         root = run_dp(p, bg.graph, td, pinned=bg.boundary)
         assert {p.machine.label_state(s, bg.boundary): c for s, (c, _) in root.items()} == brute
 
 
 @DERANDOMIZED
-@given(g=graphs(), p=st.sampled_from(PROBLEMS))
-def test_witness_is_optimal_and_feasible(g, p):
+@given(g=graphs(), p=st.sampled_from(PROBLEMS), data=st.data())
+def test_witness_is_optimal_and_feasible(g, p, data):
     opt = opt_brute(p, g)[0]
-    for td in _decompositions(g):
+    for td in _decompositions(g, data):
         value, witness = solve_via_dp(p, g, td)
         assert value == opt == len(witness)
         assert p.feasibility(g, witness)

@@ -380,6 +380,57 @@ class TestCli:
         )
         self._assert_input_error(proc, f"{tpath}: No such file or directory")
 
+    def test_verify_only_flags_rejected_by_experiment(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        gpath = tmp_path / "g.gr"
+        gpath.write_text(format_graph(path_graph(5)))
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        for flag, value in (("--input", str(gpath)), ("--k-window", "5")):
+            proc = self._run(
+                "experiment", "--problem", "vertex-cover", "--table", str(tpath), flag, value,
+                expect_ok=False,
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert f"twkern: error: unrecognized arguments: {flag} {value}\n" in proc.stderr
+
+    def test_unknown_problem_rejected(self):
+        proc = self._run("table-build", "--problem", "foo", expect_ok=False)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert "argument --problem: invalid choice: 'foo'" in proc.stderr
+
+    def test_arguments_out_of_range_exit_2(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        gpath = tmp_path / "grid.gr"
+        gpath.write_text(format_graph(make_grid(5)))  # 25 vertices, over every budget below
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        build = ("table-build", "--problem", "vertex-cover", "--certify", "off")
+        cases = [
+            ((*build, "--t", "5"), "replacement tables support boundary size at most 3"),
+            ((*build, "--t", "-1"), "table boundary size t=-1 is negative"),
+            ((*build, "--size-bound", "12"), "replacement table size bound is at most 9"),
+            (
+                ("decompose", "--input", str(gpath), "--exact", "--exact-budget", "10"),
+                "exact treewidth limited to 10 vertices (got 25); use heuristic_decomposition",
+            ),
+            (
+                ("kernelize", "--problem", "dominating-set", "--input", str(gpath),
+                 "--k", "3", "--table", str(tpath)),
+                "table was built for 'vertex-cover', not 'dominating-set'",
+            ),
+            (
+                ("verify", "--problem", "vertex-cover", "--table", str(tpath),
+                 "--input", str(gpath)),
+                "instance 0 exceeds the oracle budget",
+            ),
+        ]
+        for args, line in cases:
+            self._assert_input_error(self._run(*args, expect_ok=False), line)
+
     def test_table_build_cli(self, tmp_path):
         tpath = tmp_path / "vc.txt"
         self._run(

@@ -25,7 +25,10 @@ from twkern.replacement import (
     ReplacementTable,
     TableConstructionError,
     _gadget_pool,
+    _normalize,
     _random_context,
+    _raw_table_brute,
+    _raw_table_dp,
     build_replacement_table,
     certificate_contexts,
     certify_pair,
@@ -95,7 +98,8 @@ class TestSignatures:
             g = sparse_random_graph(rng, n)
             labels = {v: i + 1 for i, v in enumerate(rng.sample(range(n), b))}
             bg = BoundariedGraph(g, labels)
-            assert compute_signature(p, bg, "dp") == compute_signature(p, bg, "brute")
+            dp, brute = _raw_table_dp(p, bg), _raw_table_brute(p, bg)
+            assert _normalize(p, dp, b) == _normalize(p, brute, b)
 
     def test_unsupported_problem_rejected(self):
         with pytest.raises(ValueError):
@@ -119,8 +123,8 @@ class TestSignatures:
             run_dp(VC, g, heuristic_decomposition(g), pinned=(12, 13, 14))
         bg = BoundariedGraph(g, {12: 1, 13: 2, 14: 3})
         with pytest.raises(BudgetError):
-            compute_signature(VC, bg, "dp")
-        assert compute_signature(VC, bg) == compute_signature(VC, bg, "brute")
+            _raw_table_dp(VC, bg)
+        assert compute_signature(VC, bg) == _normalize(VC, _raw_table_brute(VC, bg), 3)
 
     def test_entries_in_window(self):
         rng = random.Random(41)

@@ -1,13 +1,23 @@
 """Tree decompositions: validation, exact treewidth, heuristics, and the DP."""
 
+import hashlib
 import random
 import zlib
 
 import pytest
 
-from twkern.dp import DP_WIDTH_BUDGET, solve_via_dp
-from twkern.graphs import BudgetError, Graph, complete_graph, disjoint_union, make_grid, path_graph
+from twkern.dp import DOM, DP_WIDTH_BUDGET, IN, run_dp, solve_via_dp
+from twkern.graphs import (
+    BoundariedGraph,
+    BudgetError,
+    Graph,
+    complete_graph,
+    disjoint_union,
+    make_grid,
+    path_graph,
+)
 from twkern.problems import CATALOG, opt_brute
+from twkern.replacement import _raw_table_brute, build_replacement_table, format_table
 from twkern.treedec import (
     EXACT_TW_BUDGET,
     TreeDecomposition,
@@ -274,6 +284,42 @@ class TestSolveViaDp:
         value, witness = solve_via_dp("vertex-cover", g, td)
         assert value == len(witness) == n // 2
         assert CATALOG["vertex-cover"].feasibility(g, witness)
+
+    def test_joins_on_a_four_cycle(self):
+        # each child bag holds one of the two paths between 0 and 2, so only
+        # the join at the root sees the cycle and the two-sided domination
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        td = TreeDecomposition([{0, 2}, {0, 1, 2}, {0, 2, 3}], [(0, 1), (0, 2)])
+        assert solve_via_dp("feedback-vertex-set", g, td)[0] == 1
+        assert solve_via_dp("dominating-set", g, td)[0] == 2
+        bg = BoundariedGraph(g, {0: 1, 2: 2})
+        for name in ("feedback-vertex-set", "dominating-set"):
+            p = CATALOG[name]
+            root = run_dp(p, g, td, pinned=bg.boundary)
+            table = {p.machine.label_state(s, bg.boundary): c for s, (c, _) in root.items()}
+            assert table == _raw_table_brute(p, bg)
+        # 0 in the set and 2 dominated by 1 or by 3: one child alone dominates 2
+        assert table[(IN, DOM)] == 2
+
+    def test_dp_outputs_are_pinned(self):
+        # values and sorted witnesses of the DP on fixed random graphs, and
+        # the unprobed replacement tables built from its boundary tables; a
+        # changed transition order or tie-break changes the digest
+        rng = random.Random(20261019)
+        graphs = [sparse_random_graph(rng, rng.randint(1, 12)) for _ in range(100)]
+        graphs += [random_graph(rng, rng.randint(1, 9)) for _ in range(40)]
+        digest = hashlib.sha256()
+        for name in ("vertex-cover", "independent-set", "dominating-set", "feedback-vertex-set"):
+            p = CATALOG[name]
+            for g in graphs:
+                value, witness = solve_via_dp(p, g, heuristic_decomposition(g))
+                digest.update(repr((name, value, sorted(witness))).encode())
+            for t, size in ((1, 6), (2, 5)):
+                table = build_replacement_table(p, t, size, certify="off")
+                digest.update(format_table(table).encode())
+        assert digest.hexdigest() == (
+            "326d0144416f5ce70b8f543a896dbdc080b14da82dfcf6af0f5e423ea22ea77a"
+        )
 
     def test_decomposition_missing_an_edge_rejected(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
