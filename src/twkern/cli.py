@@ -2,15 +2,17 @@
 
 Subcommands: decompose, table-build, kernelize, verify, experiment.
 A missing or malformed input file, or an argument out of range (an instance
-over an oracle budget, a table built for another problem), ends the command
-with exit status 2 and one error line, naming the file (and the line, when
-malformed) if there is one; status 1 means `verify` found a violation.
+over every oracle budget, a corpus flag given to `verify` with `--input`, a
+table built for another problem), ends the command with exit status 2 and
+one error line, naming the file (and the line, when malformed) if there is
+one; status 1 means `verify` found a violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -93,6 +95,14 @@ def _cmd_kernelize(args) -> int:
     return 0
 
 
+class _CorpusFlag(argparse.Action):
+    """Stores a corpus flag's value and records that the flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.corpus_flags = [*namespace.corpus_flags, option_string]
+
+
 def _corpus_from_args(args):
     params = {
         "count": args.count,
@@ -107,6 +117,8 @@ def _corpus_from_args(args):
 
 def _cmd_verify(args) -> int:
     p = get_problem(args.problem)
+    if args.input and args.corpus_flags:
+        _fail(f"corpus flags do not apply with --input: {', '.join(args.corpus_flags)}")
     table = _load(args.table, parse_table)
     if args.input:
         corpus = [_load_graph(args.input)]
@@ -186,19 +198,21 @@ def main(argv=None) -> int:
         if name == "verify":
             s.add_argument("--input", help="single instance file instead of a corpus")
             s.add_argument("--k-window", type=int, default=1)
-        s.add_argument("--family", default="random-planar",
-                       choices=["grid", "grid+pendants", "random-planar", "union"])
-        s.add_argument("--count", type=int, default=10)
-        s.add_argument("--n-min", type=int, default=8)
-        s.add_argument("--n-max", type=int, default=22)
-        s.add_argument("--grid-t", type=int, default=4)
-        s.add_argument("--tree-size", type=int, default=15)
-        s.add_argument("--pendants", type=int, default=3)
-        s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--no-timing", action="store_true",
-                       help="zero the wall_time column for byte-identical reports")
+        else:
+            s.add_argument("--no-timing", action="store_true",
+                           help="zero the wall_time column for byte-identical reports")
+        corpus = partial(s.add_argument, action=_CorpusFlag)
+        corpus("--family", default="random-planar",
+               choices=["grid", "grid+pendants", "random-planar", "union"])
+        corpus("--count", type=int, default=10)
+        corpus("--n-min", type=int, default=8)
+        corpus("--n-max", type=int, default=22)
+        corpus("--grid-t", type=int, default=4)
+        corpus("--tree-size", type=int, default=15)
+        corpus("--pendants", type=int, default=3)
+        corpus("--seed", type=int, default=0)
         s.add_argument("--out")
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=fn, corpus_flags=[])
 
     args = ap.parse_args(argv)
     try:

@@ -388,21 +388,14 @@ def run_dp(
 
 
 def solve_via_dp(
-    problem: ProblemDefinition | str, g: Graph, td: TreeDecomposition
-) -> tuple[int | float, frozenset[int]]:
+    p: ProblemDefinition, g: Graph, td: TreeDecomposition
+) -> tuple[int, frozenset[int]]:
     """Optimum value and witness set for a DP-supported problem.
 
-    `problem` is a ProblemDefinition or its name.  Raises for unsupported
-    problems or decompositions over the width budget.
+    Raises for unsupported problems or decompositions over the width budget.
     """
-    if isinstance(problem, str):
-        from .problems import get_problem
-
-        problem = get_problem(problem)
-    root = run_dp(problem, g, td)
-    if not root:
-        return problem.infeasible_value, frozenset()
-    better = max if problem.maximize else min
+    root = run_dp(p, g, td)
+    better = max if p.maximize else min
     value, witness = better(root.values(), key=lambda entry: entry[0])
     return value, frozenset(v for v in range(g.n) if witness >> v & 1)
 

@@ -1,8 +1,11 @@
 """Catalog of vertex subset problems with feasibility predicates and oracles.
 
+Every oracle returns an integer optimum and a witness set: every graph has a
+feasible set (see ProblemDefinition), so there is no "infeasible" optimum.
 `opt_brute` is the reference oracle: plain subset enumeration ordered by size,
-driven only by the feasibility predicate.  `opt_fast` runs the problem's
-branch-and-bound solver and is validated against `opt_brute` in the tests.
+driven only by the feasibility predicate; it checks that contract and enforces
+its own size budget.  `opt_fast` runs the problem's branch-and-bound solver
+and is validated against `opt_brute` in the tests.
 """
 
 from __future__ import annotations
@@ -37,20 +40,20 @@ class ProblemDefinition:
     signatures; None means no signatures and no replacement tables.
     `dp_width_cap` is the decomposition width up to which the reference
     oracle trusts the DP over subset enumeration.
+
+    Contract: every graph has a feasible set.  V is feasible for a
+    minimization and the empty set for a maximization, so every optimum is
+    an integer in 0..n.
     """
 
     name: str
     feasibility: Callable[[Graph, frozenset[int]], bool]
     separability_f: Callable[[int], int]
-    solver: Callable[[list[int]], tuple[int | float, int]]
+    solver: Callable[[list[int]], tuple[int, int]]
     maximize: bool
     minor_closed: bool
     machine: Machine | None = None
     dp_width_cap: int | None = None
-
-    @property
-    def infeasible_value(self) -> float:
-        return -math.inf if self.maximize else math.inf
 
 
 def phi_vertex_cover(g: Graph, s: frozenset[int]) -> bool:
@@ -161,39 +164,40 @@ def get_problem(name: str) -> ProblemDefinition:
 # oracles
 
 
-def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[int] | None]:
+def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int, frozenset[int]]:
     """Reference oracle: subset enumeration ordered by size.
 
     Minimization stops at the first feasible size; maximization walks sizes
     upward and stops at the first size with no feasible set (all cataloged
-    maximization problems are closed under taking subsets).  Returns the
-    +/- infinity sentinel and a None witness when nothing is feasible.
+    maximization problems are closed under taking subsets).  Raises
+    AssertionError when p breaks the contract on g: V (minimization) or the
+    empty set (maximization) infeasible.
     """
     if g.n > BRUTE_BUDGET:
         raise BudgetError(f"opt_brute budget is {BRUTE_BUDGET} vertices (got {g.n})")
     verts = list(g.vertices)
+    trivial = frozenset() if p.maximize else frozenset(verts)
+    if not p.feasibility(g, trivial):
+        side = "the empty set" if p.maximize else "V"
+        raise AssertionError(f"{p.name} breaks the feasibility contract: {side} fails on {g!r}")
     if p.maximize:
-        best: tuple[int | float, frozenset[int] | None] = (p.infeasible_value, None)
-        for k in range(g.n + 1):
-            found = None
-            for combo in combinations(verts, k):
-                s = frozenset(combo)
-                if p.feasibility(g, s):
-                    found = s
-                    break
+        best = trivial
+        for k in range(1, g.n + 1):
+            found = next(
+                (s for s in map(frozenset, combinations(verts, k)) if p.feasibility(g, s)), None
+            )
             if found is None:
                 break
-            best = (k, found)
-        return best
-    for k in range(g.n + 1):
-        for combo in combinations(verts, k):
-            s = frozenset(combo)
+            best = found
+        return len(best), best
+    for k in range(g.n):
+        for s in map(frozenset, combinations(verts, k)):
             if p.feasibility(g, s):
                 return k, s
-    return p.infeasible_value, None
+    return g.n, trivial
 
 
-def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int | float, frozenset[int]]:
+def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int, frozenset[int]]:
     """Branch-and-bound oracle; exact, validated against opt_brute in tests."""
     value, witness = p.solver(solvers.adjacency_masks(g))
     return value, frozenset(v for v in range(g.n) if witness >> v & 1)
@@ -208,28 +212,19 @@ class SeparabilityReport:
     ok: bool
     boundary_size: int
     sol_in_part: int
-    opt_induced: int | float
+    opt_induced: int
     allowed: int
-    deviation: int | float
-
-    @property
-    def slack(self) -> int | float:
-        return self.allowed - self.deviation
+    deviation: int
 
 
-def check_separability(
-    p: ProblemDefinition, g: Graph, part: frozenset[int], oracle=opt_brute
-) -> SeparabilityReport:
+def check_separability(p: ProblemDefinition, g: Graph, part: frozenset[int]) -> SeparabilityReport:
     """Does OPT on G[part] stay within f(|∂(part)|) of the global optimum's
-    restriction to the part?
+    restriction to the part?  Both optima come from subset enumeration.
     """
     t = len(g.boundary(part))
     allowed = p.separability_f(t)
-    _, witness = oracle(p, g)
-    sub, _ = g.induced_subgraph(part)
-    opt_l, _ = oracle(p, sub)
-    if witness is None or isinstance(opt_l, float):
-        return SeparabilityReport(True, t, 0, opt_l, allowed, 0)
+    _, witness = opt_brute(p, g)
+    opt_l, _ = opt_brute(p, g.induced_subgraph(part)[0])
     sol_in = len(witness & part)
     deviation = abs(sol_in - opt_l)
     return SeparabilityReport(deviation <= allowed, t, sol_in, opt_l, allowed, deviation)
@@ -238,15 +233,13 @@ def check_separability(
 @dataclass(frozen=True)
 class BidimensionalityRow:
     k: int
-    opt: int | float
+    opt: int
     ratio: float
 
 
-def check_bidimensionality(
-    p: ProblemDefinition, kmax: int, oracle=opt_fast
-) -> list[BidimensionalityRow]:
+def check_bidimensionality(p: ProblemDefinition, kmax: int) -> list[BidimensionalityRow]:
     """OPT on the grid family (triangulated grids for contraction-closed-only
-    problems), with the OPT / k^2 ratio per row.
+    problems) by branch and bound, with the OPT / k^2 ratio per row.
 
     The optimum must grow with the grid: a non-positive ratio anywhere in the
     table is a contract violation and raises.
@@ -256,7 +249,7 @@ def check_bidimensionality(
     family = make_grid if p.minor_closed else make_gamma
     rows = []
     for k in range(2, kmax + 1):
-        opt, _ = oracle(p, family(k))
+        opt, _ = opt_fast(p, family(k))
         rows.append(BidimensionalityRow(k, opt, opt / (k * k)))
     if rows and min(r.ratio for r in rows) <= 0:
         raise AssertionError(f"optimum fails to grow quadratically for {p.name}")
@@ -265,22 +258,23 @@ def check_bidimensionality(
 
 @dataclass(frozen=True)
 class ParameterTreewidthReport:
-    pairs: list[tuple[int, int | float]]  # (treewidth, opt) per instance
+    pairs: list[tuple[int, int]]  # (treewidth, opt) per instance
     fitted_exponent: float
 
 
 def check_parameter_treewidth(
-    p: ProblemDefinition, corpus: list[Graph], oracle=opt_fast
+    p: ProblemDefinition, corpus: list[Graph]
 ) -> ParameterTreewidthReport:
-    """Collect (treewidth, OPT) pairs over a corpus and fit tw ~ OPT^eps."""
+    """Collect (treewidth, OPT) pairs over a corpus, OPT by branch and bound,
+    and fit tw ~ OPT^eps."""
     import statistics  # only here: it loads decimal and fractions
 
     pairs = []
     for g in corpus:
         w, _ = exact_treewidth(g)
-        opt, _ = oracle(p, g)
+        opt, _ = opt_fast(p, g)
         pairs.append((w, opt))
-    usable = [(w, o) for w, o in pairs if w >= 1 and not isinstance(o, float) and o >= 2]
+    usable = [(w, o) for w, o in pairs if w >= 1 and o >= 2]
     if len({o for _, o in usable}) >= 2:  # a slope needs two distinct OPT values
         xs = [math.log(o) for _, o in usable]
         ys = [math.log(w) for w, _ in usable]
@@ -288,4 +282,3 @@ def check_parameter_treewidth(
     else:
         exponent = 0.0
     return ParameterTreewidthReport(pairs, exponent)
-

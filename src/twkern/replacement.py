@@ -220,13 +220,6 @@ def _random_context(rng: random.Random, b: int, max_n: int) -> BoundariedGraph:
     return BoundariedGraph(Graph(n, edges), labels)
 
 
-def _shifted_by(before, after, c: int) -> bool:
-    """Whether optimum `after` is `before` + c; infeasible optima must match."""
-    if isinstance(before, float) or isinstance(after, float):
-        return before == after
-    return after == before + c
-
-
 def certify_pair(
     p: ProblemDefinition,
     member: BoundariedGraph,
@@ -248,7 +241,7 @@ def certify_pair(
             rep_cache[idx] = p.solver(glue_masks(rep_adj, rep_vertex_of, plan))[0]
         opt_rep = rep_cache[idx]
         opt_mem = p.solver(glue_masks(mem_adj, mem_vertex_of, plan))[0]
-        if not _shifted_by(opt_mem, opt_rep, c):
+        if opt_rep != opt_mem + c:
             raise TableConstructionError(
                 f"certificate violation: OPT(rep+F)={opt_rep}, OPT(member+F)={opt_mem}, "
                 f"c={c} on context {idx} with {len(plan[0])} vertices"

@@ -250,7 +250,7 @@ class TestC8Bidimensionality:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_vertex_cover_grid_ratio(self, k, acceptance):
         g = make_grid(k)
-        opt = solve_via_dp("vertex-cover", g, heuristic_decomposition(g))[0]
+        opt = solve_via_dp(VC, g, heuristic_decomposition(g))[0]
         ratio = opt / (k * k)
         ok = ratio >= 1 / 3
         acceptance("C8 bidimensionality", f"vertex cover grid k={k}", ok, f"ratio={ratio:.3f}")
@@ -285,7 +285,7 @@ class TestC10OracleAgreement:
         for _ in range(200):
             g = sparse_random_graph(rng, rng.randint(1, 12))
             td = heuristic_decomposition(g)
-            if opt_brute(p, g)[0] != solve_via_dp(problem, g, td)[0]:
+            if opt_brute(p, g)[0] != solve_via_dp(p, g, td)[0]:
                 mismatches += 1
         elapsed = time.perf_counter() - t0
         ok = mismatches == 0

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from twkern.graphs import BoundariedGraph, Graph, make_grid, path_graph
+from twkern.graphs import BoundariedGraph, Graph, complete_graph, make_grid, path_graph
 from twkern.harness import (
     _random_maximal_planar,
     _triangulates_sphere,
@@ -230,8 +230,14 @@ class TestSoundness:
             assert row.kernel_n <= row.n and row.k_prime <= row.k
 
     def test_oracle_budget_guard(self, vc_table):
-        with pytest.raises(ValueError):
-            verify_kernel_soundness(VC, [Graph(40)], vc_table)
+        # K23: min-fill width 22 is over the DP cap, 23 vertices over opt_brute's
+        with pytest.raises(ValueError, match=r"^instance 0: opt_brute budget is 22 vertices"):
+            verify_kernel_soundness(VC, [complete_graph(23)], vc_table)
+
+    def test_dp_answers_beyond_the_enumeration_budget(self, vc_table):
+        # the 5x5 grid has 25 vertices and min-fill width 5, within VC's DP cap
+        rep = verify_kernel_soundness(VC, [make_grid(5)], vc_table)
+        assert len(rep.rows) == 3 and not rep.violations
 
     def test_eta_is_accepted_and_changes_no_row(self, vc_table):
         corpus = gen_corpus("random-planar", {"count": 8, "n_min": 10, "n_max": 18}, seed=14)
@@ -405,7 +411,9 @@ class TestCli:
         from twkern.replacement import format_table
 
         gpath = tmp_path / "grid.gr"
-        gpath.write_text(format_graph(make_grid(5)))  # 25 vertices, over every budget below
+        gpath.write_text(format_graph(make_grid(5)))  # 25 vertices, over the budgets below
+        kpath = tmp_path / "k23.gr"
+        kpath.write_text(format_graph(complete_graph(23)))  # over both oracle budgets
         tpath = tmp_path / "t.txt"
         tpath.write_text(format_table(vc_table))
         build = ("table-build", "--problem", "vertex-cover", "--certify", "off")
@@ -424,12 +432,56 @@ class TestCli:
             ),
             (
                 ("verify", "--problem", "vertex-cover", "--table", str(tpath),
-                 "--input", str(gpath)),
-                "instance 0 exceeds the oracle budget",
+                 "--input", str(kpath)),
+                "instance 0: opt_brute budget is 22 vertices (got 23)",
             ),
         ]
         for args, line in cases:
             self._assert_input_error(self._run(*args, expect_ok=False), line)
+
+    def test_verify_input_beyond_the_enumeration_budget(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        gpath = tmp_path / "grid.gr"
+        gpath.write_text(format_graph(make_grid(5)))
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        out = self._run(
+            "verify", "--problem", "vertex-cover", "--table", str(tpath), "--input", str(gpath)
+        )
+        assert out.stdout == "checked 3 (instance, k) pairs on 1 instances\nviolations: 0\n"
+
+    def test_verify_input_rejects_corpus_flags(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        gpath = tmp_path / "g.gr"
+        gpath.write_text(format_graph(path_graph(5)))
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        verify = (
+            "verify", "--problem", "vertex-cover", "--table", str(tpath), "--input", str(gpath),
+        )
+        for extra, named in (
+            (("--count", "10"), "--count"),  # the default value, given explicitly
+            (("--family", "grid", "--seed=3"), "--family, --seed"),
+            (("--n-min", "4", "--n-max", "9", "--grid-t", "3"), "--n-min, --n-max, --grid-t"),
+            (("--tree-size", "2", "--pendants", "1"), "--tree-size, --pendants"),
+        ):
+            proc = self._run(*verify, *extra, expect_ok=False)
+            self._assert_input_error(proc, f"corpus flags do not apply with --input: {named}")
+
+    def test_no_timing_belongs_to_experiment(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        proc = self._run(
+            "verify", "--problem", "vertex-cover", "--table", str(tpath), "--no-timing",
+            expect_ok=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert "twkern: error: unrecognized arguments: --no-timing\n" in proc.stderr
 
     def test_table_build_cli(self, tmp_path):
         tpath = tmp_path / "vc.txt"

@@ -1,5 +1,6 @@
 """Problem catalog: oracles, closure properties, separability, bidimensionality."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -82,9 +83,8 @@ class TestOracles:
             vb, wb = opt_brute(p, g)
             vf, wf = opt_fast(p, g)
             assert vb == vf
-            if wf is not None and not isinstance(vf, float):
-                assert p.feasibility(g, wf)
-                assert len(wf) == vf or name == "cycle-packing"
+            assert p.feasibility(g, wf)
+            assert len(wf) == vf or name == "cycle-packing"
 
     def test_solver_outputs_are_pinned(self):
         # values and witnesses of every problem's solver on fixed random
@@ -107,14 +107,48 @@ class TestOracles:
             "a285fcc91b8dceb991810f90d9647c5f334c50319c7c2c9fdee3e15c8ecf7ec6"
         )
 
+    def test_brute_outputs_are_pinned(self):
+        # values and sorted witnesses of subset enumeration for every problem
+        # on fixed small graphs, the empty and edgeless ones included; a
+        # changed enumeration order or stopping rule changes the digest
+        rng = random.Random(20261019)
+        graphs = [Graph(0), Graph(1), Graph(4)]
+        graphs += [sparse_random_graph(rng, rng.randint(1, 9)) for _ in range(60)]
+        graphs += [random_graph(rng, rng.randint(1, 8)) for _ in range(30)]
+        digest = hashlib.sha256()
+        for name in sorted(CATALOG):
+            for g in graphs:
+                value, witness = opt_brute(CATALOG[name], g)
+                digest.update(repr((name, value, sorted(witness))).encode())
+        assert digest.hexdigest() == (
+            "409d08ae937eba659bcd4f826147e97debb4d25b93c540c308d566d27b2f54cd"
+        )
+
     def test_witnesses_satisfy_phi_exactly(self):
         rng = random.Random(10)
         for name, p in CATALOG.items():
             for _ in range(10):
                 g = sparse_random_graph(rng, rng.randint(1, 7))
                 v, w = opt_brute(p, g)
-                if w is not None:
-                    assert p.feasibility(g, w)
+                assert p.feasibility(g, w)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_trivial_set_is_feasible(self, name):
+        # the oracle contract: V is feasible for a minimization and the empty
+        # set for a maximization, so every graph has an integer optimum
+        p = CATALOG[name]
+        rng = random.Random(zlib.crc32(name.encode()))
+        graphs = [Graph(0)] + [random_graph(rng, rng.randint(1, 10)) for _ in range(30)]
+        for g in graphs:
+            trivial = frozenset() if p.maximize else frozenset(g.vertices)
+            assert p.feasibility(g, trivial), (name, sorted(g.edges))
+
+    @pytest.mark.parametrize("name", ["vertex-cover", "independent-set"])
+    def test_brute_rejects_a_broken_contract(self, name):
+        p = dataclasses.replace(CATALOG[name], feasibility=lambda g, s: False)
+        for g in (Graph(0), path_graph(3)):
+            with pytest.raises(AssertionError, match="breaks the feasibility contract"):
+                opt_brute(p, g)
 
     def test_budget_error(self):
         from twkern.graphs import BudgetError

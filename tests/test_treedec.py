@@ -228,19 +228,19 @@ class TestWidthQuestions:
 class TestSolveViaDp:
     def test_vertex_cover_grid2(self):
         g = make_grid(2)
-        value, witness = solve_via_dp("vertex-cover", g, heuristic_decomposition(g))
+        value, witness = solve_via_dp(CATALOG["vertex-cover"], g, heuristic_decomposition(g))
         # oracle: all 16 subsets enumerated by the reference oracle
         assert value == opt_brute(CATALOG["vertex-cover"], g)[0] == 2
         assert CATALOG["vertex-cover"].feasibility(g, witness)
 
     def test_independent_set_single_vertex(self):
         g = Graph(1)
-        value, witness = solve_via_dp("independent-set", g, heuristic_decomposition(g))
+        value, witness = solve_via_dp(CATALOG["independent-set"], g, heuristic_decomposition(g))
         assert value == 1 and witness == {0}
 
     def test_dominating_set_grid3(self):
         g = make_grid(3)
-        value, witness = solve_via_dp("dominating-set", g, heuristic_decomposition(g))
+        value, witness = solve_via_dp(CATALOG["dominating-set"], g, heuristic_decomposition(g))
         assert value == opt_brute(CATALOG["dominating-set"], g)[0] == 3
         assert CATALOG["dominating-set"].feasibility(g, witness)
 
@@ -253,7 +253,7 @@ class TestSolveViaDp:
         for _ in range(60):
             g = sparse_random_graph(rng, rng.randint(1, 10))
             td = heuristic_decomposition(g)
-            value, witness = solve_via_dp(problem, g, td)
+            value, witness = solve_via_dp(p, g, td)
             assert value == opt_brute(p, g)[0]
             assert p.feasibility(g, witness)
             assert len(witness) == value
@@ -261,19 +261,19 @@ class TestSolveViaDp:
     def test_modulator_aliases_supported(self):
         g = make_grid(3)
         td = heuristic_decomposition(g)
-        assert solve_via_dp("treewidth-0-modulator", g, td)[0] == 4
-        assert solve_via_dp("treewidth-1-modulator", g, td)[0] == 2
+        assert solve_via_dp(CATALOG["treewidth-0-modulator"], g, td)[0] == 4
+        assert solve_via_dp(CATALOG["treewidth-1-modulator"], g, td)[0] == 2
 
     def test_unsupported_problem_raises(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            solve_via_dp("cycle-packing", g, heuristic_decomposition(g))
+            solve_via_dp(CATALOG["cycle-packing"], g, heuristic_decomposition(g))
 
     def test_width_budget_enforced(self):
         g = complete_graph(DP_WIDTH_BUDGET + 3)
         td = TreeDecomposition([set(g.vertices)])
         with pytest.raises(BudgetError):
-            solve_via_dp("vertex-cover", g, td)
+            solve_via_dp(CATALOG["vertex-cover"], g, td)
 
     def test_deep_decomposition(self):
         # a path decomposition with one tree level per bag, far deeper than
@@ -281,7 +281,7 @@ class TestSolveViaDp:
         n = 3000
         g = path_graph(n)
         td = TreeDecomposition([{i, i + 1} for i in range(n - 1)], [(i, i + 1) for i in range(n - 2)])
-        value, witness = solve_via_dp("vertex-cover", g, td)
+        value, witness = solve_via_dp(CATALOG["vertex-cover"], g, td)
         assert value == len(witness) == n // 2
         assert CATALOG["vertex-cover"].feasibility(g, witness)
 
@@ -290,8 +290,8 @@ class TestSolveViaDp:
         # the join at the root sees the cycle and the two-sided domination
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         td = TreeDecomposition([{0, 2}, {0, 1, 2}, {0, 2, 3}], [(0, 1), (0, 2)])
-        assert solve_via_dp("feedback-vertex-set", g, td)[0] == 1
-        assert solve_via_dp("dominating-set", g, td)[0] == 2
+        assert solve_via_dp(CATALOG["feedback-vertex-set"], g, td)[0] == 1
+        assert solve_via_dp(CATALOG["dominating-set"], g, td)[0] == 2
         bg = BoundariedGraph(g, {0: 1, 2: 2})
         for name in ("feedback-vertex-set", "dominating-set"):
             p = CATALOG[name]
@@ -325,7 +325,7 @@ class TestSolveViaDp:
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         td = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
         with pytest.raises(ValueError, match=r"misses edge \(0, 2\)"):
-            solve_via_dp("vertex-cover", g, td)
+            solve_via_dp(CATALOG["vertex-cover"], g, td)
 
 
 class TestFormats:
