@@ -2,10 +2,10 @@
 
 Subcommands: decompose, table-build, kernelize, verify, experiment.
 A missing or malformed input file, or an argument out of range (an instance
-over every oracle budget, a corpus flag given to `verify` with `--input`, a
-table built for another problem), ends the command with exit status 2 and
-one error line, naming the file (and the line, when malformed) if there is
-one; status 1 means `verify` found a violation.
+over every oracle budget, a negative `--k-window`, a corpus flag given to
+`verify` with `--input`, a table built for another problem), ends the command
+with exit status 2 and one error line, naming the file (and the line, when
+malformed) if there is one; status 1 means `verify` found a violation.
 """
 
 from __future__ import annotations

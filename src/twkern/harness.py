@@ -1,11 +1,12 @@
 """Batch harness: corpus generation, kernel soundness checks, CSV reports.
 
 Corpora are deterministic per seed.  Soundness verification decides membership
-on both sides of a kernelization with `reference_oracle` (tree-decomposition DP
-where supported and narrow enough, subset enumeration otherwise) and reports
-any disagreement verbatim.  Optima are integers; each oracle enforces its own
-budget and raises BudgetError past it, which `verify_kernel_soundness` passes
-on with the instance index.
+on both sides of a kernelization with `reference_oracle` and reports any
+disagreement verbatim.  That oracle is one ladder: branch and bound within
+BRUTE_BUDGET vertices, the width-capped tree-decomposition DP beyond it,
+subset enumeration last; experiments plant k from the same ladder.  Optima
+are integers; each oracle enforces its own budget and raises BudgetError past
+it, which `verify_kernel_soundness` passes on with the instance index.
 """
 
 from __future__ import annotations
@@ -140,10 +141,17 @@ def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
 
 
 def reference_oracle(p: ProblemDefinition, g: Graph) -> int:
-    """Reference optimum: tree-decomposition DP when the problem is supported
-    and the decomposition is narrow enough, plain subset enumeration otherwise.
-    Raises BudgetError when neither is within budget.
+    """Reference optimum from the first oracle on the ladder that answers:
+    the problem's branch-and-bound solver within BRUTE_BUDGET vertices, the
+    tree-decomposition DP when its decomposition is within `dp_width_cap`,
+    subset enumeration otherwise.  A solver's BudgetError falls through to the
+    next rung; enumeration raises its own BudgetError past its budget.
     """
+    if g.n <= BRUTE_BUDGET:
+        try:
+            return opt_fast(p, g)[0]
+        except BudgetError:  # a solver with a smaller budget of its own
+            pass
     if p.dp_width_cap is not None:
         td = heuristic_decomposition(g)
         if td.width <= p.dp_width_cap:
@@ -203,12 +211,15 @@ def verify_kernel_soundness(
 ) -> SoundnessReport:
     """Is (G, k) in the problem iff the kernelized instance is, for k around
     the optimum?  Membership on both sides comes from `oracle`.  A BudgetError
-    from it is raised again with the instance index in front.
+    from it is raised again with the instance index in front.  A negative
+    `k_window` would check nothing and raises ValueError.
 
     `eta` does nothing.  It selected modulator seeding, which is gone; it is
     still accepted because the `verify-planar` benchmark workload passes
     `eta=1`, and goes when that workload stops passing it.
     """
+    if k_window < 0:
+        raise ValueError(f"k_window must be at least 0 (got {k_window})")
     report = SoundnessReport()
     for idx, g in enumerate(corpus):
         try:
@@ -275,15 +286,11 @@ class ExperimentReport:
 
 
 def experiment_k(p: ProblemDefinition, g: Graph) -> int | None:
-    """The parameter an experiment plants: the optimum via the cheapest oracle
-    able to handle the instance (branch and bound within the oracle budget,
-    the width-capped DP beyond it), or None when no oracle is within budget.
-    """
-    if g.n <= BRUTE_BUDGET:
-        return opt_fast(p, g)[0]
+    """The parameter an experiment plants: the optimum from `reference_oracle`,
+    or None when no oracle is within budget."""
     try:
         return reference_oracle(p, g)
-    except BudgetError:  # too wide for the DP, too large to enumerate
+    except BudgetError:
         return None
 
 

@@ -39,7 +39,8 @@ class ProblemDefinition:
     `machine` is the tree-decomposition DP that computes optima and boundary
     signatures; None means no signatures and no replacement tables.
     `dp_width_cap` is the decomposition width up to which the reference
-    oracle trusts the DP over subset enumeration.
+    oracle trusts the DP over subset enumeration, on instances too large
+    for `solver`'s rung.
 
     Contract: every graph has a feasible set.  V is feasible for a
     minimization and the empty set for a maximization, so every optimum is

@@ -4,8 +4,10 @@ Solvers take `adjacency_masks`, so the certificate probes never build a
 `Graph`, and return the optimum with a witness as a vertex mask, which the
 probes never read.  Their loops walk set bits inline (`low = m & -m`): a
 generator there was the largest self time of table certification.  They are
-the workhorse oracles for instances up to a couple dozen vertices;
-`problems.opt_brute` stays the reference they are validated against.
+the first rung of `harness.reference_oracle` within `problems.BRUTE_BUDGET`
+vertices, where they are faster than the tree-decomposition DP;
+`problems.opt_brute` stays the reference they are validated against, and the
+DP a second one up to that budget.
 """
 
 from __future__ import annotations
@@ -179,70 +181,85 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
     return best[0], best[1]
 
 
-def _find_cycle(adj: list[int], active: int) -> list[int] | None:
-    """A shortest cycle within the active vertex set, or None when the active
-    vertices induce a forest."""
-    best: list[int] | None = None
-    roots = active
-    while roots:
-        r = roots & -roots
-        roots ^= r
-        root = r.bit_length() - 1
-        # BFS from root; first non-tree edge closing back gives a short cycle
-        parent = {root: -1}
-        dist = {root: 0}
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            m = adj[v] & active
-            while m:
-                low = m & -m
-                m ^= low
-                u = low.bit_length() - 1
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif parent[v] != u and parent[u] != v:
-                    pa, pb = v, u
-                    path_a, path_b = [pa], [pb]
-                    while dist[pa] > dist[pb]:
-                        pa = parent[pa]
-                        path_a.append(pa)
-                    while dist[pb] > dist[pa]:
-                        pb = parent[pb]
-                        path_b.append(pb)
-                    while pa != pb:
-                        pa, pb = parent[pa], parent[pb]
-                        path_a.append(pa)
-                        path_b.append(pb)
-                    cycle = path_a + path_b[-2::-1]
-                    if len(set(cycle)) == len(cycle):
-                        if best is None or len(cycle) < len(best):
-                            best = cycle
-        if best is not None and len(best) == 3:
-            return best
-    return best
+def _component(adj: list[int], start: int, within: int) -> int:
+    """The vertex mask of the component of `start` (a mask of one vertex) in
+    the subgraph induced by `within`."""
+    comp = frontier = start
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
+        frontier = reach & within & ~comp
+        comp |= frontier
+    return comp
 
 
 def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
-    """Minimum feedback vertex set: its size and a set as a vertex mask."""
+    """Minimum feedback vertex set: its size and a set as a vertex mask.
+
+    Vertices of degree at most 1 lie on no cycle and are peeled.  Deleting a
+    vertex of degree d lowers the cycle rank m - n + c by at most d - 1, so
+    ceil(rank / (max degree - 1)) more deletions are needed.  The search
+    branches on the first undecided vertex of largest degree: delete it, or
+    keep it for good, which is pruned when the kept vertices close a cycle.
+    """
     n = len(adj)
-    best: list = [n, 0]
+    best = [n, (1 << n) - 1]
 
-    def rec(active: int, removed: int, size: int) -> None:
-        if size >= best[0]:
+    def rec(active: int, kept: int, removed: int, size: int) -> None:
+        # peel degree <= 1 vertices; a peeled vertex's neighbour is rechecked
+        m = active
+        while m:
+            low = m & -m
+            m ^= low
+            d = adj[low.bit_length() - 1] & active
+            if d & (d - 1) == 0:
+                active ^= low
+                m |= d
+        if not active:
+            if size < best[0]:
+                best[0], best[1] = size, removed
             return
-        cyc = _find_cycle(adj, active)
-        if cyc is None:
-            best[0], best[1] = size, removed
+        # every vertex now has degree >= 2 and the kept ones induce a forest,
+        # so some vertex is undecided
+        kept &= active
+        twice_m = 0
+        pick, deg = -1, 0
+        m = active
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & active).bit_count()
+            twice_m += d
+            if d > deg and not kept & low:
+                pick, deg = v, d
+        rank = twice_m // 2 - active.bit_count()
+        rest = active
+        while rest:
+            rest &= ~_component(adj, rest & -rest, active)
+            rank += 1
+        bound = size - (-rank // (deg - 1))
+        if bound >= best[0]:
             return
-        for v in cyc:
-            rec(active & ~(1 << v), removed | (1 << v), size + 1)
+        bit = 1 << pick
+        rec(active ^ bit, kept, removed | bit, size + 1)
+        if bound >= best[0]:
+            return
+        kept |= bit
+        tree = _component(adj, bit, kept)
+        edges = 0
+        m = tree
+        while m:
+            low = m & -m
+            m ^= low
+            edges += (adj[low.bit_length() - 1] & tree).bit_count()
+        if edges == 2 * (tree.bit_count() - 1):
+            rec(active, kept, removed, size)
 
-    rec((1 << n) - 1, 0, 0)
+    rec((1 << n) - 1, 0, 0, 0)
     return best[0], best[1]
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from twkern.dp import solve_via_dp
 from twkern.graphs import BoundariedGraph, Graph, complete_graph, make_grid, path_graph
 from twkern.harness import (
     _random_maximal_planar,
@@ -25,6 +26,7 @@ from twkern.io import (
     parse_graph,
 )
 from twkern.problems import CATALOG
+from twkern.treedec import heuristic_decomposition
 
 VC = CATALOG["vertex-cover"]
 
@@ -239,6 +241,38 @@ class TestSoundness:
         rep = verify_kernel_soundness(VC, [make_grid(5)], vc_table)
         assert len(rep.rows) == 3 and not rep.violations
 
+    def test_negative_k_window_rejected(self, vc_table):
+        # range(opt + 3, opt - 2) is empty: the check would pass on nothing
+        corpus = gen_corpus("random-planar", {"count": 2, "n_min": 8, "n_max": 10}, seed=6)
+        with pytest.raises(ValueError, match=r"^k_window must be at least 0 \(got -3\)$"):
+            verify_kernel_soundness(VC, corpus, vc_table, k_window=-3)
+        assert len(verify_kernel_soundness(VC, corpus, vc_table, k_window=0).rows) == 2
+
+    @pytest.mark.parametrize("name", ["vertex-cover", "feedback-vertex-set"])
+    def test_oracle_is_independent_of_the_dp_within_the_budget(
+        self, name, monkeypatch, vc_table, fvs_table
+    ):
+        # within 22 vertices membership must not come from the DP whose
+        # signatures built the table under test
+        import twkern.harness
+
+        p = CATALOG[name]
+        table = vc_table if name == "vertex-cover" else fvs_table
+        corpus = gen_corpus("random-planar", {"count": 12, "n_min": 8, "n_max": 22}, seed=15)
+        expected = verify_kernel_soundness(
+            p, corpus, table, oracle=lambda p, g: solve_via_dp(p, g, heuristic_decomposition(g))[0]
+        )
+
+        def no_dp(*args):
+            raise AssertionError("reference_oracle asked the DP")
+
+        monkeypatch.setattr(twkern.harness, "solve_via_dp", no_dp)
+        rep = verify_kernel_soundness(p, corpus, table)
+        assert rep.ok and len(rep.rows) == 3 * len(corpus)
+        assert rep.rows == expected.rows
+        with pytest.raises(AssertionError, match="asked the DP"):
+            verify_kernel_soundness(p, [make_grid(5)], table)
+
     def test_eta_is_accepted_and_changes_no_row(self, vc_table):
         corpus = gen_corpus("random-planar", {"count": 8, "n_min": 10, "n_max": 18}, seed=14)
         rep = verify_kernel_soundness(VC, corpus, vc_table, k_window=1, eta=1)
@@ -438,6 +472,17 @@ class TestCli:
         ]
         for args, line in cases:
             self._assert_input_error(self._run(*args, expect_ok=False), line)
+
+    def test_verify_negative_k_window_exits_2(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        proc = self._run(
+            "verify", "--problem", "vertex-cover", "--table", str(tpath),
+            "--k-window", "-3", "--count", "3", expect_ok=False,
+        )
+        self._assert_input_error(proc, "k_window must be at least 0 (got -3)")
 
     def test_verify_input_beyond_the_enumeration_budget(self, tmp_path, vc_table):
         from twkern.replacement import format_table

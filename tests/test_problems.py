@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from twkern.dp import solve_via_dp
 from twkern.graphs import (
     Graph,
     complete_graph,
@@ -27,8 +28,11 @@ from twkern.problems import (
     get_problem,
     opt_brute,
     opt_fast,
+    phi_feedback_vertex_set,
 )
+from twkern.harness import gen_corpus
 from twkern.solvers import adjacency_masks, enumerate_cycles
+from twkern.treedec import heuristic_decomposition
 
 from conftest import random_graph, sparse_random_graph
 
@@ -86,9 +90,10 @@ class TestOracles:
             assert p.feasibility(g, wf)
             assert len(wf) == vf or name == "cycle-packing"
 
-    def test_solver_outputs_are_pinned(self):
-        # values and witnesses of every problem's solver on fixed random
-        # graphs; a changed branching order or tie-break changes the digest
+    @staticmethod
+    def _solver_outputs():
+        """(problem, value, sorted witness) of every problem's solver on fixed
+        random graphs."""
         rng = random.Random(20261019)
         graphs = []
         for _ in range(120):
@@ -96,15 +101,29 @@ class TestOracles:
             graphs.append(random_graph(rng, n, rng.randint(0, 2 * n)))
         for _ in range(40):
             graphs.append(random_graph(rng, rng.randint(1, 14)))
-        digest = hashlib.sha256()
         for name in sorted(CATALOG):
             for g in graphs:
                 if name == "cycle-packing" and (g.n > 12 or g.m > 2 * g.n):
                     continue
                 value, witness = opt_fast(CATALOG[name], g)
-                digest.update(repr((name, value, sorted(witness))).encode())
+                yield name, value, sorted(witness)
+
+    def test_solver_values_are_pinned(self):
+        # optima only: any exact solver gives these, whatever it branches on
+        digest = hashlib.sha256()
+        for name, value, _ in self._solver_outputs():
+            digest.update(repr((name, value)).encode())
         assert digest.hexdigest() == (
-            "a285fcc91b8dceb991810f90d9647c5f334c50319c7c2c9fdee3e15c8ecf7ec6"
+            "b356aec00a206bc185315b0c72d067fd1ea8cf9875dcc536ce7f30827be528a8"
+        )
+
+    def test_solver_outputs_are_pinned(self):
+        # a changed branching order or tie-break changes the digest
+        digest = hashlib.sha256()
+        for output in self._solver_outputs():
+            digest.update(repr(output).encode())
+        assert digest.hexdigest() == (
+            "6d523533537aad9c8c628e739843f6174a3ebc81f293bfe94a6c6087e3f13b25"
         )
 
     def test_brute_outputs_are_pinned(self):
@@ -285,6 +304,36 @@ class TestParameterTreewidth:
         assert tw == 3
         assert opt == 4 + 2
         assert tw <= 2 * math.sqrt(opt)
+
+
+@pytest.mark.parametrize("name", ["feedback-vertex-set", "treewidth-1-modulator"])
+class TestFeedbackVertexSetSolver:
+    """The mask solver that feedback vertex set and the treewidth-1 modulator
+    share, on seeded random planar and sparse graphs."""
+
+    @staticmethod
+    def _graphs(n_min, n_max, seed):
+        rng = random.Random(seed)
+        planar = gen_corpus("random-planar", {"count": 30, "n_min": n_min, "n_max": n_max}, seed)
+        sparse = [sparse_random_graph(rng, rng.randint(n_min, n_max)) for _ in range(30)]
+        return planar + sparse
+
+    def _check_witness(self, g, value, witness):
+        assert phi_feedback_vertex_set(g, witness) and len(witness) == value
+
+    def test_matches_brute(self, name):
+        p = CATALOG[name]
+        for g in self._graphs(1, 12, seed=31):
+            value, witness = opt_fast(p, g)
+            assert value == opt_brute(p, g)[0], sorted(g.edges)
+            self._check_witness(g, value, witness)
+
+    def test_matches_dp(self, name):
+        p = CATALOG[name]
+        for g in self._graphs(13, 22, seed=32):
+            value, witness = opt_fast(p, g)
+            assert value == solve_via_dp(p, g, heuristic_decomposition(g))[0], sorted(g.edges)
+            self._check_witness(g, value, witness)
 
 
 class TestCycleEnumeration:
