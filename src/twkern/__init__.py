@@ -16,10 +16,8 @@ from .graphs import (
     delete_vertex,
     disjoint_union,
     glue,
-    graphs_isomorphic,
     make_gamma,
     make_grid,
-    minor_op,
     path_graph,
 )
 from .treedec import (

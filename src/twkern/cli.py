@@ -3,9 +3,11 @@
 Subcommands: decompose, table-build, kernelize, verify, experiment.
 A missing or malformed input file, or an argument out of range (an instance
 over every oracle budget, a negative `--k-window`, a corpus flag given to
-`verify` with `--input`, a table built for another problem), ends the command
-with exit status 2 and one error line, naming the file (and the line, when
-malformed) if there is one; status 1 means `verify` found a violation.
+`verify` with `--input`, a corpus flag the chosen `--family` does not read, a
+table built for another problem), ends the command with exit status 2 and one
+error line, naming the file (and the line, when malformed) if there is one;
+status 1 means `verify` found a violation.  The corpus families, the flags
+each reads and their defaults come from `harness.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -100,25 +102,27 @@ class _CorpusFlag(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.corpus_flags = [*namespace.corpus_flags, option_string]
+        namespace.corpus_flags = [*namespace.corpus_flags, (option_string, self.dest)]
 
 
 def _corpus_from_args(args):
-    params = {
-        "count": args.count,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "t": args.grid_t,
-        "tree_size": args.tree_size,
-        "pendants": args.pendants,
-    }
+    """The corpus of `--family` with the parameters whose flags were given;
+    a flag the family does not read ends the command with status 2."""
+    reads = harness.family_parameters(args.family)
+    params = {}
+    for flag, dest in args.corpus_flags:
+        if dest in reads:
+            params[dest] = getattr(args, dest)
+        elif dest not in ("family", "seed"):
+            _fail(f"corpus family {args.family!r} does not read {flag}")
     return harness.gen_corpus(args.family, params, args.seed)
 
 
 def _cmd_verify(args) -> int:
     p = get_problem(args.problem)
     if args.input and args.corpus_flags:
-        _fail(f"corpus flags do not apply with --input: {', '.join(args.corpus_flags)}")
+        flags = ", ".join(flag for flag, _ in args.corpus_flags)
+        _fail(f"corpus flags do not apply with --input: {flags}")
     table = _load(args.table, parse_table)
     if args.input:
         corpus = [_load_graph(args.input)]
@@ -202,14 +206,13 @@ def main(argv=None) -> int:
             s.add_argument("--no-timing", action="store_true",
                            help="zero the wall_time column for byte-identical reports")
         corpus = partial(s.add_argument, action=_CorpusFlag)
-        corpus("--family", default="random-planar",
-               choices=["grid", "grid+pendants", "random-planar", "union"])
-        corpus("--count", type=int, default=10)
-        corpus("--n-min", type=int, default=8)
-        corpus("--n-max", type=int, default=22)
-        corpus("--grid-t", type=int, default=4)
-        corpus("--tree-size", type=int, default=15)
-        corpus("--pendants", type=int, default=3)
+        corpus("--family", default=harness.DEFAULT_FAMILY, choices=list(harness.FAMILIES))
+        corpus("--count", type=int)
+        corpus("--n-min", type=int)
+        corpus("--n-max", type=int)
+        corpus("--grid-t", type=int, dest="t", metavar="GRID_T")
+        corpus("--tree-size", type=int)
+        corpus("--pendants", type=int)
         corpus("--seed", type=int, default=0)
         s.add_argument("--out")
         s.set_defaults(fn=fn, corpus_flags=[])

@@ -96,18 +96,6 @@ def _seated_search(n: int, masks: list[int], seats: tuple[int, ...]) -> list:
     return best
 
 
-def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
-    """Canonical key of a graph, optionally with an ordered boundary.
-
-    Keys are equal exactly for isomorphic graphs; with a boundary, the
-    isomorphism must map the i-th boundary vertex to the i-th boundary vertex
-    (label-preserving).
-    """
-    if g.n == 0:
-        return (0, (), ())
-    return (g.n,) + _seated_search(g.n, adjacency_masks(g), tuple(boundary))[0]
-
-
 def _orbit_least_subsets(n: int, orders: list[list[int]]) -> Iterator[int]:
     """Ascending, every nonempty vertex mask that no automorphism maps to a
     smaller integer.  `orders` holds the vertex order of every least leaf

@@ -267,17 +267,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return g.delete_vertices([v])[0]
 
 
-def minor_op(g: Graph, op: str, *args: int) -> Graph:
-    """Dispatch a single minor operation: 'contract', 'delete_edge', 'delete_vertex'."""
-    if op == "contract":
-        return contract_edge(g, *args)
-    if op == "delete_edge":
-        return delete_edge(g, *args)
-    if op == "delete_vertex":
-        return delete_vertex(g, *args)
-    raise ValueError(f"unknown minor operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # boundaried graphs and gluing
 
@@ -339,9 +328,6 @@ class BoundariedGraph:
             if l == lab:
                 return v
         raise KeyError(lab)
-
-    def is_t_boundaried(self, t: int) -> bool:
-        return all(lab <= t for lab in self.label_set)
 
 
 def glue(
@@ -441,17 +427,3 @@ class Separation:
         return (
             len(qs & (self.a1 - self.a2)) <= cap and len(qs & (self.a2 - self.a1)) <= cap
         )
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Isomorphism check by canonical keys (color refinement plus
-    individualization)."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    from .enumeration import canonical_key
-
-    return canonical_key(g1) == canonical_key(g2)

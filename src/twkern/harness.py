@@ -24,11 +24,8 @@ from .treedec import heuristic_decomposition
 
 
 # ---------------------------------------------------------------------------
-# corpus generation
-
-
-def _random_tree_edges(rng: random.Random, n: int, offset: int = 0) -> list[tuple[int, int]]:
-    return [(offset + rng.randrange(i), offset + i) for i in range(1, n)]
+# corpus families: a family reads exactly its keyword-only parameters, whose
+# defaults are the family's defaults (for gen_corpus and the command line)
 
 
 def _random_maximal_planar(rng: random.Random, n: int) -> tuple[Graph, list[tuple]]:
@@ -75,65 +72,90 @@ def _triangulates_sphere(g: Graph, faces: list[tuple[int, int, int]]) -> bool:
     return g.is_connected() and g.n - g.m + len(faces) == 2
 
 
-def _random_planar(rng: random.Random, n: int, keep_prob: float = 0.75) -> Graph:
-    """Random maximal planar construction, then random edge deletion.  The
-    triangulation is certified planar from its faces (a certifying check, not
-    an assumption); deleting edges keeps it planar."""
-    g, faces = _random_maximal_planar(rng, n)
-    if n >= 3 and not _triangulates_sphere(g, faces):
-        raise AssertionError("planarity certificate failed on a generated triangulation")
-    edges = [e for e in sorted(g.edges) if rng.random() < keep_prob]
-    return Graph(n, edges)
+def _grid(rng: random.Random, *, t: int = 4) -> list[Graph]:
+    """The t×t grid."""
+    return [make_grid(t)]
 
 
 def _grid_with_pendants(
-    rng: random.Random, t: int, tree_size: int, n_trees: int
-) -> Graph:
-    g = make_grid(t)
-    edges = set(g.edges)
-    n = g.n
-    anchors = rng.sample(range(g.n), min(n_trees, g.n))
-    for anchor in anchors:
-        edges.add((anchor, n) if anchor < n else (n, anchor))
-        edges.update(_random_tree_edges(rng, tree_size, offset=n))
-        n += tree_size
-    return Graph(n, edges)
+    rng: random.Random, *, count: int = 10, t: int = 4, tree_size: int = 15, pendants: int = 3
+) -> list[Graph]:
+    """`count` t×t grids, each with `pendants` random trees of `tree_size`
+    vertices hung off distinct random grid vertices."""
+    corpus = []
+    for _ in range(count):
+        g = make_grid(t)
+        edges = set(g.edges)
+        n = g.n
+        for anchor in rng.sample(range(g.n), min(pendants, g.n)):
+            edges.add((anchor, n))
+            edges.update((n + rng.randrange(i), n + i) for i in range(1, tree_size))
+            n += tree_size
+        corpus.append(Graph(n, edges))
+    return corpus
+
+
+def _random_planar(
+    rng: random.Random, *, count: int = 10, n_min: int = 8, n_max: int = 22,
+    keep_prob: float = 0.75,
+) -> list[Graph]:
+    """`count` random planar graphs of n_min..n_max vertices: a random
+    triangulation that keeps each edge with probability `keep_prob`.  The
+    triangulation is certified planar from its faces (a certifying check, not
+    an assumption); deleting edges keeps it planar."""
+    corpus = []
+    for _ in range(count):
+        n = rng.randint(n_min, n_max)
+        g, faces = _random_maximal_planar(rng, n)
+        if n >= 3 and not _triangulates_sphere(g, faces):
+            raise AssertionError("planarity certificate failed on a generated triangulation")
+        corpus.append(Graph(n, [e for e in sorted(g.edges) if rng.random() < keep_prob]))
+    return corpus
+
+
+def _grid_union(
+    rng: random.Random, *, count: int = 10, t_values: tuple[int, ...] = (2, 3)
+) -> list[Graph]:
+    """`count` disjoint unions of two or three grids, each of a side drawn
+    from `t_values`."""
+    corpus = []
+    for _ in range(count):
+        g = make_grid(rng.choice(t_values))
+        for _ in range(rng.randint(1, 2)):
+            g = disjoint_union(g, make_grid(rng.choice(t_values)))
+        corpus.append(g)
+    return corpus
+
+
+FAMILIES = {
+    "grid": _grid,
+    "grid+pendants": _grid_with_pendants,
+    "random-planar": _random_planar,
+    "union": _grid_union,
+}
+DEFAULT_FAMILY = "random-planar"
+
+
+def family_parameters(family: str) -> set[str]:
+    """The names of the parameters corpus family `family` reads."""
+    import inspect
+
+    params = inspect.signature(FAMILIES[family]).parameters.values()
+    return {p.name for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
-    """Deterministic instance corpus.
-
-    Families: 'grid' (params: t or t_values), 'grid+pendants' (t, tree_size,
-    pendants, count), 'random-planar' (n_min, n_max, count, keep_prob),
-    'union' (piece grids: t_values, count).
+    """Deterministic instance corpus of a family in FAMILIES.  `params` sets
+    some of the family's parameters; the others keep their defaults.  An
+    unknown family, or a parameter the family does not read, is a ValueError.
     """
-    rng = random.Random(seed)
-    if family == "grid":
-        ts = params.get("t_values", [params.get("t", 3)])
-        return [make_grid(t) for t in ts]
-    if family == "grid+pendants":
-        count = params.get("count", 1)
-        t = params.get("t", 4)
-        tree_size = params.get("tree_size", 15)
-        pendants = params.get("pendants", 3)
-        return [_grid_with_pendants(rng, t, tree_size, pendants) for _ in range(count)]
-    if family == "random-planar":
-        count = params.get("count", 10)
-        n_min = params.get("n_min", 8)
-        n_max = params.get("n_max", 22)
-        keep = params.get("keep_prob", 0.75)
-        return [_random_planar(rng, rng.randint(n_min, n_max), keep) for _ in range(count)]
-    if family == "union":
-        count = params.get("count", 5)
-        ts = params.get("t_values", [2, 3])
-        out = []
-        for _ in range(count):
-            g = make_grid(rng.choice(ts))
-            for _ in range(rng.randint(1, 2)):
-                g = disjoint_union(g, make_grid(rng.choice(ts)))
-            out.append(g)
-        return out
-    raise ValueError(f"unknown corpus family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown corpus family {family!r}")
+    reads = family_parameters(family)
+    unread = [name for name in params if name not in reads]
+    if unread:
+        raise ValueError(f"corpus family {family!r} does not read {', '.join(unread)}")
+    return FAMILIES[family](random.Random(seed), **params)
 
 
 # ---------------------------------------------------------------------------

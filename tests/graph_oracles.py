@@ -1,7 +1,8 @@
-"""Test-only oracles: exhaustive canonical forms, graph generation by
-canonicalizing every one-vertex extension, all graphs up to isomorphism,
-boundary placement by canonicalizing every ordered placement, grid-minor
-containment, connected-subset enumeration and annotated boundaried graphs.
+"""Test-only oracles: canonical keys, exhaustive canonical forms, graph
+generation by canonicalizing every one-vertex extension, all graphs up to
+isomorphism, boundary placement by canonicalizing every ordered placement,
+grid-minor containment, connected-subset enumeration and annotated boundaried
+graphs.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator
 
-from twkern.enumeration import canonical_key, connected_graphs
+from twkern.enumeration import _seated_search, connected_graphs
 from twkern.graphs import (
     BoundariedGraph,
     BudgetError,
@@ -22,6 +23,19 @@ from twkern.graphs import (
     glue,
     make_grid,
 )
+from twkern.solvers import adjacency_masks
+
+
+def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
+    """Canonical key of a graph, optionally with an ordered boundary.
+
+    Keys are equal exactly for isomorphic graphs; with a boundary, the
+    isomorphism must map the i-th boundary vertex to the i-th boundary vertex
+    (label-preserving).
+    """
+    if g.n == 0:
+        return (0, (), ())
+    return (g.n,) + _seated_search(g.n, adjacency_masks(g), tuple(boundary))[0]
 
 
 class AnnotatedBoundariedGraph:

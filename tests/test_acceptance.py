@@ -139,6 +139,7 @@ class TestC4ProtrusionDecompositionValidity:
 
 
 class TestC5EquivalenceCertificates:
+    @pytest.mark.slow
     def test_vc_t1_certificates_exhaustive_contexts(self, acceptance):
         t0 = time.perf_counter()
         table = build_replacement_table(VC, 1, 6, certify="exhaustive")
@@ -163,6 +164,7 @@ class TestC5EquivalenceCertificates:
         assert certificate_contexts.cache_info().misses == misses
         assert (sum(published[0]), sum(published[1])) == (12113, 77276)
 
+    @pytest.mark.slow
     def test_vc_t2_certificates_thorough_contexts(self, acceptance):
         # all contexts up to 7 vertices plus 1000 random 8-vertex contexts;
         # the full 8-vertex context set at boundary two is out of desk-scale

@@ -136,8 +136,13 @@ from twkern import cli
 from twkern.harness import gen_corpus
 from twkern.problems import CATALOG
 from twkern.replacement import build_replacement_table, format_table
-for family in ("grid", "grid+pendants", "random-planar", "union"):
-    gen_corpus(family, {"count": 2}, seed=0)
+for family, params in (
+    ("grid", {"t": 2}),
+    ("grid+pendants", {"count": 2}),
+    ("random-planar", {"count": 2}),
+    ("union", {"count": 2}),
+):
+    gen_corpus(family, params, seed=0)
 path = sys.argv[1]
 with open(path, "w") as f:
     f.write(format_table(build_replacement_table(CATALOG["vertex-cover"], 1, 4, certify="off")))
@@ -164,6 +169,12 @@ assert "networkx" not in sys.modules
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             gen_corpus("smallworld", {}, seed=0)
+
+    def test_parameter_the_family_does_not_read(self):
+        with pytest.raises(ValueError, match="corpus family 'grid' does not read count"):
+            gen_corpus("grid", {"count": 2}, 0)
+        with pytest.raises(ValueError, match="corpus family 'grid' does not read t_values"):
+            gen_corpus("grid", {"t_values": [3]}, 0)
 
 
 def _with_faces(n: int, faces: list[tuple[int, int, int]]) -> tuple[Graph, list]:
@@ -387,6 +398,41 @@ class TestCli:
                 f"k planted as 0, no oracle within budget: {hit} of 2 instances\n"
             )
 
+    def test_default_corpora_are_pinned(self, tmp_path, vc_table):
+        # sha256 of (stdout, stderr) of `experiment --no-timing` for each
+        # family with no corpus flag given: the families' defaults, pinned
+        from twkern.replacement import format_table
+
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        pins = {
+            "grid": (
+                "0deb3a2136dc23924338e2c1744cffd6386fc7820e8e84a1de6956522d856355",
+                "0c1772491dbf6b5f8b85790506159d31b297ff4a413d53641f2935ec9645a4dd",
+            ),
+            "grid+pendants": (
+                "d865ef7278360ebbec22297ed298244f9e166455182a322df8f0e28e61dc6fab",
+                "6ca3e0837b213b7c7eb18613e087f5a3eb68d304d8c5fb9f50c62de804ab1efb",
+            ),
+            "random-planar": (
+                "47b4c104ae9385cf567907695c5707e0c599893d0e2e12e2c08312646e6052ba",
+                "facc5710a1cc7a7e05449f135352f60956f5ed1a5425d0e2f145717283c9dbdf",
+            ),
+            "union": (
+                "6c38cfe80921f959d8010c09ef398a50ce2c7dae8016ab52a3eda7a876ca5120",
+                "4866bf7e37b9a98eeca20d533b217ab514a3d41fc7621d9caab346e5e4adb02a",
+            ),
+        }
+        for family, pin in pins.items():
+            proc = self._run(
+                "experiment", "--problem", "vertex-cover", "--table", str(tpath),
+                "--family", family, "--no-timing",
+            )
+            digests = tuple(
+                hashlib.sha256(s.encode()).hexdigest() for s in (proc.stdout, proc.stderr)
+            )
+            assert digests == pin, family
+
     def _assert_input_error(self, proc, line):
         assert proc.returncode == 2
         assert proc.stdout == "" and "Traceback" not in proc.stderr
@@ -514,6 +560,23 @@ class TestCli:
         ):
             proc = self._run(*verify, *extra, expect_ok=False)
             self._assert_input_error(proc, f"corpus flags do not apply with --input: {named}")
+
+    def test_flag_the_family_does_not_read_exits_2(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        for verb, family, flag, value in (
+            ("experiment", "grid", "--count", "5"),
+            ("verify", "random-planar", "--tree-size", "3"),
+            ("experiment", "union", "--grid-t", "3"),
+            ("verify", "grid+pendants", "--n-min", "4"),
+        ):
+            proc = self._run(
+                verb, "--problem", "vertex-cover", "--table", str(tpath),
+                "--family", family, flag, value, expect_ok=False,
+            )
+            self._assert_input_error(proc, f"corpus family '{family}' does not read {flag}")
 
     def test_no_timing_belongs_to_experiment(self, tmp_path, vc_table):
         from twkern.replacement import format_table
