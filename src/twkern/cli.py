@@ -4,10 +4,12 @@ Subcommands: decompose, table-build, kernelize, verify, experiment.
 A missing or malformed input file, or an argument out of range (an instance
 over every oracle budget, a negative `--k-window`, a corpus flag given to
 `verify` with `--input`, a corpus flag the chosen `--family` does not read, a
-table built for another problem), ends the command with exit status 2 and one
-error line, naming the file (and the line, when malformed) if there is one;
-status 1 means `verify` found a violation.  The corpus families, the flags
-each reads and their defaults come from `harness.FAMILIES`.
+corpus parameter out of range such as `--count 0`, a table built for another
+problem), ends the command with exit status 2 and one error line, naming the
+file (and the line, when malformed) if there is one; so does a `verify` that
+checked no (instance, k) pair.  Status 1 means `verify` found a violation.
+The corpus families, the flags each reads and their defaults come from
+`harness.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -105,9 +107,21 @@ class _CorpusFlag(argparse.Action):
         namespace.corpus_flags = [*namespace.corpus_flags, (option_string, self.dest)]
 
 
+# the corpus flags that set a family parameter, and the parameter each sets
+FAMILY_FLAGS = {
+    "--count": "count",
+    "--n-min": "n_min",
+    "--n-max": "n_max",
+    "--grid-t": "t",
+    "--tree-size": "tree_size",
+    "--pendants": "pendants",
+}
+
+
 def _corpus_from_args(args):
     """The corpus of `--family` with the parameters whose flags were given;
-    a flag the family does not read ends the command with status 2."""
+    a flag the family does not read, or a parameter out of range, ends the
+    command with status 2 and names the flag."""
     reads = harness.family_parameters(args.family)
     params = {}
     for flag, dest in args.corpus_flags:
@@ -115,7 +129,11 @@ def _corpus_from_args(args):
             params[dest] = getattr(args, dest)
         elif dest not in ("family", "seed"):
             _fail(f"corpus family {args.family!r} does not read {flag}")
-    return harness.gen_corpus(args.family, params, args.seed)
+    try:
+        return harness.gen_corpus(args.family, params, args.seed)
+    except harness.CorpusParameterError as e:
+        flag_of = {dest: flag for flag, dest in FAMILY_FLAGS.items()}
+        _fail(e.message(flag_of.__getitem__))
 
 
 def _cmd_verify(args) -> int:
@@ -129,6 +147,8 @@ def _cmd_verify(args) -> int:
     else:
         corpus = _corpus_from_args(args)
     report = harness.verify_kernel_soundness(p, corpus, table, k_window=args.k_window)
+    if not report.rows:
+        _fail("verify checked 0 (instance, k) pairs: no soundness claim rests on an empty run")
     lines = [
         f"checked {len(report.rows)} (instance, k) pairs on {len(corpus)} instances",
         f"violations: {len(report.violations)}",
@@ -207,12 +227,8 @@ def main(argv=None) -> int:
                            help="zero the wall_time column for byte-identical reports")
         corpus = partial(s.add_argument, action=_CorpusFlag)
         corpus("--family", default=harness.DEFAULT_FAMILY, choices=list(harness.FAMILIES))
-        corpus("--count", type=int)
-        corpus("--n-min", type=int)
-        corpus("--n-max", type=int)
-        corpus("--grid-t", type=int, dest="t", metavar="GRID_T")
-        corpus("--tree-size", type=int)
-        corpus("--pendants", type=int)
+        for flag, dest in FAMILY_FLAGS.items():
+            corpus(flag, type=int, dest=dest, metavar=flag[2:].upper().replace("-", "_"))
         corpus("--seed", type=int, default=0)
         s.add_argument("--out")
         s.set_defaults(fn=fn, corpus_flags=[])

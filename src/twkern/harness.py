@@ -136,18 +136,38 @@ FAMILIES = {
 DEFAULT_FAMILY = "random-planar"
 
 
-def family_parameters(family: str) -> set[str]:
-    """The names of the parameters corpus family `family` reads."""
+def family_parameters(family: str) -> dict[str, object]:
+    """The parameters corpus family `family` reads, with their defaults."""
     import inspect
 
     params = inspect.signature(FAMILIES[family]).parameters.values()
-    return {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+# the least value of each bounded corpus parameter: a corpus has an instance,
+# a grid a vertex, a pendant tree a vertex
+LEAST_VALUES = {"count": 1, "t": 1, "tree_size": 1, "pendants": 0, "n_min": 0}
+
+
+class CorpusParameterError(ValueError):
+    """A corpus parameter out of its range.  The message is `template` with
+    the names of `parameters` filled in; `message(name)` renames them."""
+
+    def __init__(self, template: str, *parameters: str):
+        self.template = template
+        self.parameters = parameters
+        super().__init__(self.message(str))
+
+    def message(self, name) -> str:
+        return self.template.format(*map(name, self.parameters))
 
 
 def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
     """Deterministic instance corpus of a family in FAMILIES.  `params` sets
     some of the family's parameters; the others keep their defaults.  An
-    unknown family, or a parameter the family does not read, is a ValueError.
+    unknown family, or a parameter the family does not read, is a ValueError;
+    a parameter below its LEAST_VALUES entry, or `n_min` above `n_max`, is a
+    CorpusParameterError naming the parameter.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown corpus family {family!r}")
@@ -155,6 +175,14 @@ def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
     unread = [name for name in params if name not in reads]
     if unread:
         raise ValueError(f"corpus family {family!r} does not read {', '.join(unread)}")
+    values = {**reads, **params}
+    for name, least in LEAST_VALUES.items():
+        if name in values and values[name] < least:
+            raise CorpusParameterError(f"{{}} must be at least {least} (got {values[name]})", name)
+    if "n_min" in values and values["n_min"] > values["n_max"]:
+        raise CorpusParameterError(
+            f"{{}} ({values['n_min']}) exceeds {{}} ({values['n_max']})", "n_min", "n_max"
+        )
     return FAMILIES[family](random.Random(seed), **params)
 
 

@@ -20,6 +20,7 @@ from .treedec import (
     decide_treewidth,
     exact_treewidth,
     heuristic_decomposition,
+    mmw_lower_bound,
 )
 
 
@@ -227,7 +228,12 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
                 # with B empty, a larger component has width > t = 0 or comes
                 # from B = {v}, v in it
                 touches = g.open_neighborhood(c) & bset if bset else len(c) == 1
-                if not touches or decide_treewidth(g.induced_subgraph(bset | c)[0], t) is False:
+                if not touches:
+                    continue
+                closure = g.induced_subgraph(bset | c)[0]
+                # from t = 2 on, the MMW bound refutes most wide closures
+                # before any min-fill
+                if t >= 2 and mmw_lower_bound(closure) > t or decide_treewidth(closure, t) is False:
                     continue
                 key = _tree_code(g, bset, c, codes)
                 if key is None:

@@ -26,26 +26,18 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 
 def vertex_cover_opt(adj: list[int]) -> tuple[int, int]:
-    """Minimum vertex cover: its size and a cover as a vertex mask."""
+    """Minimum vertex cover: its size and a cover as a vertex mask.
+
+    Depth first on an explicit stack: take the first vertex of largest degree,
+    or all its neighbours, after peeling degree-1 vertices; prune by a greedy
+    matching.  A node whose size already reaches the best cover is skipped."""
     n = len(adj)
-    best = [n, (1 << n) - 1]
-
-    def matching_lb(active: int) -> int:
-        used = 0
-        count = 0
-        m = active
-        while m:
-            low = m & -m
-            m ^= low
-            if used & low:
-                continue
-            free = adj[low.bit_length() - 1] & active & ~used
-            if free:
-                used |= low | (free & -free)
-                count += 1
-        return count
-
-    def rec(active: int, cover: int, size: int) -> None:
+    best, best_cover = n, (1 << n) - 1
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        active, cover, size = stack.pop()
+        if size >= best:
+            continue
         # peel degree-1 vertices, lowest first: always take the other endpoint
         m = active
         while m:
@@ -55,33 +47,44 @@ def vertex_cover_opt(adj: list[int]) -> tuple[int, int]:
             if d and d & (d - 1) == 0:
                 cover |= d
                 size += 1
-                if size >= best[0]:
-                    return
+                if size >= best:
+                    break
                 active ^= d
                 # only the taken vertex's neighbours changed degree
                 m = (m | adj[d.bit_length() - 1]) & active
+        if size >= best:
+            continue
+        # the first vertex of largest degree, and a greedy maximal matching,
+        # which is a lower bound
         pick = -1
         deg = 0
+        used = 0
+        bound = size
         m = active
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            d = (adj[v] & active).bit_count()
+            nb = adj[v] & active
+            d = nb.bit_count()
             if d > deg:
                 deg, pick = d, v
+            if not used & low:
+                free = nb & ~used
+                if free:
+                    used |= low | (free & -free)
+                    bound += 1
         if pick < 0:
-            if size < best[0]:
-                best[0], best[1] = size, cover
-            return
-        if size + matching_lb(active) >= best[0]:
-            return
-        rec(active & ~(1 << pick), cover | (1 << pick), size + 1)
+            best, best_cover = size, cover
+            continue
+        if bound >= best:
+            continue
+        bit = 1 << pick
         nb = adj[pick] & active
-        rec(active & ~nb & ~(1 << pick), cover | nb, size + deg)
-
-    rec((1 << n) - 1, 0, 0)
-    return best[0], best[1]
+        if size + deg < best:
+            stack.append((active & ~nb & ~bit, cover | nb, size + deg))
+        stack.append((active & ~bit, cover | bit, size + 1))
+    return best, best_cover
 
 
 def independent_set_opt(adj: list[int]) -> tuple[int, int]:
@@ -127,7 +130,12 @@ def independent_set_opt(adj: list[int]) -> tuple[int, int]:
 
 
 def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
-    """Minimum dominating set: its size and a set as a vertex mask."""
+    """Minimum dominating set: its size and a set as a vertex mask.
+
+    Depth first on an explicit stack from a greedy upper bound: branch on the
+    dominators of the first undominated vertex with fewest, by decreasing
+    gain; prune when the undominated vertices need more picks than the best
+    set leaves.  A child that bound prunes is not pushed."""
     n = len(adj)
     if n == 0:
         return 0, 0
@@ -145,26 +153,26 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
                 pick, gain = v, g
         chosen |= 1 << pick
         dominated |= closed[pick]
-    best = [chosen.bit_count(), chosen]
+    best, best_set = chosen.bit_count(), chosen
     max_cover = max(closed_size)
+    # branching takes the first undominated vertex in this order
+    fewest_first = sorted(range(n), key=closed_size.__getitem__)
 
-    def rec(dominated: int, chosen: int, size: int) -> None:
+    stack = [(0, 0, 0)]
+    while stack:
+        dominated, chosen, size = stack.pop()
         if dominated == full:
-            if size < best[0]:
-                best[0], best[1] = size, chosen
-            return
+            if size < best:
+                best, best_set = size, chosen
+            continue
         rest = full & ~dominated
-        if size + -(-rest.bit_count() // max_cover) >= best[0]:
-            return
+        left = rest.bit_count()
+        if size + -(-left // max_cover) >= best:
+            continue
         # branch on the first undominated vertex with fewest potential dominators
-        v, fewest = -1, n + 1
-        m = rest
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            if closed_size[u] < fewest:
-                v, fewest = u, closed_size[u]
+        for v in fewest_first:
+            if rest >> v & 1:
+                break
         # dominators by decreasing gain, ties by ascending vertex
         cands = []
         m = closed[v]
@@ -173,12 +181,14 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
             m ^= low
             u = low.bit_length() - 1
             cands.append((-(closed[u] & rest).bit_count(), u))
-        cands.sort()
-        for _, u in cands:
-            rec(dominated | closed[u], chosen | (1 << u), size + 1)
-
-    rec(0, 0, 0)
-    return best[0], best[1]
+        cands.sort(reverse=True)
+        # push in reverse, the first candidate last; skip a child the bound
+        # prunes: size + 1 + ceil((left - gain) / max_cover) >= best
+        limit = (best - size - 2) * max_cover - left
+        for neg_gain, u in cands:
+            if neg_gain <= limit:
+                stack.append((dominated | closed[u], chosen | (1 << u), size + 1))
+    return best, best_set
 
 
 def _component(adj: list[int], start: int, within: int) -> int:

@@ -1,5 +1,6 @@
 """Graph substrate: generators, gluing, minor operations, minor containment."""
 
+import hashlib
 import itertools
 import random
 
@@ -307,6 +308,44 @@ class TestCanonicalForms:
                 counts[bg.graph.n - 1] += 1
             assert tuple(counts) == want
         assert sum(published[0]) == 996 and sum(published[1]) == 4787
+
+    def test_generation_is_pinned(self):
+        # sha256 of the generated graphs in order: edges, and labels placed
+        from twkern.enumeration import boundaried_universe, connected_graphs
+
+        digest = hashlib.sha256()
+        for graphs in connected_graphs(7).values():
+            for g in graphs:
+                digest.update(repr((g.n, sorted(g.edges))).encode())
+        got = [digest.hexdigest()]
+        for max_n, b in ((7, 1), (6, 2)):
+            digest = hashlib.sha256()
+            for bg in boundaried_universe(max_n, b):
+                g = bg.graph
+                digest.update(repr((g.n, sorted(g.edges), sorted(bg.label_of))).encode())
+            got.append(digest.hexdigest())
+        assert got == [
+            "ee6dbf8c31415dc411e9a07965183d3eab0dcbee5c271bb965a595e9febb9507",
+            "207663de2942f3d2bf6c439b18a4a9a64c747c98d2f1e49f9851ee2f0f44831e",
+            "98358bf9a446b1134fbe13cba825eabb8d4d2dc43a50444b7b822ddb394e6ef0",
+        ]
+
+    def test_generators_give_every_orbit(self):
+        # nonempty vertex subsets up to automorphism: a missing generator of
+        # the automorphism group splits an orbit and raises a count
+        from twkern.enumeration import _orbit_least_subsets, _seated_search
+        from twkern.solvers import adjacency_masks
+
+        def orbits(g: Graph) -> int:
+            gens = _seated_search(g.n, adjacency_masks(g), ())[1]
+            return sum(1 for _ in _orbit_least_subsets(g.n, gens))
+
+        assert [orbits(complete_graph(n)) for n in range(1, 9)] == list(range(1, 9))
+        stars = [Graph(n, [(0, i) for i in range(1, n)]) for n in range(3, 9)]
+        assert [orbits(g) for g in stars] == [2 * n - 1 for n in range(3, 9)]
+        # binary bracelets of length n, less the empty one
+        cycles = [Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 9)]
+        assert [orbits(g) for g in cycles] == [3, 5, 7, 12, 17, 29]
 
     def test_orbit_placements_match_every_ordered_placement(self):
         from twkern.enumeration import boundaried_universe, connected_graphs

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import subprocess
 import sys
 
@@ -175,6 +176,25 @@ assert "networkx" not in sys.modules
             gen_corpus("grid", {"count": 2}, 0)
         with pytest.raises(ValueError, match="corpus family 'grid' does not read t_values"):
             gen_corpus("grid", {"t_values": [3]}, 0)
+
+    def test_parameter_out_of_range_is_named(self):
+        for family in ("grid+pendants", "random-planar", "union"):
+            with pytest.raises(ValueError, match=re.escape("count must be at least 1 (got 0)")):
+                gen_corpus(family, {"count": 0}, 0)
+        for family, name, value, least in (
+            ("grid", "t", 0, 1),
+            ("grid+pendants", "tree_size", 0, 1),
+            ("grid+pendants", "pendants", -1, 0),
+            ("random-planar", "n_min", -2, 0),
+        ):
+            message = f"{name} must be at least {least} (got {value})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                gen_corpus(family, {name: value}, 0)
+        with pytest.raises(ValueError, match=re.escape("n_min (10) exceeds n_max (5)")):
+            gen_corpus("random-planar", {"n_min": 10, "n_max": 5}, 0)
+        with pytest.raises(ValueError, match=re.escape("n_min (8) exceeds n_max (7)")):
+            gen_corpus("random-planar", {"n_max": 7}, 0)
+        assert len(gen_corpus("random-planar", {"count": 1, "n_min": 6, "n_max": 6}, 0)) == 1
 
 
 def _with_faces(n: int, faces: list[tuple[int, int, int]]) -> tuple[Graph, list]:
@@ -577,6 +597,46 @@ class TestCli:
                 "--family", family, flag, value, expect_ok=False,
             )
             self._assert_input_error(proc, f"corpus family '{family}' does not read {flag}")
+
+    def test_corpus_parameter_out_of_range_exits_2(self, tmp_path, vc_table):
+        from twkern.replacement import format_table
+
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        for verb, extra, line in (
+            ("verify", ("--count", "0"), "--count must be at least 1 (got 0)"),
+            ("experiment", ("--family", "union", "--count", "-3"),
+             "--count must be at least 1 (got -3)"),
+            ("verify", ("--n-min", "10", "--n-max", "5"), "--n-min (10) exceeds --n-max (5)"),
+            ("experiment", ("--n-max", "5"), "--n-min (8) exceeds --n-max (5)"),
+            ("verify", ("--family", "grid+pendants", "--tree-size", "0"),
+             "--tree-size must be at least 1 (got 0)"),
+            ("experiment", ("--family", "grid+pendants", "--pendants", "-1"),
+             "--pendants must be at least 0 (got -1)"),
+            ("verify", ("--family", "grid", "--grid-t", "0"), "--grid-t must be at least 1 (got 0)"),
+        ):
+            proc = self._run(
+                verb, "--problem", "vertex-cover", "--table", str(tpath), *extra,
+                expect_ok=False,
+            )
+            self._assert_input_error(proc, line)
+
+    def test_verify_of_nothing_exits_2(self, tmp_path, vc_table, monkeypatch, capsys):
+        from twkern import cli, harness
+        from twkern.replacement import format_table
+
+        tpath = tmp_path / "t.txt"
+        tpath.write_text(format_table(vc_table))
+        monkeypatch.setattr(harness, "gen_corpus", lambda family, params, seed: [])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "--problem", "vertex-cover", "--table", str(tpath)])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "twkern: error: verify checked 0 (instance, k) pairs: "
+            "no soundness claim rests on an empty run\n"
+        )
 
     def test_no_timing_belongs_to_experiment(self, tmp_path, vc_table):
         from twkern.replacement import format_table

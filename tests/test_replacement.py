@@ -1,6 +1,7 @@
 """Signatures, gadget equivalence, replacement tables, and the kernelizer."""
 
 import dataclasses
+import hashlib
 import random
 import re
 import zlib
@@ -229,6 +230,17 @@ class TestCertificateProbes:
 
 
 class TestTableConstruction:
+    def test_thorough_tables_are_pinned(self):
+        # sha256 of format_table for the t=1 'thorough' tables at rng_seed=1
+        got = {}
+        for name in ("vertex-cover", "dominating-set"):
+            table = build_replacement_table(CATALOG[name], 1, 6, certify="thorough", rng_seed=1)
+            got[name] = hashlib.sha256(format_table(table).encode()).hexdigest()
+        assert got == {
+            "vertex-cover": "f8d3a5a11a9d301b04135369954806824499490d60509d202474f78ef89ec2dd",
+            "dominating-set": "9197abb07a87ce9ed22d1ab0f8b648b1bf5cfab4d28c626dc67816c939aaadfe",
+        }
+
     def test_vc_t1_contains_expected_classes(self, vc_table):
         keys = set(vc_table.rows)
         assert (1, (0, 1)) in keys  # isolated boundary vertex
