@@ -11,9 +11,6 @@ from .graphs import (
     BudgetError,
     Graph,
     Separation,
-    contract_edge,
-    delete_edge,
-    delete_vertex,
     disjoint_union,
     glue,
     make_gamma,

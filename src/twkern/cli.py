@@ -1,15 +1,15 @@
 """Command-line front end: one verb per pipeline stage.
 
 Subcommands: decompose, table-build, kernelize, verify, experiment.
-A missing or malformed input file, or an argument out of range (an instance
-over every oracle budget, a negative `--k-window`, a corpus flag given to
-`verify` with `--input`, a corpus flag the chosen `--family` does not read, a
-corpus parameter out of range such as `--count 0`, a table built for another
-problem), ends the command with exit status 2 and one error line, naming the
-file (and the line, when malformed) if there is one; so does a `verify` that
-checked no (instance, k) pair.  Status 1 means `verify` found a violation.
-The corpus families, the flags each reads and their defaults come from
-`harness.FAMILIES`.
+A missing or malformed input file, or an argument out of range (a table size
+bound below 1, an instance over every oracle budget, a negative `--k-window`,
+a corpus flag given to `verify` with `--input`, a corpus flag the chosen
+`--family` does not read, a corpus parameter out of range such as
+`--count 0`, a table built for another problem), ends the command with exit
+status 2 and one error line, naming the file (and the line, when malformed)
+if there is one; so does a `verify` that checked no (instance, k) pair.
+Status 1 means `verify` found a violation.  The corpus families, the flags
+each reads and their defaults come from `harness.FAMILIES`.
 """
 
 from __future__ import annotations

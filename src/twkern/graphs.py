@@ -1,4 +1,4 @@
-"""Simple immutable graphs, boundaried graphs, gluing, and minor operations.
+"""Simple immutable graphs, boundaried graphs, and gluing.
 
 Vertices are always the dense range 0..n-1.  Every operation that changes the
 vertex set returns a new graph whose vertices have been reassigned canonically
@@ -228,43 +228,6 @@ def complete_graph(n: int) -> Graph:
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     edges = list(g1.edges) + [(u + g1.n, v + g1.n) for u, v in g2.edges]
     return Graph(g1.n + g2.n, edges)
-
-
-# ---------------------------------------------------------------------------
-# minor operations
-
-
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Contract edge uv; the merged vertex takes min(u,v)'s slot and ids are
-    reassigned densely.  Loops and parallels arising are dropped.
-    """
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not in graph")
-    lo, hi = _norm_edge(u, v)
-    relabel = {}
-    for w in range(g.n):
-        if w == hi:
-            relabel[w] = lo
-        else:
-            relabel[w] = w if w < hi else w - 1
-    edges = set()
-    for a, b in g.edges:
-        na, nb = relabel[a], relabel[b]
-        if na != nb:
-            edges.add(_norm_edge(na, nb))
-    return Graph(g.n - 1, edges)
-
-
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge ({u},{v}) not in graph")
-    return Graph(g.n, g.edges - {_norm_edge(u, v)})
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} not in graph")
-    return g.delete_vertices([v])[0]
 
 
 # ---------------------------------------------------------------------------

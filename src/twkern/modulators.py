@@ -117,31 +117,29 @@ def recursive_modulator(g: Graph, eta: int) -> Modulator:
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    chosen = _recursive_pick(g, eta)
+    chosen = _recursive_pick(g, eta, frozenset(g.vertices))
     return Modulator(chosen, eta, _certify(g, chosen, eta))
 
 
-def _recursive_pick(g: Graph, eta: int) -> frozenset[int]:
-    if decide_treewidth(g, eta):
+def _recursive_pick(g: Graph, eta: int, region: frozenset[int]) -> frozenset[int]:
+    """Modulator of G[region] as vertices of g."""
+    sub, old = g.induced_subgraph(region)
+
+    def lift(vs) -> frozenset[int]:
+        return frozenset(old[v] for v in vs)
+
+    if decide_treewidth(sub, eta):
         return frozenset()
-    comps = g.connected_components()
+    comps = sub.connected_components()
     if len(comps) > 1:
-        out: set[int] = set()
-        for comp in comps:
-            sub, old = g.induced_subgraph(comp)
-            out |= {old[v] for v in _recursive_pick(sub, eta)}
-        return frozenset(out)
-    if g.n <= max(eta + 2, 4):
-        return exact_modulator(g, eta).vertices
-    td = heuristic_decomposition(g)
-    sep = balanced_separation(g, g.vertices, td)
-    x = sep.separator
-    out = set(x)
+        return frozenset().union(*(_recursive_pick(g, eta, lift(c)) for c in comps))
+    if sub.n <= max(eta + 2, 4):
+        return lift(exact_modulator(sub, eta).vertices)
+    sep = balanced_separation(sub, sub.vertices, heuristic_decomposition(sub))
+    out = lift(sep.separator)
     for side in (sep.a1 - sep.a2, sep.a2 - sep.a1):
-        if len(side) >= g.n:
+        if len(side) >= sub.n:
             raise RuntimeError("balanced separation failed to shrink a side")
         if side:
-            sub, old = g.induced_subgraph(side)
-            out |= {old[v] for v in _recursive_pick(sub, eta)}
-    return frozenset(out)
-
+            out |= _recursive_pick(g, eta, lift(side))
+    return out

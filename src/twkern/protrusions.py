@@ -92,75 +92,63 @@ def validate_pd(g: Graph, pd: ProtrusionDecomposition) -> ValidationResult:
 def build_pd(g: Graph, s: Modulator) -> ProtrusionDecomposition:
     """Protrusion decomposition with s inside the core.
 
-    Recursion from the modulator: small modulators emit the single-protrusion
-    base case; otherwise a separation balanced for the modulator splits the
-    graph, both sides recurse with the separator joining their modulators, and
-    cores and part lists merge.  Achieved alpha and r are measured, not
-    promised.
+    Recursion on vertex sets of g, from the modulator: each component of the
+    region that the modulator misses is one part; a small modulator makes
+    the rest of its component one part; otherwise a separation balanced for
+    the modulator splits the component, each side recurses together with the
+    separator, which joins its modulator, and cores and part lists merge.
+    Achieved alpha and r are measured, not promised.
     """
     if not s.vertices:
         raise ValueError("modulator must be nonempty")
     if not s.validate(g):
         raise ValueError("modulator fails certification")
-    eta = s.eta
-    max_sep = [0]
+    core: set[int] = set()
+    parts: list[frozenset[int]] = []
+    max_sep = 0
 
-    def base(sub: Graph, old: tuple[int, ...], mod: frozenset[int]):
-        core = {old[v] for v in mod}
-        rest = frozenset(old[v] for v in sub.vertices if v not in mod)
-        return core, ([rest] if rest else [])
+    def rec(region: frozenset[int], mod: frozenset[int]) -> None:
+        nonlocal max_sep
+        sub, old = g.induced_subgraph(region)
 
-    def base_components(sub: Graph, old: tuple[int, ...], mod: frozenset[int]):
-        comps = sub.connected_components(avoid=mod)
-        return {old[v] for v in mod}, [frozenset(old[v] for v in comp) for comp in comps]
+        def lift(vs) -> frozenset[int]:
+            return frozenset(old[v] for v in vs)
 
-    def rec(sub: Graph, old: tuple[int, ...], mod: frozenset[int]):
         comps = sub.connected_components()
         if len(comps) > 1:
-            core: set[int] = set()
-            parts: list[frozenset[int]] = []
-            for comp in comps:
-                csub, cold = sub.induced_subgraph(comp)
-                abs_old = tuple(old[v] for v in cold)
-                cmod = frozenset(i for i, o in enumerate(cold) if o in mod)
-                if not cmod:
-                    # component untouched by the modulator: it is one part
-                    parts.append(frozenset(old[v] for v in comp))
-                    continue
-                ccore, cparts = rec(csub, abs_old, cmod)
-                core |= ccore
-                parts.extend(cparts)
-            return core, parts
-        if len(mod) <= 3 or sub.n <= eta + 4:
-            return base(sub, old, mod)
-        sep = balanced_separation(sub, mod, heuristic_decomposition(sub))
-        x = sep.separator
-        max_sep[0] = max(max_sep[0], len(x))
-        left = sep.a1 - sep.a2
-        right = sep.a2 - sep.a1
+            for comp in map(lift, comps):
+                if comp & mod:
+                    rec(comp, mod & comp)
+                else:
+                    parts.append(comp)  # untouched by the modulator: one part
+            return
+        core.update(mod)
+        if len(mod) <= 3 or sub.n <= s.eta + 4:
+            rest = region - mod
+            if rest:
+                parts.append(rest)
+            return
+        local = {v: i for i, v in enumerate(old)}
+        sub_mod = [local[v] for v in mod]
+        sep = balanced_separation(sub, sub_mod, heuristic_decomposition(sub))
+        x, left, right = lift(sep.separator), lift(sep.a1 - sep.a2), lift(sep.a2 - sep.a1)
+        max_sep = max(max_sep, len(x))
         if not left or not right:
             # separation cannot shrink both sides; close with per-component parts
-            return base_components(sub, old, mod)
-        core: set[int] = set()
-        parts: list[frozenset[int]] = []
+            parts.extend(lift(c) for c in sub.connected_components(avoid=sub_mod))
+            return
         for side in (left, right):
-            region = side | x
-            rsub, rold = sub.induced_subgraph(region)
-            abs_old = tuple(old[v] for v in rold)
-            rmod = frozenset(i for i, o in enumerate(rold) if o in (mod & side) | x)
-            rcore, rparts = rec(rsub, abs_old, rmod)
-            core |= rcore
-            parts.extend(rparts)
-        return core, parts
+            rec(side | x, (mod & side) | x)
 
-    core, parts = rec(g, tuple(g.vertices), s.vertices)
+    rec(frozenset(g.vertices), s.vertices)
     parts_t = tuple(parts)
-    alpha = max(len(parts_t), len(core))
     r = 0
     for part in parts_t:
         closed = part | g.open_neighborhood(part)
         r = max(r, len(g.boundary(closed)), _width_upper_bound(g.induced_subgraph(closed)[0]))
-    return ProtrusionDecomposition(frozenset(core), parts_t, alpha, r, max_sep[0])
+    return ProtrusionDecomposition(
+        frozenset(core), parts_t, max(len(parts_t), len(core)), r, max_sep
+    )
 
 
 # ---------------------------------------------------------------------------

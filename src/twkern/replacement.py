@@ -91,7 +91,6 @@ class Signature:
     in an optimal composition, so they are truncated to the infeasible marker.
     """
 
-    problem: str
     b: int
     entries: tuple
     offset: int
@@ -104,7 +103,7 @@ class Signature:
 def _normalize(p: ProblemDefinition, raw: dict, b: int) -> Signature:
     states = state_space(p, b)
     if not raw:
-        return Signature(p.name, b, (None,) * len(states), 0)
+        return Signature(b, (None,) * len(states), 0)
     window = 2 * p.separability_f(b)
     if p.maximize:
         anchor = max(raw.values())
@@ -114,7 +113,7 @@ def _normalize(p: ProblemDefinition, raw: dict, b: int) -> Signature:
         kept = {s: v for s, v in raw.items() if v - anchor <= window}
     offset = min(kept.values())
     entries = tuple(kept[s] - offset if s in kept else None for s in states)
-    return Signature(p.name, b, entries, offset)
+    return Signature(b, entries, offset)
 
 
 def compute_signature(p: ProblemDefinition, bg: BoundariedGraph) -> Signature:
@@ -270,6 +269,8 @@ def build_replacement_table(
         raise ValueError(f"table boundary size t={t} is negative")
     if t > MAX_TABLE_T:
         raise BudgetError(f"replacement tables support boundary size at most {MAX_TABLE_T}")
+    if size_bound < 1:
+        raise ValueError(f"replacement table size bound must be at least 1 (got {size_bound})")
     if size_bound > 9:
         raise BudgetError("replacement table size bound is at most 9")
     if certify not in CERTIFY_LEVELS:

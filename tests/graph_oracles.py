@@ -1,8 +1,8 @@
 """Test-only oracles: canonical keys, exhaustive canonical forms, graph
 generation by canonicalizing every one-vertex extension, all graphs up to
 isomorphism, boundary placement by canonicalizing every ordered placement,
-grid-minor containment, connected-subset enumeration and annotated boundaried
-graphs.
+the minor operations, grid-minor containment, connected-subset enumeration and
+annotated boundaried graphs.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -18,7 +18,7 @@ from twkern.graphs import (
     BoundariedGraph,
     BudgetError,
     Graph,
-    contract_edge,
+    _norm_edge,
     disjoint_union,
     glue,
     make_grid,
@@ -159,6 +159,39 @@ def boundaried_universe_by_placements(
                 seen.add(key)
                 out.append(BoundariedGraph(g, {v: i + 1 for i, v in enumerate(combo)}))
     return out
+
+
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """Contract edge uv; the merged vertex takes min(u,v)'s slot and ids are
+    reassigned densely.  Loops and parallels arising are dropped.
+    """
+    if not g.has_edge(u, v):
+        raise ValueError(f"edge ({u},{v}) not in graph")
+    lo, hi = _norm_edge(u, v)
+    relabel = {}
+    for w in range(g.n):
+        if w == hi:
+            relabel[w] = lo
+        else:
+            relabel[w] = w if w < hi else w - 1
+    edges = set()
+    for a, b in g.edges:
+        na, nb = relabel[a], relabel[b]
+        if na != nb:
+            edges.add(_norm_edge(na, nb))
+    return Graph(g.n - 1, edges)
+
+
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    if not g.has_edge(u, v):
+        raise ValueError(f"edge ({u},{v}) not in graph")
+    return Graph(g.n, g.edges - {_norm_edge(u, v)})
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} not in graph")
+    return g.delete_vertices([v])[0]
 
 
 def _subgraph_embeds(pattern: Graph, host: Graph) -> bool:

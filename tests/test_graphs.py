@@ -11,9 +11,6 @@ from twkern.graphs import (
     BudgetError,
     Graph,
     Separation,
-    contract_edge,
-    delete_edge,
-    delete_vertex,
     disjoint_union,
     glue,
     grid_vertex,
@@ -31,6 +28,9 @@ from graph_oracles import (
     canonical_key,
     connected_graphs_by_extensions,
     contains_grid_minor,
+    contract_edge,
+    delete_edge,
+    delete_vertex,
     glue_annotated,
 )
 

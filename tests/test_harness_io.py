@@ -521,6 +521,15 @@ class TestCli:
             ((*build, "--t", "5"), "replacement tables support boundary size at most 3"),
             ((*build, "--t", "-1"), "table boundary size t=-1 is negative"),
             ((*build, "--size-bound", "12"), "replacement table size bound is at most 9"),
+            # a bound that admits no gadget would write a table that replaces nothing
+            (
+                (*build, "--size-bound", "0"),
+                "replacement table size bound must be at least 1 (got 0)",
+            ),
+            (
+                (*build, "--size-bound", "-2"),
+                "replacement table size bound must be at least 1 (got -2)",
+            ),
             (
                 ("decompose", "--input", str(gpath), "--exact", "--exact-budget", "10"),
                 "exact treewidth limited to 10 vertices (got 25); use heuristic_decomposition",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twkern.graphs import BudgetError, Graph, complete_graph, delete_vertex, disjoint_union, make_grid, path_graph
+from twkern.graphs import BudgetError, Graph, complete_graph, disjoint_union, make_grid, path_graph
 from twkern.modulators import (
     balanced_separation,
     exact_modulator,
@@ -13,6 +13,7 @@ from twkern.modulators import (
 from twkern.treedec import exact_treewidth, heuristic_decomposition, validate_decomposition
 
 from conftest import random_graph
+from graph_oracles import delete_vertex
 
 
 class TestBalancedSeparation:

@@ -1,11 +1,11 @@
 """Every public function and class of the package is one a program runs.
 
 A name defined at the top level of a `src/twkern` module is reached when a
-program path refers to it: top-level code of a package module (so every name
-`twkern/__init__.py` exports), any code in `demos/` or `stagebench/`, or the
-body of a name already reached.  References are matched by bare name, read
-with `ast`.  Tests are not a program path: code only they call belongs in the
-tests.
+program path refers to it: top-level code of a package module other than
+`twkern/__init__.py` (a re-export is not a caller), any code in `demos/` or
+`stagebench/`, or the body of a name already reached.  References are matched
+by bare name, read with `ast`.  Tests are not a program path: code only they
+call belongs in the tests.
 """
 
 import ast
@@ -14,10 +14,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twkern"
 
+HYPOTHESES = "the paper's hypotheses; ROADMAP item 16 gives them a program caller"
+
 # (module, name) -> why it stays without a program caller
 ALLOWED = {
     ("io", "parse_decomposition"): "reads the format that `twkern decompose` writes",
     ("graphs", "complete_graph"): "the tests' K_n generator, beside path_graph",
+    ("problems", "check_separability"): HYPOTHESES,
+    ("problems", "check_bidimensionality"): HYPOTHESES,
+    ("problems", "check_parameter_treewidth"): HYPOTHESES,
+    ("problems", "SeparabilityReport"): HYPOTHESES,
+    ("problems", "BidimensionalityRow"): HYPOTHESES,
+    ("problems", "ParameterTreewidthReport"): HYPOTHESES,
 }
 
 
@@ -44,7 +52,7 @@ def unreached_names() -> list[tuple[str, str]]:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 modules.setdefault(stmt.name, []).append(path.stem)
                 uses[(path.stem, stmt.name)] = _names(stmt) - {stmt.name}
-            else:
+            elif path.stem != "__init__":
                 roots |= _names(stmt)
     for folder in ("demos", "stagebench"):
         for path in sorted((ROOT / folder).glob("*.py")):

@@ -12,9 +12,6 @@ from twkern.dp import solve_via_dp
 from twkern.graphs import (
     Graph,
     complete_graph,
-    contract_edge,
-    delete_edge,
-    delete_vertex,
     disjoint_union,
     make_gamma,
     make_grid,
@@ -35,6 +32,7 @@ from twkern.solvers import adjacency_masks, enumerate_cycles
 from twkern.treedec import heuristic_decomposition
 
 from conftest import random_graph, sparse_random_graph
+from graph_oracles import contract_edge, delete_edge, delete_vertex
 
 MINOR_CLOSED = [
     "vertex-cover",

@@ -1,5 +1,6 @@
 """Protrusion validation, decomposition building, and protrusion search."""
 
+import hashlib
 import random
 
 import pytest
@@ -175,6 +176,29 @@ class TestBuildPd:
         assert ratios
         corpus_constant = max(ratios)
         assert 0 < corpus_constant < float("inf")
+
+    def test_modulator_and_decomposition_chain_is_pinned(self):
+        # the modulators at eta = 1 and 2 and the decomposition built from the
+        # eta = 1 one, on fixed corpora; a changed recursion order, tie-break
+        # or id mapping changes the digest
+        from twkern.harness import gen_corpus
+
+        corpora = [
+            ("random-planar", {"count": 40, "n_min": 8, "n_max": 40}),
+            ("grid+pendants", {"count": 8, "t": 5, "tree_size": 6, "pendants": 4}),
+            ("union", {"count": 8}),
+        ]
+        digest = hashlib.sha256()
+        for family, params in corpora:
+            for g in gen_corpus(family, params, seed=0):
+                row = [sorted(recursive_modulator(g, eta).vertices) for eta in (1, 2)]
+                pd = build_pd(g, recursive_modulator(g, 1))
+                parts = [sorted(part) for part in pd.parts]
+                row.append((sorted(pd.core), parts, pd.alpha, pd.r, pd.max_sep_order))
+                digest.update(repr(row).encode())
+        assert digest.hexdigest() == (
+            "45c80d7030da7b108cde80b7cc743fbdb259fceb297c98fa1b72f34ca2fbc270"
+        )
 
 
 def _modulator_with(g: Graph, vertices, eta: int) -> Modulator:

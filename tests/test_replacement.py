@@ -270,6 +270,11 @@ class TestTableConstruction:
         # outside it either
         with pytest.raises(ValueError, match="t=-1"):
             build_replacement_table(VC, -1, 5, certify="off")
+        # a bound that admits no gadget would give a table that replaces nothing
+        for size_bound in (0, -2):
+            message = rf"size bound must be at least 1 \(got {size_bound}\)"
+            with pytest.raises(ValueError, match=message):
+                build_replacement_table(VC, 1, size_bound, certify="off")
 
     def test_round_trip_bit_exact(self, vc_table):
         text = format_table(vc_table)

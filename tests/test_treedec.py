@@ -123,8 +123,7 @@ class TestExactTreewidth:
             assert heuristic_decomposition(g).width >= w
 
     def test_vertex_deletion_monotone(self):
-        from graph_oracles import all_graphs
-        from twkern.graphs import delete_vertex
+        from graph_oracles import all_graphs, delete_vertex
 
         for g in all_graphs(6):
             w, _ = exact_treewidth(g)
