@@ -323,29 +323,57 @@ def glue(
     return Graph(nxt, edges), heir1, heir2
 
 
-def glue_plan(g2: BoundariedGraph) -> tuple[tuple[int, ...], tuple]:
-    """The second operand of a glue as (label or 0 per vertex, edges)."""
+def glue_plan(g2: BoundariedGraph) -> tuple[tuple, tuple]:
+    """The second operand of a glue, labeled 1..b, as (unlabeled, labeled).
+
+    Each vertex is a pair of masks, its unlabeled neighbours and its labeled
+    neighbours: bit i of the first is g2's i-th unlabeled vertex in order,
+    bit l - 1 of the second is label l.  `unlabeled` lists the unlabeled
+    vertices in order, `labeled` the vertices of labels 1..b."""
     labels = g2.labels
-    return tuple(labels.get(v, 0) for v in range(g2.graph.n)), tuple(g2.graph.edges)
+    by_label = sorted(labels, key=labels.__getitem__)
+    if [labels[v] for v in by_label] != list(range(1, len(labels) + 1)):
+        raise ValueError(f"context labels must be 1..b, got {sorted(labels.values())}")
+    unlabeled = [v for v in range(g2.graph.n) if v not in labels]
+    # each vertex's bit, in the unlabeled (0) or the label (1) mask
+    bit = {v: (0, 1 << i) for i, v in enumerate(unlabeled)}
+    bit.update((v, (1, 1 << i)) for i, v in enumerate(by_label))
+    nbs = [[0, 0] for _ in range(g2.graph.n)]
+    for u, v in g2.graph.edges:
+        side, mask = bit[v]
+        nbs[u][side] |= mask
+        side, mask = bit[u]
+        nbs[v][side] |= mask
+    return tuple(tuple(nbs[v]) for v in unlabeled), tuple(tuple(nbs[v]) for v in by_label)
 
 
-def glue_masks(adj1: list[int], vertex_of_label1: dict[int, int], plan2) -> list[int]:
-    """Adjacency masks of `glue(g1, g2)[0]` from g1's masks, g1's vertex per
-    label and `glue_plan(g2)`, with the numbering of `glue`: g1's vertices
-    first, then g2's unshared vertices in order.  No Graph is built."""
-    labels, edges = plan2
+def label_bits(g1: BoundariedGraph, b: int) -> list[int]:
+    """The vertex mask of g1's vertices that carry the labels in each label
+    mask over 1..b, indexed by that mask, as `glue_masks` reads it.  Raises
+    ValueError when g1 lacks one of the labels: `glue_masks` numbers the
+    context's vertices as if each label were shared."""
+    vertex_of = {lab: v for v, lab in g1.label_of}
+    out = [0]
+    for lab in range(1, b + 1):
+        if lab not in vertex_of:
+            raise ValueError(f"no vertex carries context label {lab}")
+        bit = 1 << vertex_of[lab]
+        out += [m | bit for m in out]
+    return out
+
+
+def glue_masks(adj1: list[int], bits1: list[int], plan2) -> list[int]:
+    """Adjacency masks of `glue(g1, g2)[0]` from g1's masks, its `label_bits`
+    and `glue_plan(g2)`, with the numbering of `glue`: g1's vertices first,
+    then g2's unlabeled vertices in order.  No Graph is built."""
+    unlabeled, labeled = plan2
+    base = len(adj1)
     out = list(adj1)
-    heir = []
-    for lab in labels:
-        v = vertex_of_label1.get(lab)
-        if v is None:
-            v = len(out)
-            out.append(0)
-        heir.append(v)
-    for u, v in edges:
-        hu, hv = heir[u], heir[v]
-        out[hu] |= 1 << hv
-        out[hv] |= 1 << hu
+    for i, (nb, labs) in enumerate(labeled):
+        v = bits1[1 << i].bit_length() - 1
+        out[v] |= nb << base | bits1[labs]
+    for nb, labs in unlabeled:
+        out.append(nb << base | bits1[labs])
     return out
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from . import problems as problems_mod
 from .dp import run_dp
 from .enumeration import boundaried_universe
-from .graphs import BoundariedGraph, BudgetError, Graph, glue, glue_masks, glue_plan
+from .graphs import BoundariedGraph, BudgetError, Graph, glue, glue_masks, glue_plan, label_bits
 from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
 from .problems import ProblemDefinition
 from .protrusions import iter_protrusions, validate_protrusion
@@ -33,8 +33,9 @@ BRUTE_SIGNATURE_BUDGET = 16
 # largest table t, built or loaded: kernelize searches boundary sets up to t
 MAX_TABLE_T = 3
 
-# certification level -> (largest exhaustive context, random contexts with up
-# to 8 vertices); 'off' probes nothing
+# certification level -> (largest exhaustive context, random contexts drawn
+# with up to 8 vertices); only draws larger than the exhaustive ones are
+# probed, the others repeat one up to isomorphism; 'off' probes nothing
 CERTIFY_LEVELS = {"off": (0, 0), "light": (5, 200), "thorough": (7, 1000), "exhaustive": (8, 0)}
 
 
@@ -230,20 +231,23 @@ def certify_pair(
     """Probe: OPT(rep ⊕ F) must equal OPT(member ⊕ F) + c for every context F,
     given as its `glue_plan`, solving on masks.  `rep_cache` holds rep's optima
     by plan index across the calls that share rep and plans.  Raises
+    ValueError when member or rep lacks a context label, and
     TableConstructionError on the first violating context."""
+    b = max((len(plan[1]) for plan in plans), default=0)
     rep_adj = adjacency_masks(rep.graph)
-    rep_vertex_of = {lab: v for v, lab in rep.label_of}
+    rep_bits = label_bits(rep, b)
     mem_adj = adjacency_masks(member.graph)
-    mem_vertex_of = {lab: v for v, lab in member.label_of}
+    mem_bits = label_bits(member, b)
+    solver = p.solver
     for idx, plan in enumerate(plans):
         if idx not in rep_cache:
-            rep_cache[idx] = p.solver(glue_masks(rep_adj, rep_vertex_of, plan))[0]
+            rep_cache[idx] = solver(glue_masks(rep_adj, rep_bits, plan))[0]
         opt_rep = rep_cache[idx]
-        opt_mem = p.solver(glue_masks(mem_adj, mem_vertex_of, plan))[0]
+        opt_mem = solver(glue_masks(mem_adj, mem_bits, plan))[0]
         if opt_rep != opt_mem + c:
             raise TableConstructionError(
                 f"certificate violation: OPT(rep+F)={opt_rep}, OPT(member+F)={opt_mem}, "
-                f"c={c} on context {idx} with {len(plan[0])} vertices"
+                f"c={c} on context {idx} with {len(plan[0]) + len(plan[1])} vertices"
             )
 
 
@@ -262,8 +266,12 @@ def build_replacement_table(
     forms that protrusion search can feed back (a t-protrusion induces
     treewidth at most t).  Every later member declared equivalent to a stored
     representative is certified by probing the contexts of its `certify` level
-    in CERTIFY_LEVELS: every connected context up to the given size plus the
-    given number of random ones.  A failed probe aborts construction.
+    in CERTIFY_LEVELS: every connected context up to the given size, and
+    those of the given number of random draws that are larger.  A connected
+    draw within that size is isomorphic, labels fixed, to an exhaustive
+    context, so its verdict is already decided.  Every draw is still made,
+    so the random stream and the verdicts do not depend on the filter.  A
+    failed probe aborts construction.
     """
     if t < 0:
         raise ValueError(f"table boundary size t={t} is negative")
@@ -282,8 +290,9 @@ def build_replacement_table(
     for b in range(t + 1):
         members = boundaried_universe(size_bound, b, graphs=_gadget_pool(size_bound, t))
         contexts = certificate_contexts(b, max_n) if max_n else ()
-        probes = contexts + tuple(_random_context(rng, b, 8) for _ in range(n_random))
-        plans = [glue_plan(ctx) for ctx in probes]
+        draws = (_random_context(rng, b, 8) for _ in range(n_random))
+        plans = [glue_plan(ctx) for ctx in contexts]
+        plans += [glue_plan(ctx) for ctx in draws if ctx.graph.n > max_n]
         for bg in members:
             sig = compute_signature(p, bg)
             key = sig.key

@@ -126,6 +126,7 @@ def independent_set_opt(adj: list[int]) -> tuple[int, int]:
         rec(active & ~(1 << pick), chosen, size)
 
     rec((1 << n) - 1, 0, 0)
+    del rec  # it calls itself through its closure: free that cycle now
     return best[0], best[1]
 
 
@@ -139,22 +140,25 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
     n = len(adj)
     if n == 0:
         return 0, 0
-    closed = [adj[v] | (1 << v) for v in range(n)]
+    closed = [m | 1 << v for v, m in enumerate(adj)]
     closed_size = [c.bit_count() for c in closed]
+    max_cover = max(closed_size)
     full = (1 << n) - 1
 
-    # greedy upper bound starts the search: the first vertex of largest gain
-    dominated, chosen = 0, 0
-    while dominated != full:
+    # greedy upper bound starts the search: the first vertex of largest gain,
+    # which is the first of largest closed size while nothing is dominated
+    pick = closed_size.index(max_cover)
+    chosen = 1 << pick
+    rest = full & ~closed[pick]
+    while rest:
         pick, gain = 0, -1
-        for v in range(n):
-            g = (closed[v] & ~dominated).bit_count()
+        for v, c in enumerate(closed):
+            g = (c & rest).bit_count()
             if g > gain:
                 pick, gain = v, g
         chosen |= 1 << pick
-        dominated |= closed[pick]
+        rest &= ~closed[pick]
     best, best_set = chosen.bit_count(), chosen
-    max_cover = max(closed_size)
     # branching takes the first undominated vertex in this order
     fewest_first = sorted(range(n), key=closed_size.__getitem__)
 
@@ -270,6 +274,7 @@ def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
             rec(active, kept, removed, size)
 
     rec((1 << n) - 1, 0, 0, 0)
+    del rec  # it calls itself through its closure: free that cycle now
     return best[0], best[1]
 
 
@@ -292,6 +297,7 @@ def enumerate_cycles(adj: list[int]) -> list[frozenset[int]]:
 
     for root in range(len(adj)):
         extend(root, [root], 1 << root)
+    del extend  # it calls itself through its closure: free that cycle now
     return sorted(cycles, key=lambda c: (len(c), sorted(c)))
 
 
@@ -325,6 +331,7 @@ def cycle_packing_opt(adj: list[int]) -> tuple[int, int]:
         rec(available & ~(1 << v), count, picked)
 
     rec((1 << n) - 1, 0, [])
+    del rec  # it calls itself through its closure: free that cycle now
     witness = 0
     for i in best[1]:
         witness |= 1 << min(cycles[i])

@@ -1,6 +1,7 @@
 """Problem catalog: oracles, closure properties, separability, bidimensionality."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 import random
@@ -123,6 +124,27 @@ class TestOracles:
         assert digest.hexdigest() == (
             "6d523533537aad9c8c628e739843f6174a3ebc81f293bfe94a6c6087e3f13b25"
         )
+
+    def test_solvers_leave_no_reference_cycles(self):
+        # a search that calls itself through its closure frees that cycle
+        # before it returns; otherwise each call leaves garbage for the collector
+        rng = random.Random(5)
+        graphs = [adjacency_masks(sparse_random_graph(rng, 10)) for _ in range(40)]
+        runs = {name: p.solver for name, p in CATALOG.items()}
+        runs["enumerate_cycles"] = enumerate_cycles
+        left = {}
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for name, run in sorted(runs.items()):
+                for adj in graphs:
+                    run(adj)
+                left[name] = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert left == dict.fromkeys(runs, 0)
 
     def test_brute_outputs_are_pinned(self):
         # values and sorted witnesses of subset enumeration for every problem

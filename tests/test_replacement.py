@@ -15,11 +15,13 @@ from twkern.graphs import (
     glue,
     glue_masks,
     glue_plan,
+    label_bits,
     make_grid,
     path_graph,
 )
 from twkern.problems import CATALOG, opt_fast
 from twkern.protrusions import iter_protrusions
+import twkern.replacement as replacement_mod
 from twkern.replacement import (
     CERTIFY_LEVELS,
     KernelInstance,
@@ -43,6 +45,7 @@ from twkern.replacement import (
 from twkern.solvers import adjacency_masks
 
 from conftest import sparse_random_graph
+from graph_oracles import canonical_key
 
 VC = CATALOG["vertex-cover"]
 
@@ -185,8 +188,9 @@ class TestEquivalence:
 class TestCertificateProbes:
     @staticmethod
     def _mask_glue(member: BoundariedGraph, ctx: BoundariedGraph) -> list[int]:
-        vertex_of = {lab: v for v, lab in member.label_of}
-        return glue_masks(adjacency_masks(member.graph), vertex_of, glue_plan(ctx))
+        plan = glue_plan(ctx)
+        bits = label_bits(member, len(plan[1]))
+        return glue_masks(adjacency_masks(member.graph), bits, plan)
 
     def test_mask_glue_is_glue(self):
         rng = random.Random(11)
@@ -198,12 +202,16 @@ class TestCertificateProbes:
                     want = adjacency_masks(glue(member, ctx)[0])
                     assert self._mask_glue(member, ctx) == want, (member, ctx)
 
-    def test_mask_glue_keeps_a_label_the_member_lacks_apart(self):
+    def test_mask_glue_refuses_a_label_the_member_lacks(self):
         member = BoundariedGraph(path_graph(3), {1: 1})
         ctx = BoundariedGraph(path_graph(3), {2: 1, 0: 2})
-        glued = glue(member, ctx)[0]
-        assert glued.n == 5
-        assert self._mask_glue(member, ctx) == adjacency_masks(glued)
+        # glue keeps the context's label-2 vertex apart; the mask glue numbers
+        # every labeled vertex as shared, so it refuses, once per certify_pair
+        assert glue(member, ctx)[0].n == 5
+        with pytest.raises(ValueError, match="label 2"):
+            self._mask_glue(member, ctx)
+        with pytest.raises(ValueError, match="label 2"):
+            certify_pair(VC, member, member, 0, [glue_plan(ctx)], {})
 
     def test_probe_count_is_the_closed_form(self, vc_table):
         calls = [0]
@@ -216,17 +224,79 @@ class TestCertificateProbes:
         table = build_replacement_table(counted, 1, 6, certify="light")
         assert format_table(table) == format_table(vc_table)
         max_n, n_random = CERTIFY_LEVELS["light"]
+        rng = random.Random(0)
         want = 0
         for b in range(2):
+            # the draws are replayed in build order; those of at most max_n
+            # vertices repeat an exhaustive context and are not probed
+            draws = [_random_context(rng, b, 8) for _ in range(n_random)]
+            kept = sum(1 for ctx in draws if ctx.graph.n > max_n)
             classes: dict[tuple, int] = {}
             for member in boundaried_universe(6, b, graphs=_gadget_pool(6, 1)):
                 key = compute_signature(VC, member).key
                 classes[key] = classes.get(key, 0) + 1
             others = sum(size - 1 for size in classes.values())
             probed_classes = sum(1 for size in classes.values() if size > 1)
-            want += (others + probed_classes) * (len(certificate_contexts(b, max_n)) + n_random)
-        # b=0: (13 + 1) * (31 + 200); b=1: (32 + 5) * (74 + 200)
-        assert calls[0] == want == 13372
+            want += (others + probed_classes) * (len(certificate_contexts(b, max_n)) + kept)
+        # b=0: (13 + 1) * (31 + 82); b=1: (32 + 5) * (74 + 65)
+        assert calls[0] == want == 6725
+
+    @pytest.mark.parametrize(
+        "certify, rng_seed, t, skipped",
+        [("light", 0, 2, [118, 135, 113]), ("thorough", 1, 1, [872, 884])],
+    )
+    def test_skipped_draws_repeat_an_exhaustive_context(
+        self, monkeypatch, certify, rng_seed, t, skipped
+    ):
+        # the build plans each context it probes; a random draw it does not
+        # plan must be isomorphic, labels fixed, to an exhaustive context
+        planned = []
+
+        def recording_plan(ctx):
+            planned.append(ctx)
+            return glue_plan(ctx)
+
+        monkeypatch.setattr(replacement_mod, "glue_plan", recording_plan)
+        build_replacement_table(VC, t, 1, certify=certify, rng_seed=rng_seed)
+        max_n, n_random = CERTIFY_LEVELS[certify]
+        rng = random.Random(rng_seed)
+        unprobed = []
+        for b in range(t + 1):
+            contexts = certificate_contexts(b, max_n)
+            draws = [_random_context(rng, b, 8) for _ in range(n_random)]
+            probed = [ctx for ctx in planned if len(ctx.label_of) == b]
+            assert probed[: len(contexts)] == list(contexts)
+            probed_draws = probed[len(contexts) :]
+            left = [ctx for ctx in draws if ctx not in probed_draws]
+            assert len(probed_draws) + len(left) == n_random
+            keys = {canonical_key(ctx.graph, ctx.boundary) for ctx in contexts}
+            assert all(canonical_key(ctx.graph, ctx.boundary) in keys for ctx in left)
+            unprobed.append(len(left))
+        assert unprobed == skipped
+
+
+class TestRowGroups:
+    def test_rows_group_by_optimum_vectors(self):
+        # rows whose optima on every exhaustive context of at most 7 vertices
+        # differ by one constant behave alike there: the signature splits
+        # them, so a table holds more rows, and larger ones, than needed
+        plans = {b: [glue_plan(ctx) for ctx in certificate_contexts(b, 7)] for b in range(2)}
+        groups = {}
+        for name in ("vertex-cover", "dominating-set", "feedback-vertex-set"):
+            p = CATALOG[name]
+            table = build_replacement_table(p, 1, 6, certify="off")
+            vectors = set()
+            for (b, _), row in table.rows.items():
+                rep = row.representative
+                adj, bits = adjacency_masks(rep.graph), label_bits(rep, b)
+                opts = [p.solver(glue_masks(adj, bits, plan))[0] for plan in plans[b]]
+                vectors.add((b, tuple(opt - opts[0] for opt in opts)))
+            groups[name] = (len(table), len(vectors))
+        assert groups == {
+            "vertex-cover": (6, 3),
+            "dominating-set": (13, 4),
+            "feedback-vertex-set": (2, 2),
+        }
 
 
 class TestTableConstruction:
