@@ -297,12 +297,10 @@ def run_dp(
     The witness is the mask of a solution set of size `value` that realises
     the state.
     Raises BudgetError when a bag together with the pinned vertices holds
-    more than DP_WIDTH_BUDGET + 1 vertices, and ValueError when p has no DP
-    or the decomposition misses a graph edge.
+    more than DP_WIDTH_BUDGET + 1 vertices, and ValueError when the
+    decomposition misses a graph edge.
     """
     m = p.machine
-    if m is None:
-        raise ValueError(f"no tree-decomposition DP for problem {p.name!r}")
     pin = frozenset(pinned)
     bags = [bag | pin for bag in td.bags] or [pin]
     width = max(map(len, bags)) - 1

@@ -3,10 +3,10 @@
 Corpora are deterministic per seed.  Soundness verification decides membership
 on both sides of a kernelization with `reference_oracle` and reports any
 disagreement verbatim.  That oracle is one ladder: branch and bound within
-BRUTE_BUDGET vertices, the width-capped tree-decomposition DP beyond it,
-subset enumeration last; experiments plant k from the same ladder.  Optima
-are integers; each oracle enforces its own budget and raises BudgetError past
-it, which `verify_kernel_soundness` passes on with the instance index.
+BRUTE_BUDGET vertices, the width-capped tree-decomposition DP beyond it;
+experiments plant k from the same ladder.  Optima are integers.  Past the
+DP's cap no oracle answers: subset enumeration raises its BudgetError, which
+`verify_kernel_soundness` passes on with the instance index.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .treedec import heuristic_decomposition
 
 
 def _random_maximal_planar(rng: random.Random, n: int) -> tuple[Graph, list[tuple]]:
-    """Random planar triangulation and its faces: insert each new vertex into a
-    random face.  Below 3 vertices it is a path with no faces."""
+    """Random stacked triangulation (a planar 3-tree) and its faces: insert
+    each new vertex into a random face.  Below 3 vertices it is a path with
+    no faces."""
     if n < 3:
         return Graph(n, [(i, i + 1) for i in range(n - 1)]), []
     edges = {(0, 1), (0, 2), (1, 2)}
@@ -99,10 +100,11 @@ def _random_planar(
     rng: random.Random, *, count: int = 10, n_min: int = 8, n_max: int = 22,
     keep_prob: float = 0.75,
 ) -> list[Graph]:
-    """`count` random planar graphs of n_min..n_max vertices: a random
-    triangulation that keeps each edge with probability `keep_prob`.  The
-    triangulation is certified planar from its faces (a certifying check, not
-    an assumption); deleting edges keeps it planar."""
+    """`count` random planar graphs of n_min..n_max vertices: a stacked
+    triangulation (a planar 3-tree) with edges deleted, each kept with
+    probability `keep_prob`, so treewidth <= 3.  The triangulation is
+    certified planar from its faces (a certifying check, not an assumption);
+    deleting edges keeps it planar."""
     corpus = []
     for _ in range(count):
         n = rng.randint(n_min, n_max)
@@ -193,19 +195,15 @@ def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
 def reference_oracle(p: ProblemDefinition, g: Graph) -> int:
     """Reference optimum from the first oracle on the ladder that answers:
     the problem's branch-and-bound solver within BRUTE_BUDGET vertices, the
-    tree-decomposition DP when its decomposition is within `dp_width_cap`,
-    subset enumeration otherwise.  A solver's BudgetError falls through to the
-    next rung; enumeration raises its own BudgetError past its budget.
+    tree-decomposition DP beyond it when its decomposition is within
+    `dp_width_cap`.  Past the DP's cap no oracle answers: the call reaches
+    `opt_brute` only over its budget, and its BudgetError names that budget.
     """
     if g.n <= BRUTE_BUDGET:
-        try:
-            return opt_fast(p, g)[0]
-        except BudgetError:  # a solver with a smaller budget of its own
-            pass
-    if p.dp_width_cap is not None:
-        td = heuristic_decomposition(g)
-        if td.width <= p.dp_width_cap:
-            return solve_via_dp(p, g, td)[0]
+        return opt_fast(p, g)[0]
+    td = heuristic_decomposition(g)
+    if td.width <= p.dp_width_cap:
+        return solve_via_dp(p, g, td)[0]
     return opt_brute(p, g)[0]
 
 

@@ -24,7 +24,7 @@ from .dp import (
     VertexCoverMachine,
 )
 from .graphs import BudgetError, Graph
-from .treedec import decide_treewidth, exact_treewidth
+from .treedec import exact_treewidth
 
 BRUTE_BUDGET = 22  # largest graph subset enumeration is run on
 
@@ -37,7 +37,8 @@ class ProblemDefinition:
     `solver` is the exact branch-and-bound oracle on adjacency masks; it
     returns the optimum and a witness as a vertex mask.
     `machine` is the tree-decomposition DP that computes optima and boundary
-    signatures; None means no signatures and no replacement tables.
+    signatures, hence the replacement tables; a problem enters the catalog
+    only with one.
     `dp_width_cap` is the decomposition width up to which the reference
     oracle trusts the DP over subset enumeration, on instances too large
     for `solver`'s rung.
@@ -53,8 +54,8 @@ class ProblemDefinition:
     solver: Callable[[list[int]], tuple[int, int]]
     maximize: bool
     minor_closed: bool
-    machine: Machine | None = None
-    dp_width_cap: int | None = None
+    machine: Machine
+    dp_width_cap: int
 
 
 def phi_vertex_cover(g: Graph, s: frozenset[int]) -> bool:
@@ -73,55 +74,16 @@ def phi_feedback_vertex_set(g: Graph, s: frozenset[int]) -> bool:
     return g.delete_vertices(s)[0].is_acyclic()
 
 
-def phi_cycle_packing(g: Graph, s: frozenset[int]) -> bool:
-    """Is there a family of vertex-disjoint cycles, one through each vertex of
-    S and containing no other S-vertex?
-
-    Feasible S certify packings of |S| disjoint cycles.  The check itself is a
-    small exact search, so it is guarded by the cycle oracle budget.
-    """
-    if not s:
-        return True
-    cycles = solvers.enumerate_cycles(solvers.adjacency_masks(g))
-    usable: dict[int, list[frozenset[int]]] = {v: [] for v in s}
-    for c in cycles:
-        hit = c & s
-        if len(hit) == 1:
-            usable[next(iter(hit))].append(c)
-    order = sorted(s, key=lambda v: len(usable[v]))
-
-    def assign(i: int, used: frozenset[int]) -> bool:
-        if i == len(order):
-            return True
-        for c in usable[order[i]]:
-            if not (c & used):
-                if assign(i + 1, used | c):
-                    return True
-        return False
-
-    return assign(0, frozenset())
-
-
-def _phi_tw_modulator(eta: int) -> Callable[[Graph, frozenset[int]], bool]:
-    def phi(g: Graph, s: frozenset[int]) -> bool:
-        return bool(decide_treewidth(g.delete_vertices(s)[0], eta))
-
-    return phi
-
-
 def _linear(t: int) -> int:
     return t
 
-
-_VERTEX_COVER = VertexCoverMachine()
-_FEEDBACK_VERTEX_SET = FeedbackVertexSetMachine()
 
 CATALOG: dict[str, ProblemDefinition] = {
     p.name: p
     for p in (
         ProblemDefinition(
             "vertex-cover", phi_vertex_cover, _linear, solvers.vertex_cover_opt,
-            maximize=False, minor_closed=True, machine=_VERTEX_COVER, dp_width_cap=10,
+            maximize=False, minor_closed=True, machine=VertexCoverMachine(), dp_width_cap=10,
         ),
         ProblemDefinition(
             "independent-set", phi_independent_set, _linear, solvers.independent_set_opt,
@@ -134,22 +96,7 @@ CATALOG: dict[str, ProblemDefinition] = {
         ProblemDefinition(
             "feedback-vertex-set", phi_feedback_vertex_set, _linear,
             solvers.feedback_vertex_set_opt,
-            maximize=False, minor_closed=True, machine=_FEEDBACK_VERTEX_SET, dp_width_cap=5,
-        ),
-        ProblemDefinition(
-            "cycle-packing", phi_cycle_packing, _linear, solvers.cycle_packing_opt,
-            maximize=True, minor_closed=True,
-        ),
-        # a treewidth-0 (1-) modulator is exactly a vertex cover (feedback
-        # vertex set), so these share that problem's solver and DP
-        ProblemDefinition(
-            "treewidth-0-modulator", _phi_tw_modulator(0), _linear, solvers.vertex_cover_opt,
-            maximize=False, minor_closed=True, machine=_VERTEX_COVER, dp_width_cap=10,
-        ),
-        ProblemDefinition(
-            "treewidth-1-modulator", _phi_tw_modulator(1), _linear,
-            solvers.feedback_vertex_set_opt,
-            maximize=False, minor_closed=True, machine=_FEEDBACK_VERTEX_SET, dp_width_cap=5,
+            maximize=False, minor_closed=True, machine=FeedbackVertexSetMachine(), dp_width_cap=5,
         ),
     )
 }

@@ -125,8 +125,6 @@ def compute_signature(p: ProblemDefinition, bg: BoundariedGraph) -> Signature:
     DP is over its width budget and the gadget has at most
     BRUTE_SIGNATURE_BUDGET vertices.
     """
-    if p.machine is None:
-        raise ValueError(f"no boundary signatures for problem {p.name!r}")
     try:
         raw = _raw_table_dp(p, bg)
     except BudgetError:
@@ -443,8 +441,6 @@ def parse_table(text: str) -> ReplacementTable:
         p = problems_mod.get_problem(problem)
     except ValueError as e:
         raise ParseError(head_no, str(e)) from None
-    if p.machine is None:
-        raise ParseError(head_no, f"problem {problem!r} has no boundary signatures")
     rows: dict[tuple, TableRow] = {}
     while not lines.at_end():
         row_no, toks = lines.take("row", 2)

@@ -12,9 +12,7 @@ DP a second one up to that budget.
 
 from __future__ import annotations
 
-from .graphs import BudgetError, Graph
-
-CYCLE_PACKING_BUDGET = 12
+from .graphs import Graph
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -276,63 +274,3 @@ def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
     rec((1 << n) - 1, 0, 0, 0)
     del rec  # it calls itself through its closure: free that cycle now
     return best[0], best[1]
-
-
-def enumerate_cycles(adj: list[int]) -> list[frozenset[int]]:
-    """All simple cycles as vertex sets (each once: rooted at their minimum)."""
-    cycles = set()
-
-    def extend(root: int, path: list[int], on_path: int) -> None:
-        m = adj[path[-1]]
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            if u == root and len(path) >= 3 and path[1] < path[-1]:
-                cycles.add(frozenset(path))
-            elif u > root and not on_path >> u & 1:
-                path.append(u)
-                extend(root, path, on_path | (1 << u))
-                path.pop()
-
-    for root in range(len(adj)):
-        extend(root, [root], 1 << root)
-    del extend  # it calls itself through its closure: free that cycle now
-    return sorted(cycles, key=lambda c: (len(c), sorted(c)))
-
-
-def cycle_packing_opt(adj: list[int]) -> tuple[int, int]:
-    """Maximum number of vertex-disjoint cycles, with one witness vertex per
-    cycle, as a vertex mask."""
-    n = len(adj)
-    if n > CYCLE_PACKING_BUDGET:
-        raise BudgetError(f"cycle packing oracle limited to {CYCLE_PACKING_BUDGET} vertices")
-    cycles = enumerate_cycles(adj)
-    masks = [sum(1 << v for v in c) for c in cycles]
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(n)}
-    for i, c in enumerate(cycles):
-        for v in c:
-            by_vertex[v].append(i)
-    best = [0, []]
-
-    def rec(available: int, count: int, picked: list[int]) -> None:
-        if count > best[0]:
-            best[0], best[1] = count, list(picked)
-        if not available:
-            return
-        if count + available.bit_count() // 3 <= best[0]:
-            return
-        v = (available & -available).bit_length() - 1
-        for i in by_vertex[v]:
-            if masks[i] & ~available == 0:
-                picked.append(i)
-                rec(available & ~masks[i], count + 1, picked)
-                picked.pop()
-        rec(available & ~(1 << v), count, picked)
-
-    rec((1 << n) - 1, 0, [])
-    del rec  # it calls itself through its closure: free that cycle now
-    witness = 0
-    for i in best[1]:
-        witness |= 1 << min(cycles[i])
-    return best[0], witness

@@ -7,6 +7,7 @@ vertex has width 1, while the width of a one-vertex graph is max bag size - 1
 any change in their status is loud; see the failure reasons on the markers.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -22,6 +23,7 @@ from twkern.modulators import balanced_separation, exact_modulator, recursive_mo
 from twkern.problems import CATALOG, opt_brute, opt_fast
 from twkern.protrusions import build_pd, iter_protrusions, validate_pd
 from twkern.replacement import (
+    ReplacementTable,
     build_replacement_table,
     certificate_contexts,
     kernelize,
@@ -211,6 +213,43 @@ class TestC6KernelSoundness:
             f"{len(rep.rows)} checks, {len(rep.violations)} violations in {elapsed:.0f}s",
         )
         assert elapsed < 1800
+        assert ok
+
+
+class TestC6SoundnessCanFail:
+    """C6's corpus shrinks under no VC or DS replacement, so its rows cannot
+    fail for those problems whatever their tables say.  Beside it, a corpus
+    where every pair replaces something: the table must pass there, and the
+    same table with every row's offset lowered by one, which shifts k' by -1
+    per replacement, must be caught."""
+
+    @pytest.mark.parametrize("problem", ["vertex-cover", "feedback-vertex-set", "dominating-set"])
+    def test_damaged_table_is_caught(self, problem, acceptance, request):
+        table = request.getfixturevalue(
+            {"vertex-cover": "vc_table", "feedback-vertex-set": "fvs_table",
+             "dominating-set": "ds_table"}[problem]
+        )
+        damaged = ReplacementTable(table.problem, table.t, {
+            key: dataclasses.replace(
+                row, signature=dataclasses.replace(row.signature, offset=row.signature.offset - 1)
+            )
+            for key, row in table.rows.items()
+        })
+        corpus = gen_corpus(
+            "grid+pendants", {"count": 6, "t": 3, "tree_size": 6, "pendants": 2}, seed=7
+        )
+        p = CATALOG[problem]
+        t0 = time.perf_counter()
+        sound = verify_kernel_soundness(p, corpus, table, k_window=1)
+        caught = verify_kernel_soundness(p, corpus, damaged, k_window=1)
+        elapsed = time.perf_counter() - t0
+        shrank = sum(r.kernel_n < r.n for r in sound.rows)
+        ok = sound.ok and shrank == len(sound.rows) == 18 and bool(caught.violations)
+        acceptance(
+            "C6 soundness check can fail", problem, ok,
+            f"{shrank} of {len(sound.rows)} kernels shrank; violations {len(sound.violations)} "
+            f"undamaged, {len(caught.violations)} damaged in {elapsed:.1f}s",
+        )
         assert ok
 
 

@@ -27,7 +27,7 @@ from twkern.io import (
     parse_graph,
 )
 from twkern.problems import CATALOG
-from twkern.treedec import heuristic_decomposition
+from twkern.treedec import exact_treewidth, heuristic_decomposition
 
 VC = CATALOG["vertex-cover"]
 
@@ -117,6 +117,16 @@ class TestCorpus:
             gx = nx.Graph(list(g.edges))
             gx.add_nodes_from(range(g.n))
             assert nx.check_planarity(gx)[0]
+
+    def test_random_planar_treewidth_at_most_3(self):
+        # a stacked triangulation is a planar 3-tree, and deleting edges
+        # cannot raise treewidth
+        widths = [
+            exact_treewidth(g)[0]
+            for seed in range(1, 11)
+            for g in gen_corpus("random-planar", {"count": 20, "n_min": 8, "n_max": 20}, seed)
+        ]
+        assert len(widths) == 200 and max(widths) == 3
 
     def test_corpus_fingerprint(self):
         # random-planar corpora of the tests and the benchmark, pinned byte for byte

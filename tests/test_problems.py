@@ -5,6 +5,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import zlib
 
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from twkern.dp import solve_via_dp
 from twkern.graphs import (
     Graph,
-    complete_graph,
     disjoint_union,
     make_gamma,
     make_grid,
@@ -28,20 +28,43 @@ from twkern.problems import (
     opt_fast,
     phi_feedback_vertex_set,
 )
-from twkern.harness import gen_corpus
-from twkern.solvers import adjacency_masks, enumerate_cycles
+from twkern.harness import gen_corpus, reference_oracle
+from twkern.replacement import build_replacement_table, kernelize
+from twkern.solvers import adjacency_masks
 from twkern.treedec import heuristic_decomposition
 
 from conftest import random_graph, sparse_random_graph
 from graph_oracles import contract_edge, delete_edge, delete_vertex
 
-MINOR_CLOSED = [
-    "vertex-cover",
-    "feedback-vertex-set",
-    "cycle-packing",
-    "treewidth-0-modulator",
-    "treewidth-1-modulator",
-]
+MINOR_CLOSED = ["vertex-cover", "feedback-vertex-set"]
+
+
+class TestCatalog:
+    """A problem is in the catalog only if a replacement table serves it:
+    every entry builds a table and kernelizes, and each verb offers exactly
+    the catalog."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_entry_reaches_a_table_and_kernelize(self, name):
+        p = CATALOG[name]
+        table = build_replacement_table(p, 1, 4, certify="off")
+        assert len(table) > 0
+        (g,) = gen_corpus(
+            "grid+pendants", {"count": 1, "t": 3, "tree_size": 6, "pendants": 2}, seed=1
+        )
+        k = reference_oracle(p, g)
+        kern = kernelize(p, g, k, table)
+        assert kern.graph.n < g.n and kern.trace
+        assert reference_oracle(p, kern.graph) == kern.k
+
+    @pytest.mark.parametrize("verb", ["table-build", "kernelize", "verify", "experiment"])
+    def test_problem_choices_are_the_catalog(self, verb, capsys):
+        from twkern import cli
+
+        with pytest.raises(SystemExit):
+            cli.main([verb, "--help"])
+        choices = re.search(r"--problem \{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert choices.split(",") == sorted(CATALOG)
 
 
 class TestOracles:
@@ -55,27 +78,6 @@ class TestOracles:
         assert opt >= 1
         assert p.feasibility(make_gamma(3), witness)
 
-    def test_cycle_packing_on_forest_is_zero(self):
-        p = CATALOG["cycle-packing"]
-        opt, witness = opt_brute(p, path_graph(6))
-        assert opt == 0 and witness == frozenset()
-
-    def test_cycle_packing_two_triangles(self):
-        g = disjoint_union(complete_graph(3), complete_graph(3))
-        assert opt_brute(CATALOG["cycle-packing"], g)[0] == 2
-        assert opt_fast(CATALOG["cycle-packing"], g)[0] == 2
-
-    def test_modulator_problems_match_cover_and_fvs(self):
-        rng = random.Random(9)
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(1, 8))
-            assert opt_brute(CATALOG["treewidth-0-modulator"], g)[0] == opt_brute(
-                CATALOG["vertex-cover"], g
-            )[0]
-            assert opt_brute(CATALOG["treewidth-1-modulator"], g)[0] == opt_brute(
-                CATALOG["feedback-vertex-set"], g
-            )[0]
-
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_fast_solver_matches_brute(self, name):
         p = CATALOG[name]
@@ -87,7 +89,7 @@ class TestOracles:
             vf, wf = opt_fast(p, g)
             assert vb == vf
             assert p.feasibility(g, wf)
-            assert len(wf) == vf or name == "cycle-packing"
+            assert len(wf) == vf
 
     @staticmethod
     def _solver_outputs():
@@ -102,8 +104,6 @@ class TestOracles:
             graphs.append(random_graph(rng, rng.randint(1, 14)))
         for name in sorted(CATALOG):
             for g in graphs:
-                if name == "cycle-packing" and (g.n > 12 or g.m > 2 * g.n):
-                    continue
                 value, witness = opt_fast(CATALOG[name], g)
                 yield name, value, sorted(witness)
 
@@ -113,7 +113,7 @@ class TestOracles:
         for name, value, _ in self._solver_outputs():
             digest.update(repr((name, value)).encode())
         assert digest.hexdigest() == (
-            "b356aec00a206bc185315b0c72d067fd1ea8cf9875dcc536ce7f30827be528a8"
+            "ada57d53d54cabeb447e3a5141b3e9d62a4ed3684022ea16dd5ad9e5e3d779ca"
         )
 
     def test_solver_outputs_are_pinned(self):
@@ -122,7 +122,7 @@ class TestOracles:
         for output in self._solver_outputs():
             digest.update(repr(output).encode())
         assert digest.hexdigest() == (
-            "6d523533537aad9c8c628e739843f6174a3ebc81f293bfe94a6c6087e3f13b25"
+            "ccf3e987511b461e065feb660eef4e83edb9647b70fd5fbf901034a178d19254"
         )
 
     def test_solvers_leave_no_reference_cycles(self):
@@ -131,7 +131,6 @@ class TestOracles:
         rng = random.Random(5)
         graphs = [adjacency_masks(sparse_random_graph(rng, 10)) for _ in range(40)]
         runs = {name: p.solver for name, p in CATALOG.items()}
-        runs["enumerate_cycles"] = enumerate_cycles
         left = {}
         enabled = gc.isenabled()
         gc.collect()
@@ -160,7 +159,7 @@ class TestOracles:
                 value, witness = opt_brute(CATALOG[name], g)
                 digest.update(repr((name, value, sorted(witness))).encode())
         assert digest.hexdigest() == (
-            "409d08ae937eba659bcd4f826147e97debb4d25b93c540c308d566d27b2f54cd"
+            "5fbdc0081b54156eb995b2ae06931624d41665eb43368e527eabe0d043425eab"
         )
 
     def test_witnesses_satisfy_phi_exactly(self):
@@ -251,7 +250,7 @@ class TestSeparability:
     def test_modulator_problem_on_random_planar_parts(self):
         from twkern.harness import gen_corpus
 
-        p = CATALOG["treewidth-0-modulator"]
+        p = CATALOG["vertex-cover"]
         rng = random.Random(11)
         corpus = gen_corpus("random-planar", {"count": 20, "n_min": 6, "n_max": 14}, seed=11)
         checked = 0
@@ -291,7 +290,7 @@ class TestBidimensionality:
 
     def test_modulator_grid_bound_eta1(self):
         # disjoint 2x2 subgrids each force a deletion: OPT >= floor(t/2)^2
-        p = CATALOG["treewidth-1-modulator"]
+        p = CATALOG["feedback-vertex-set"]
         for t in range(2, 5):
             opt = opt_fast(p, make_grid(t))[0]
             assert opt >= (t // 2) ** 2
@@ -326,10 +325,10 @@ class TestParameterTreewidth:
         assert tw <= 2 * math.sqrt(opt)
 
 
-@pytest.mark.parametrize("name", ["feedback-vertex-set", "treewidth-1-modulator"])
+@pytest.mark.parametrize("name", ["feedback-vertex-set"])
 class TestFeedbackVertexSetSolver:
-    """The mask solver that feedback vertex set and the treewidth-1 modulator
-    share, on seeded random planar and sparse graphs."""
+    """The feedback vertex set mask solver on seeded random planar and sparse
+    graphs."""
 
     @staticmethod
     def _graphs(n_min, n_max, seed):
@@ -355,12 +354,3 @@ class TestFeedbackVertexSetSolver:
             assert value == solve_via_dp(p, g, heuristic_decomposition(g))[0], sorted(g.edges)
             self._check_witness(g, value, witness)
 
-
-class TestCycleEnumeration:
-    def test_triangle_and_square(self):
-        assert len(enumerate_cycles(adjacency_masks(complete_graph(3)))) == 1
-        assert len(enumerate_cycles(adjacency_masks(make_grid(2)))) == 1
-
-    def test_k4_cycle_vertex_sets(self):
-        # cycles collapse to vertex sets: 4 triangles plus the full 4-set
-        assert len(enumerate_cycles(adjacency_masks(complete_graph(4)))) == 5

@@ -105,10 +105,6 @@ class TestSignatures:
             dp, brute = _raw_table_dp(p, bg), _raw_table_brute(p, bg)
             assert _normalize(p, dp, b) == _normalize(p, brute, b)
 
-    def test_unsupported_problem_rejected(self):
-        with pytest.raises(ValueError):
-            compute_signature(CATALOG["cycle-packing"], pendant(1))
-
     def test_oversized_gadget_rejected(self):
         from twkern.graphs import BudgetError, complete_graph
 
@@ -276,15 +272,21 @@ class TestCertificateProbes:
 
 
 class TestRowGroups:
-    def test_rows_group_by_optimum_vectors(self):
-        # rows whose optima on every exhaustive context of at most 7 vertices
-        # differ by one constant behave alike there: the signature splits
-        # them, so a table holds more rows, and larger ones, than needed
-        plans = {b: [glue_plan(ctx) for ctx in certificate_contexts(b, 7)] for b in range(2)}
+    """Rows whose optima on every exhaustive context up to a size differ by
+    one constant behave alike there: the signature splits them, so a table
+    holds more rows, and larger ones, than needed."""
+
+    @staticmethod
+    def _groups(t, size_bound, context_size):
+        """(rows, groups of rows by optimum vector) of the `off` tables."""
+        plans = {
+            b: [glue_plan(ctx) for ctx in certificate_contexts(b, context_size)]
+            for b in range(t + 1)
+        }
         groups = {}
         for name in ("vertex-cover", "dominating-set", "feedback-vertex-set"):
             p = CATALOG[name]
-            table = build_replacement_table(p, 1, 6, certify="off")
+            table = build_replacement_table(p, t, size_bound, certify="off")
             vectors = set()
             for (b, _), row in table.rows.items():
                 rep = row.representative
@@ -292,10 +294,21 @@ class TestRowGroups:
                 opts = [p.solver(glue_masks(adj, bits, plan))[0] for plan in plans[b]]
                 vectors.add((b, tuple(opt - opts[0] for opt in opts)))
             groups[name] = (len(table), len(vectors))
-        assert groups == {
+        return groups
+
+    def test_rows_group_by_optimum_vectors(self):
+        assert self._groups(1, 6, 7) == {
             "vertex-cover": (6, 3),
             "dominating-set": (13, 4),
             "feedback-vertex-set": (2, 2),
+        }
+
+    def test_rows_group_by_optimum_vectors_at_t2(self):
+        # 143, 481 and 1,739 contexts of at most 6 vertices for b = 0, 1, 2
+        assert self._groups(2, 5, 6) == {
+            "vertex-cover": (41, 9),
+            "dominating-set": (123, 28),
+            "feedback-vertex-set": (25, 12),
         }
 
 

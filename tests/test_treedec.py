@@ -257,17 +257,6 @@ class TestSolveViaDp:
             assert p.feasibility(g, witness)
             assert len(witness) == value
 
-    def test_modulator_aliases_supported(self):
-        g = make_grid(3)
-        td = heuristic_decomposition(g)
-        assert solve_via_dp(CATALOG["treewidth-0-modulator"], g, td)[0] == 4
-        assert solve_via_dp(CATALOG["treewidth-1-modulator"], g, td)[0] == 2
-
-    def test_unsupported_problem_raises(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            solve_via_dp(CATALOG["cycle-packing"], g, heuristic_decomposition(g))
-
     def test_width_budget_enforced(self):
         g = complete_graph(DP_WIDTH_BUDGET + 3)
         td = TreeDecomposition([set(g.vertices)])
