@@ -9,10 +9,11 @@ gadget universe used by the replacement tables.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .graphs import BoundariedGraph, Graph
 from .solvers import adjacency_masks
+from .treedec import decide_treewidth
 
 
 def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
@@ -192,93 +193,67 @@ def _orbit_least_subsets(n: int, gens: list[list[int]]) -> Iterator[int]:
                     stack.append(m2)
 
 
-def connected_graphs_where(
-    max_n: int, keep: Callable[[Graph], bool] | None = None
-) -> dict[int, list[Graph]]:
-    """All connected graphs with 1..max_n vertices satisfying `keep`, one per
-    isomorphism class.
+@lru_cache(maxsize=64)
+def connected_graphs(
+    max_n: int, width: int | None = None
+) -> dict[int, list[tuple[Graph, list[list[int]]]]]:
+    """All connected graphs with 1..max_n vertices, of treewidth at most
+    `width` when it is given, one per isomorphism class in canonical order,
+    each with generators of its automorphism group (`_canon_search`).
 
     Built by vertex augmentation: every connected graph on n+1 vertices arises
     from a connected graph on n vertices (delete a non-cut vertex, which always
-    exists) by attaching a new vertex to a nonempty neighborhood.  `keep` must
-    be invariant under isomorphism and closed under vertex deletion (e.g. a
-    treewidth bound), which makes filtering at every level complete.
-    Neighborhoods in one orbit of Aut(parent) give isomorphic graphs, so each
-    parent is extended only by the least neighborhood of every orbit (canonical
-    augmentation, McKay 1998).  Within a parent the first neighborhood to give
-    a class is the least of its orbit, so the graph kept per class is the one
-    that extending by every neighborhood keeps.
+    exists) by attaching a new vertex to a nonempty neighborhood.  A treewidth
+    bound is closed under vertex deletion, so filtering every level is
+    complete.  Neighborhoods in one orbit of Aut(parent) give isomorphic
+    graphs, so each parent is extended only by the least neighborhood of every
+    orbit (canonical augmentation, McKay 1998).  Within a parent the first
+    neighborhood to give a class is the least of its orbit, so the graph kept
+    per class is the one that extending by every neighborhood keeps.  Each
+    level extends the cached one below it, so the levels are shared.
     """
     if max_n < 1:
         return {}
-    base = [Graph(1)]
-    if keep is not None:
-        base = [g for g in base if keep(g)]
-    out: dict[int, list[Graph]] = {1: base}
-    level = [(g, []) for g in base]
-    for n in range(1, max_n):
-        last = n + 1 == max_n
-        seen: dict[tuple, tuple[Graph, list[list[int]] | None]] = {}
-        for g, gens in level:
-            masks = adjacency_masks(g)
-            base_edges = list(g.edges)
-            for nb in _orbit_least_subsets(n, gens):
-                edges = base_edges + [(v, n) for v in range(n) if nb >> v & 1]
-                h = None
-                if keep is not None:
-                    h = Graph(n + 1, edges)
-                    if not keep(h):
-                        continue
-                h_masks = [m | (nb >> v & 1) << n for v, m in enumerate(masks)] + [nb]
-                key, h_gens = _seated_search(n + 1, h_masks, ())
-                if key not in seen:
-                    if h is None:
-                        h = Graph(n + 1, edges)
-                    # the last level is never extended: drop its automorphisms
-                    seen[key] = (h, None if last else h_gens)
-        level = [seen[k] for k in sorted(seen)]
-        out[n + 1] = [h for h, _ in level]
+    if max_n == 1:
+        g = Graph(1)
+        return {1: [(g, [])] if width is None or decide_treewidth(g, width) else []}
+    out = dict(connected_graphs(max_n - 1, width))
+    n = max_n - 1
+    seen: dict[tuple, tuple[Graph, list[list[int]]]] = {}
+    for g, gens in out[n]:
+        masks = adjacency_masks(g)
+        base_edges = list(g.edges)
+        for nb in _orbit_least_subsets(n, gens):
+            edges = base_edges + [(v, n) for v in range(n) if nb >> v & 1]
+            h = None
+            if width is not None:
+                h = Graph(max_n, edges)
+                if not decide_treewidth(h, width):
+                    continue
+            h_masks = [m | (nb >> v & 1) << n for v, m in enumerate(masks)] + [nb]
+            key, h_gens = _seated_search(max_n, h_masks, ())
+            if key not in seen:
+                seen[key] = (Graph(max_n, edges) if h is None else h, h_gens)
+    out[max_n] = [seen[k] for k in sorted(seen)]
     return out
 
 
-@lru_cache(maxsize=8)
-def connected_graphs(max_n: int) -> dict[int, list[Graph]]:
-    """All connected graphs with 1..max_n vertices, one per isomorphism class."""
-    return connected_graphs_where(max_n)
-
-
-def boundaried_universe(
-    max_n: int,
-    b: int,
-    graphs: Iterable[Graph] | None = None,
-) -> list[BoundariedGraph]:
-    """Connected boundaried graphs with labels exactly 1..b, up to b vertices
-    designated in every non-equivalent way, ordered by size then canonically.
+def boundaried_universe(max_n: int, b: int, width: int | None = None) -> list[BoundariedGraph]:
+    """The graphs of `connected_graphs(max_n, width)` with labels exactly
+    1..b designated in every non-equivalent way, ordered by size then
+    canonically.
 
     Label i+1 goes on the smallest vertex of each orbit of the automorphisms
     fixing labels 1..i: each placement is the least of its orbit, in order.
-    `graphs` replaces the pool of every connected graph up to max_n vertices.
     """
-    if graphs is None:
-        pool: list[Graph] = []
-        for n in range(1, max_n + 1):
-            pool.extend(connected_graphs(max_n)[n])
-    else:
-        pool = [g for g in graphs if g.n <= max_n]
+    levels = connected_graphs(max_n, width)
+    pool = [c for n in range(max(b, 1), max_n + 1) for c in levels[n]]
     out: list[BoundariedGraph] = []
-    seen = set()
-    for g in sorted(pool, key=lambda g: (g.n, g.m)):
-        if g.n < b:
-            continue
+    for g, gens in sorted(pool, key=lambda c: (c[0].n, c[0].m)):
         if b == 0:
             out.append(BoundariedGraph(g, {}))
             continue
-        masks = adjacency_masks(g)
-        key, gens = _seated_search(g.n, masks, ())
-        if key in seen:  # isomorphic to an earlier graph of the pool
-            continue
-        seen.add(key)
-        for seats in _placements(g.n, masks, b, (), gens):
+        for seats in _placements(g.n, adjacency_masks(g), b, (), gens):
             out.append(BoundariedGraph(g, {v: i + 1 for i, v in enumerate(seats)}))
     return out
 

@@ -88,7 +88,7 @@ def _grid_with_pendants(
         g = make_grid(t)
         edges = set(g.edges)
         n = g.n
-        for anchor in rng.sample(range(g.n), min(pendants, g.n)):
+        for anchor in rng.sample(range(g.n), pendants):
             edges.add((anchor, n))
             edges.update((n + rng.randrange(i), n + i) for i in range(1, tree_size))
             n += tree_size
@@ -168,8 +168,9 @@ def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
     """Deterministic instance corpus of a family in FAMILIES.  `params` sets
     some of the family's parameters; the others keep their defaults.  An
     unknown family, or a parameter the family does not read, is a ValueError;
-    a parameter below its LEAST_VALUES entry, or `n_min` above `n_max`, is a
-    CorpusParameterError naming the parameter.
+    a parameter below its LEAST_VALUES entry, `n_min` above `n_max`, or more
+    `pendants` than the t×t grid has vertices, is a CorpusParameterError
+    naming the parameters.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown corpus family {family!r}")
@@ -184,6 +185,12 @@ def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
     if "n_min" in values and values["n_min"] > values["n_max"]:
         raise CorpusParameterError(
             f"{{}} ({values['n_min']}) exceeds {{}} ({values['n_max']})", "n_min", "n_max"
+        )
+    if "pendants" in values and values["pendants"] > values["t"] ** 2:
+        raise CorpusParameterError(
+            f"{{}} ({values['pendants']}) exceeds {{}} squared ({values['t'] ** 2})",
+            "pendants",
+            "t",
         )
     return FAMILIES[family](random.Random(seed), **params)
 

@@ -178,23 +178,6 @@ class ReplacementTable:
         return self.rows.get(sig.key)
 
 
-@lru_cache(maxsize=32)
-def _gadget_pool(size_bound: int, t: int) -> tuple[Graph, ...]:
-    """Connected graphs of treewidth <= t up to size_bound vertices.
-
-    Treewidth bounds are closed under vertex deletion, so the level-filtered
-    augmentation enumerates the whole pool.
-    """
-    from .enumeration import connected_graphs_where
-
-    keep = lambda g: bool(decide_treewidth(g, t))
-    pools = connected_graphs_where(size_bound, keep)
-    out: list[Graph] = []
-    for n in sorted(pools):
-        out.extend(pools[n])
-    return tuple(out)
-
-
 @lru_cache(maxsize=16)
 def certificate_contexts(b: int, max_n: int) -> tuple[BoundariedGraph, ...]:
     """Every connected boundaried context with labels 1..b up to max_n vertices."""
@@ -286,7 +269,7 @@ def build_replacement_table(
     rows: dict[tuple, TableRow] = {}
     rep_caches: dict[tuple, dict] = {}
     for b in range(t + 1):
-        members = boundaried_universe(size_bound, b, graphs=_gadget_pool(size_bound, t))
+        members = boundaried_universe(size_bound, b, t)
         contexts = certificate_contexts(b, max_n) if max_n else ()
         draws = (_random_context(rng, b, 8) for _ in range(n_random))
         plans = [glue_plan(ctx) for ctx in contexts]
@@ -428,8 +411,10 @@ def parse_table(text: str) -> ReplacementTable:
     format (`io.read_graph`) and `endrow`.  Every row's signature and offset
     are recomputed from its representative.  A malformed or truncated file, a
     header t outside 0..MAX_TABLE_T, a row that disagrees with its
-    representative, labels other than 1..b, b > t, or a header whose row count
-    or max_rep_size disagrees with the rows raise ParseError naming the line.
+    representative, labels other than 1..b, b > t, a representative that is
+    disconnected or not certified of treewidth at most t (a built table holds
+    neither), or a header whose row count or max_rep_size disagrees with the
+    rows raise ParseError naming the line.
     """
     lines = LineReader(text)
     head_no, toks = lines.take("table", 4)
@@ -453,6 +438,10 @@ def parse_table(text: str) -> ReplacementTable:
         lines.take("endrow", 0)
         if sorted(lab for _, lab in rep.label_of) != list(range(1, b + 1)):
             raise ParseError(row_no, f"row labels must be 1..{b}")
+        if not rep.graph.is_connected():
+            raise ParseError(row_no, "representative is disconnected")
+        if not decide_treewidth(rep.graph, t):
+            raise ParseError(row_no, f"representative's treewidth is not certified at most t={t}")
         try:
             sig = compute_signature(p, rep)
         except BudgetError as e:

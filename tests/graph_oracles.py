@@ -11,7 +11,7 @@ against; nothing in the package uses them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from twkern.enumeration import _seated_search, connected_graphs
 from twkern.graphs import (
@@ -24,6 +24,7 @@ from twkern.graphs import (
     make_grid,
 )
 from twkern.solvers import adjacency_masks
+from twkern.treedec import decide_treewidth
 
 
 def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
@@ -93,23 +94,22 @@ def canonical_form(g: Graph, max_vertices: int = 8) -> Graph:
 
 
 def connected_graphs_by_extensions(
-    max_n: int, keep: Callable[[Graph], bool] | None = None
+    max_n: int, width: int | None = None
 ) -> dict[int, list[Graph]]:
-    """`connected_graphs_where` by extending every graph of a level by every
-    nonempty neighborhood of a new vertex and canonicalizing each extension."""
+    """The graphs of `connected_graphs(max_n, width)` by extending every graph
+    of a level by every nonempty neighborhood of a new vertex and
+    canonicalizing each extension."""
     if max_n < 1:
         return {}
-    base = [Graph(1)]
-    if keep is not None:
-        base = [g for g in base if keep(g)]
-    out: dict[int, list[Graph]] = {1: base}
+    keep = lambda g: width is None or bool(decide_treewidth(g, width))
+    out: dict[int, list[Graph]] = {1: [g for g in [Graph(1)] if keep(g)]}
     for n in range(1, max_n):
         seen: dict[tuple, Graph] = {}
         for g in out[n]:
             base_edges = list(g.edges)
             for nb in range(1, 1 << n):
                 h = Graph(n + 1, base_edges + [(v, n) for v in range(n) if nb >> v & 1])
-                if keep is not None and not keep(h):
+                if not keep(h):
                     continue
                 key = canonical_key(h)
                 if key not in seen:
@@ -131,7 +131,7 @@ def all_graphs(max_n: int) -> Iterator[Graph]:
         for size in range(min_size, budget + 1):
             start = min_index if size == min_size else 0
             for i in range(start, len(conn[size])):
-                piece = conn[size][i]
+                piece = conn[size][i][0]
                 yield piece
                 for rest in unions(budget - size, size, i):
                     yield disjoint_union(piece, rest)

@@ -55,7 +55,7 @@ def planar_corpus_200():
 class TestC1GridTreewidth:
     @pytest.mark.parametrize(
         "t",
-        [pytest.param(1, marks=_DEGENERATE_GRID), 2, 3, 4, 5],
+        [pytest.param(1, marks=_DEGENERATE_GRID), 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)],
     )
     def test_exact_treewidth_of_grids(self, t, acceptance):
         t0 = time.perf_counter()

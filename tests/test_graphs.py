@@ -315,7 +315,7 @@ class TestCanonicalForms:
 
         digest = hashlib.sha256()
         for graphs in connected_graphs(7).values():
-            for g in graphs:
+            for g, _ in graphs:
                 digest.update(repr((g.n, sorted(g.edges))).encode())
         got = [digest.hexdigest()]
         for max_n, b in ((7, 1), (6, 2)):
@@ -349,31 +349,44 @@ class TestCanonicalForms:
 
     def test_orbit_placements_match_every_ordered_placement(self):
         from twkern.enumeration import boundaried_universe, connected_graphs
-        from twkern.replacement import _gadget_pool
 
-        for max_n, b in ((7, 1), (6, 2), (5, 3)):
-            pool = [g for n in range(1, max_n + 1) for g in connected_graphs(max_n)[n]]
-            assert boundaried_universe(max_n, b) == boundaried_universe_by_placements(pool, b)
-        for size, t in ((6, 1), (5, 2)):
-            pool = _gadget_pool(size, t)
-            for b in range(t + 1):
-                got = boundaried_universe(size, b, graphs=pool)
-                assert got == boundaried_universe_by_placements(pool, b)
+        # the whole pool, and the treewidth pools of the (6, 1) and (5, 2) tables
+        for max_n, b, width in ((7, 1, None), (6, 2, None), (5, 3, None)) + tuple(
+            (size, b, t) for size, t in ((6, 1), (5, 2)) for b in range(t + 1)
+        ):
+            levels = connected_graphs(max_n, width)
+            pool = [g for n in range(1, max_n + 1) for g, _ in levels[n]]
+            got = boundaried_universe(max_n, b, width)
+            assert got == boundaried_universe_by_placements(pool, b)
 
     def test_orbit_pruned_generation_matches_every_extension(self):
-        from twkern.enumeration import connected_graphs_where
-        from twkern.treedec import decide_treewidth
+        from twkern.enumeration import connected_graphs
 
-        # no filter, and the treewidth filters of _gadget_pool(6, 1) and (5, 2)
-        runs = [(7, None)] + [
-            (size, lambda g, t=t: bool(decide_treewidth(g, t))) for size, t in ((6, 1), (5, 2))
-        ]
-        for max_n, keep in runs:
-            got = connected_graphs_where(max_n, keep)
-            want = connected_graphs_by_extensions(max_n, keep)
+        # no filter, and the treewidth filters of the (6, 1) and (5, 2) tables
+        for max_n, width in ((7, None), (6, 1), (5, 2)):
+            got = connected_graphs(max_n, width)
+            want = connected_graphs_by_extensions(max_n, width)
             assert list(got) == list(want)
             for n, graphs in want.items():
-                assert [(h.n, h.edges) for h in got[n]] == [(h.n, h.edges) for h in graphs]
+                assert [(h.n, h.edges) for h, _ in got[n]] == [(h.n, h.edges) for h in graphs]
+
+    def test_carried_generators_give_the_automorphism_orbits(self):
+        # every class carries generators of its whole automorphism group, the
+        # last level's too: their vertex orbits are those of a fresh search
+        from twkern.enumeration import _join_orbits, _seated_search, connected_graphs
+        from twkern.solvers import adjacency_masks
+
+        def orbits(n: int, gens: list[list[int]]) -> list[int]:
+            orbit = list(range(n))
+            for aut in gens:
+                _join_orbits(orbit, aut)
+            return orbit
+
+        for max_n, width in ((7, None), (6, 1)):
+            for graphs in connected_graphs(max_n, width).values():
+                for g, gens in graphs:
+                    fresh = _seated_search(g.n, adjacency_masks(g), ())[1]
+                    assert orbits(g.n, gens) == orbits(g.n, fresh), g.edges
 
 
 class TestGridMinorOracle:

@@ -204,6 +204,14 @@ assert "networkx" not in sys.modules
             gen_corpus("random-planar", {"n_min": 10, "n_max": 5}, 0)
         with pytest.raises(ValueError, match=re.escape("n_min (8) exceeds n_max (7)")):
             gen_corpus("random-planar", {"n_max": 7}, 0)
+        # one pendant tree per requested pendant, each on its own grid vertex
+        for params, message in (
+            ({"t": 2, "pendants": 5}, "pendants (5) exceeds t squared (4)"),
+            ({"t": 1}, "pendants (3) exceeds t squared (1)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                gen_corpus("grid+pendants", params, 0)
+        assert len(gen_corpus("grid+pendants", {"count": 1, "t": 2, "pendants": 4}, 0)) == 1
         assert len(gen_corpus("random-planar", {"count": 1, "n_min": 6, "n_max": 6}, 0)) == 1
 
 
@@ -633,6 +641,10 @@ class TestCli:
             ("experiment", ("--family", "grid+pendants", "--pendants", "-1"),
              "--pendants must be at least 0 (got -1)"),
             ("verify", ("--family", "grid", "--grid-t", "0"), "--grid-t must be at least 1 (got 0)"),
+            ("verify", ("--family", "grid+pendants", "--grid-t", "2", "--pendants", "5"),
+             "--pendants (5) exceeds --grid-t squared (4)"),
+            ("experiment", ("--family", "grid+pendants", "--grid-t", "1"),
+             "--pendants (3) exceeds --grid-t squared (1)"),
         ):
             proc = self._run(
                 verb, "--problem", "vertex-cover", "--table", str(tpath), *extra,

@@ -27,7 +27,6 @@ from twkern.replacement import (
     KernelInstance,
     ReplacementTable,
     TableConstructionError,
-    _gadget_pool,
     _normalize,
     _random_context,
     _raw_table_brute,
@@ -228,7 +227,7 @@ class TestCertificateProbes:
             draws = [_random_context(rng, b, 8) for _ in range(n_random)]
             kept = sum(1 for ctx in draws if ctx.graph.n > max_n)
             classes: dict[tuple, int] = {}
-            for member in boundaried_universe(6, b, graphs=_gadget_pool(6, 1)):
+            for member in boundaried_universe(6, b, 1):
                 key = compute_signature(VC, member).key
                 classes[key] = classes.get(key, 0) + 1
             others = sum(size - 1 for size in classes.values())
@@ -402,6 +401,23 @@ class TestTableConstruction:
         for variant in bad:
             with pytest.raises(ParseError):
                 parse_table(variant)
+
+    def test_parse_rejects_a_representative_no_gadget_has(self):
+        # one row with its true signature and offset, over a representative of
+        # treewidth 3 (K4), or one that is disconnected (an edge beside a
+        # triangle): gluing either would put a non-gadget into a kernel
+        from twkern.graphs import complete_graph, disjoint_union
+        from twkern.io import ParseError
+
+        for graph, message in (
+            (complete_graph(4), "treewidth is not certified at most t=1"),
+            (disjoint_union(path_graph(2), complete_graph(3)), "representative is disconnected"),
+        ):
+            rep = BoundariedGraph(graph, {0: 1})
+            sig = compute_signature(VC, rep)
+            rows = {sig.key: replacement_mod.TableRow(sig, rep)}
+            with pytest.raises(ParseError, match=f"line 2: .*{message}"):
+                parse_table(format_table(ReplacementTable("vertex-cover", 1, rows)))
 
     def test_parse_rejects_header_t_above_build_limit(self, vc_table):
         from twkern.io import ParseError
