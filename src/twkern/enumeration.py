@@ -193,7 +193,6 @@ def _orbit_least_subsets(n: int, gens: list[list[int]]) -> Iterator[int]:
                     stack.append(m2)
 
 
-@lru_cache(maxsize=64)
 def connected_graphs(
     max_n: int, width: int | None = None
 ) -> dict[int, list[tuple[Graph, list[list[int]]]]]:
@@ -212,12 +211,19 @@ def connected_graphs(
     per class is the one that extending by every neighborhood keeps.  Each
     level extends the cached one below it, so the levels are shared.
     """
+    return _levels(max_n, width)
+
+
+@lru_cache(maxsize=64)
+def _levels(max_n: int, width: int | None) -> dict[int, list[tuple[Graph, list[list[int]]]]]:
+    """`connected_graphs`, cached by positional arguments only, so that each
+    level is one cache entry whatever the call form."""
     if max_n < 1:
         return {}
     if max_n == 1:
         g = Graph(1)
         return {1: [(g, [])] if width is None or decide_treewidth(g, width) else []}
-    out = dict(connected_graphs(max_n - 1, width))
+    out = dict(_levels(max_n - 1, width))
     n = max_n - 1
     seen: dict[tuple, tuple[Graph, list[list[int]]]] = {}
     for g, gens in out[n]:

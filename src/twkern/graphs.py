@@ -323,57 +323,55 @@ def glue(
     return Graph(nxt, edges), heir1, heir2
 
 
-def glue_plan(g2: BoundariedGraph) -> tuple[tuple, tuple]:
-    """The second operand of a glue, labeled 1..b, as (unlabeled, labeled).
+def _ordered_masks(g: Graph, order: list[int]) -> tuple[int, ...]:
+    """g's adjacency masks in `order`, vertex order[i] as bit i."""
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    nbs = dict.fromkeys(order, 0)
+    for u, v in g.edges:
+        nbs[u] |= bit[v]
+        nbs[v] |= bit[u]
+    return tuple(nbs[v] for v in order)
 
-    Each vertex is a pair of masks, its unlabeled neighbours and its labeled
-    neighbours: bit i of the first is g2's i-th unlabeled vertex in order,
-    bit l - 1 of the second is label l.  `unlabeled` lists the unlabeled
-    vertices in order, `labeled` the vertices of labels 1..b."""
+
+def glue_plan(g2: BoundariedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The second operand of a glue, labeled 1..b, as (unlabeled, labeled)
+    adjacency masks numbered context first: g2's unlabeled vertices in order,
+    then the vertices of labels 1..b.  Every gadget glued onto it keeps these
+    bits (`glue_gadget`), so the context part of each glued graph is the
+    same."""
     labels = g2.labels
     by_label = sorted(labels, key=labels.__getitem__)
     if [labels[v] for v in by_label] != list(range(1, len(labels) + 1)):
         raise ValueError(f"context labels must be 1..b, got {sorted(labels.values())}")
-    unlabeled = [v for v in range(g2.graph.n) if v not in labels]
-    # each vertex's bit, in the unlabeled (0) or the label (1) mask
-    bit = {v: (0, 1 << i) for i, v in enumerate(unlabeled)}
-    bit.update((v, (1, 1 << i)) for i, v in enumerate(by_label))
-    nbs = [[0, 0] for _ in range(g2.graph.n)]
-    for u, v in g2.graph.edges:
-        side, mask = bit[v]
-        nbs[u][side] |= mask
-        side, mask = bit[u]
-        nbs[v][side] |= mask
-    return tuple(tuple(nbs[v]) for v in unlabeled), tuple(tuple(nbs[v]) for v in by_label)
+    unlabeled = [v for v in g2.graph.vertices if v not in labels]
+    masks = _ordered_masks(g2.graph, unlabeled + by_label)
+    return masks[: len(unlabeled)], masks[len(unlabeled) :]
 
 
-def label_bits(g1: BoundariedGraph, b: int) -> list[int]:
-    """The vertex mask of g1's vertices that carry the labels in each label
-    mask over 1..b, indexed by that mask, as `glue_masks` reads it.  Raises
-    ValueError when g1 lacks one of the labels: `glue_masks` numbers the
-    context's vertices as if each label were shared."""
+def gadget_plan(g1: BoundariedGraph, b: int) -> tuple[int, ...]:
+    """g1's adjacency masks with the vertices of labels 1..b first, then its
+    other vertices in order, as `glue_gadget` reads them.  Raises ValueError
+    when g1 lacks one of the labels: the glue numbers the context's labeled
+    vertices as if each label were shared."""
     vertex_of = {lab: v for v, lab in g1.label_of}
-    out = [0]
     for lab in range(1, b + 1):
         if lab not in vertex_of:
             raise ValueError(f"no vertex carries context label {lab}")
-        bit = 1 << vertex_of[lab]
-        out += [m | bit for m in out]
-    return out
+    shared = [vertex_of[lab] for lab in range(1, b + 1)]
+    rest = [v for v in g1.graph.vertices if v not in shared]
+    return _ordered_masks(g1.graph, shared + rest)
 
 
-def glue_masks(adj1: list[int], bits1: list[int], plan2) -> list[int]:
-    """Adjacency masks of `glue(g1, g2)[0]` from g1's masks, its `label_bits`
-    and `glue_plan(g2)`, with the numbering of `glue`: g1's vertices first,
-    then g2's unlabeled vertices in order.  No Graph is built."""
-    unlabeled, labeled = plan2
-    base = len(adj1)
-    out = list(adj1)
-    for i, (nb, labs) in enumerate(labeled):
-        v = bits1[1 << i].bit_length() - 1
-        out[v] |= nb << base | bits1[labs]
-    for nb, labs in unlabeled:
-        out.append(nb << base | bits1[labs])
+def glue_gadget(gadget: tuple[int, ...], plan: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Adjacency masks of `glue(g1, g2)[0]` from `gadget_plan(g1, b)` and
+    `glue_plan(g2)`, renumbered context first: g2's unlabeled vertices, the
+    shared labels 1..b, then g1's other vertices.  No Graph is built."""
+    unlabeled, labeled = plan
+    u = len(unlabeled)
+    out = list(unlabeled)
+    out += [m << u for m in gadget]
+    for v, nb in enumerate(labeled, u):
+        out[v] |= nb
     return out
 
 

@@ -36,6 +36,9 @@ class ProblemDefinition:
     This is the one record per problem: a new problem is one CATALOG entry.
     `solver` is the exact branch-and-bound oracle on adjacency masks; it
     returns the optimum and a witness as a vertex mask.
+    `probe` answers the optimum of each gadget glued onto a certificate
+    context, with a memo that the context shares between gadgets (see
+    `solvers`); `solvers.solver_probe(solver)` solves each one afresh.
     `machine` is the tree-decomposition DP that computes optima and boundary
     signatures, hence the replacement tables; a problem enters the catalog
     only with one.
@@ -52,6 +55,7 @@ class ProblemDefinition:
     feasibility: Callable[[Graph, frozenset[int]], bool]
     separability_f: Callable[[int], int]
     solver: Callable[[list[int]], tuple[int, int]]
+    probe: Callable[[list[int], int, int, dict], int]
     maximize: bool
     minor_closed: bool
     machine: Machine
@@ -83,19 +87,23 @@ CATALOG: dict[str, ProblemDefinition] = {
     for p in (
         ProblemDefinition(
             "vertex-cover", phi_vertex_cover, _linear, solvers.vertex_cover_opt,
+            solvers.vertex_cover_probe,
             maximize=False, minor_closed=True, machine=VertexCoverMachine(), dp_width_cap=10,
         ),
         ProblemDefinition(
             "independent-set", phi_independent_set, _linear, solvers.independent_set_opt,
+            solvers.solver_probe(solvers.independent_set_opt),
             maximize=True, minor_closed=False, machine=IndependentSetMachine(), dp_width_cap=10,
         ),
         ProblemDefinition(
             "dominating-set", phi_dominating_set, lambda t: 2 * t, solvers.dominating_set_opt,
+            solvers.dominating_set_probe,
             maximize=False, minor_closed=False, machine=DominatingSetMachine(), dp_width_cap=7,
         ),
         ProblemDefinition(
             "feedback-vertex-set", phi_feedback_vertex_set, _linear,
             solvers.feedback_vertex_set_opt,
+            solvers.solver_probe(solvers.feedback_vertex_set_opt),
             maximize=False, minor_closed=True, machine=FeedbackVertexSetMachine(), dp_width_cap=5,
         ),
     )

@@ -5,8 +5,10 @@ boundary state.  Equal signatures witness gadget equivalence up to an integer
 transposition constant (the difference of the normalization offsets): gluing
 any context onto two gadgets with equal signatures yields optima differing by
 exactly that constant.  Signature equality may split true equivalence classes
-but never merges distinct ones; soundness is certified mechanically by probing
-glued contexts against the exact oracles during table construction.
+but never merges distinct ones; soundness is certified mechanically during
+table construction: `certify_pair` glues each member and its representative
+onto every context and solves both exactly with the problem's probe
+(`solvers`), which shares one memo per context across the build.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations
 from . import problems as problems_mod
 from .dp import run_dp
 from .enumeration import boundaried_universe
-from .graphs import BoundariedGraph, BudgetError, Graph, glue, glue_masks, glue_plan, label_bits
+from .graphs import BoundariedGraph, BudgetError, Graph, gadget_plan, glue, glue_gadget, glue_plan
 from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
 from .problems import ProblemDefinition
 from .protrusions import iter_protrusions, validate_protrusion
@@ -208,27 +210,30 @@ def certify_pair(
     c: int,
     plans: list,
     rep_cache: dict,
+    memos: list[dict],
 ) -> None:
     """Probe: OPT(rep ⊕ F) must equal OPT(member ⊕ F) + c for every context F,
-    given as its `glue_plan`, solving on masks.  `rep_cache` holds rep's optima
-    by plan index across the calls that share rep and plans.  Raises
-    ValueError when member or rep lacks a context label, and
-    TableConstructionError on the first violating context."""
+    given as its `glue_plan`, each solved exactly by `p.probe` on the glued
+    masks.  `rep_cache` holds rep's optima by plan index across the calls
+    that share rep and plans; `memos` holds one probe memo per plan across
+    the calls that share plans.  Raises ValueError when member or rep lacks a
+    context label, and TableConstructionError on the first violating
+    context."""
     b = max((len(plan[1]) for plan in plans), default=0)
-    rep_adj = adjacency_masks(rep.graph)
-    rep_bits = label_bits(rep, b)
-    mem_adj = adjacency_masks(member.graph)
-    mem_bits = label_bits(member, b)
-    solver = p.solver
+    rep_side = gadget_plan(rep, b)
+    mem_side = gadget_plan(member, b)
+    probe = p.probe
     for idx, plan in enumerate(plans):
+        u = len(plan[0])
+        memo = memos[idx]
         if idx not in rep_cache:
-            rep_cache[idx] = solver(glue_masks(rep_adj, rep_bits, plan))[0]
+            rep_cache[idx] = probe(glue_gadget(rep_side, plan), u, b, memo)
         opt_rep = rep_cache[idx]
-        opt_mem = solver(glue_masks(mem_adj, mem_bits, plan))[0]
+        opt_mem = probe(glue_gadget(mem_side, plan), u, b, memo)
         if opt_rep != opt_mem + c:
             raise TableConstructionError(
                 f"certificate violation: OPT(rep+F)={opt_rep}, OPT(member+F)={opt_mem}, "
-                f"c={c} on context {idx} with {len(plan[0]) + len(plan[1])} vertices"
+                f"c={c} on context {idx} with {u + len(plan[1])} vertices"
             )
 
 
@@ -251,8 +256,10 @@ def build_replacement_table(
     those of the given number of random draws that are larger.  A connected
     draw within that size is isomorphic, labels fixed, to an exhaustive
     context, so its verdict is already decided.  Every draw is still made,
-    so the random stream and the verdicts do not depend on the filter.  A
-    failed probe aborts construction.
+    so the random stream and the verdicts do not depend on the filter.  Each
+    context keeps one probe memo for the whole boundary size, shared by every
+    member and representative probed against it.  A failed probe aborts
+    construction.
     """
     if t < 0:
         raise ValueError(f"table boundary size t={t} is negative")
@@ -274,6 +281,7 @@ def build_replacement_table(
         draws = (_random_context(rng, b, 8) for _ in range(n_random))
         plans = [glue_plan(ctx) for ctx in contexts]
         plans += [glue_plan(ctx) for ctx in draws if ctx.graph.n > max_n]
+        memos = [{} for _ in plans]
         for bg in members:
             sig = compute_signature(p, bg)
             key = sig.key
@@ -284,7 +292,7 @@ def build_replacement_table(
             row = rows[key]
             if plans:
                 c = row.signature.offset - sig.offset
-                certify_pair(p, bg, row.representative, c, plans, rep_caches[key])
+                certify_pair(p, bg, row.representative, c, plans, rep_caches[key], memos)
     return ReplacementTable(p.name, t, rows)
 
 

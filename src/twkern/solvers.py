@@ -1,16 +1,23 @@
-"""Exact branch-and-bound solvers on bitmask adjacency.
+"""Exact branch-and-bound solvers and certificate probes on bitmask adjacency.
 
-Solvers take `adjacency_masks`, so the certificate probes never build a
-`Graph`, and return the optimum with a witness as a vertex mask, which the
-probes never read.  Their loops walk set bits inline (`low = m & -m`): a
-generator there was the largest self time of table certification.  They are
-the first rung of `harness.reference_oracle` within `problems.BRUTE_BUDGET`
-vertices, where they are faster than the tree-decomposition DP;
-`problems.opt_brute` stays the reference they are validated against, and the
-DP a second one up to that budget.
+Solvers take `adjacency_masks` and return the optimum with a witness as a
+vertex mask.  Their loops walk set bits inline (`low = m & -m`): a generator
+there was the largest self time of table certification.  They are the first
+rung of `harness.reference_oracle` within `problems.BRUTE_BUDGET` vertices,
+where they are faster than the tree-decomposition DP; `problems.opt_brute`
+stays the reference they are validated against, and the DP a second one up
+to that budget.
+
+Probes answer the certificate's glued graphs (`graphs.glue_gadget`) with no
+`Graph` built.  The vertex cover and dominating set probes branch on the
+gadget's side only and take the optimum of what is left inside the context
+from a memo that the context shares between gadgets; independent set and
+feedback vertex set solve each glued graph afresh (`solver_probe`).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .graphs import Graph
 
@@ -24,14 +31,18 @@ def adjacency_masks(g: Graph) -> list[int]:
 
 
 def vertex_cover_opt(adj: list[int]) -> tuple[int, int]:
-    """Minimum vertex cover: its size and a cover as a vertex mask.
+    """Minimum vertex cover: its size and a cover as a vertex mask."""
+    return _cover(adj, (1 << len(adj)) - 1)
+
+
+def _cover(adj: list[int], active: int) -> tuple[int, int]:
+    """Minimum vertex cover of the subgraph induced by `active`.
 
     Depth first on an explicit stack: take the first vertex of largest degree,
     or all its neighbours, after peeling degree-1 vertices; prune by a greedy
     matching.  A node whose size already reaches the best cover is skipped."""
-    n = len(adj)
-    best, best_cover = n, (1 << n) - 1
-    stack = [((1 << n) - 1, 0, 0)]
+    best, best_cover = active.bit_count(), active
+    stack = [(active, 0, 0)]
     while stack:
         active, cover, size = stack.pop()
         if size >= best:
@@ -274,3 +285,115 @@ def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
     rec((1 << n) - 1, 0, 0, 0)
     del rec  # it calls itself through its closure: free that cycle now
     return best[0], best[1]
+
+
+# ---------------------------------------------------------------------------
+# certificate probes
+#
+# A probe answers OPT of one gadget glued onto one context, on the masks of
+# `graphs.glue_gadget`: the context's u unlabeled vertices, then the b shared
+# labels, then the gadget's other vertices.  `memo` belongs to the context;
+# the table build shares it between every gadget probed against that context.
+# It holds only exact optima of residual graphs that lie inside the context,
+# each from an unbounded search.
+
+
+def solver_probe(solver: Callable[[list[int]], tuple[int, int]]) -> Callable[..., int]:
+    """A probe that solves each glued graph afresh with `solver`; it keeps
+    nothing in the memo."""
+
+    def probe(adj: list[int], u: int, b: int, memo: dict) -> int:
+        return solver(adj)[0]
+
+    return probe
+
+
+def vertex_cover_probe(adj: list[int], u: int, b: int, memo: dict) -> int:
+    """Minimum vertex cover of a glued graph.
+
+    Labels and gadget vertices of degree at most 1 are peeled, and the
+    gadget's vertices are branched on, until the active vertices lie in the
+    context.  Their optimum depends on the label–label edges, which the
+    gadget may add, so the memo key is the active set with those edges."""
+    ctx = (1 << (u + b)) - 1
+    edges = 0
+    for v in range(u, u + b):
+        edges = edges << b | adj[v] >> u & (1 << b) - 1
+    full = (1 << len(adj)) - 1
+    return _cover_probe(adj, full ^ (1 << u) - 1, ctx, edges << u + b, memo, full)
+
+
+def _cover_probe(adj: list[int], side: int, ctx: int, edges: int, memo: dict, active: int) -> int:
+    size = 0
+    m = active & side
+    while m:
+        low = m & -m
+        m ^= low
+        d = adj[low.bit_length() - 1] & active
+        if d & (d - 1) == 0:
+            # isolated: drop it; one neighbour: take that neighbour
+            active ^= low | d
+            if d:
+                size += 1
+                m = (m | adj[d.bit_length() - 1]) & active & side
+    rest = active & ~ctx
+    if not rest:
+        key = active | edges
+        opt = memo.get(key)
+        if opt is None:
+            opt = memo[key] = _cover(adj, active)[0]
+        return size + opt
+    # branch on the first gadget vertex of largest degree: it, or its neighbours
+    pick, deg = 0, 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (adj[low.bit_length() - 1] & active).bit_count()
+        if d > deg:
+            pick, deg = low, d
+    nb = adj[pick.bit_length() - 1] & active
+    take = _cover_probe(adj, side, ctx, edges, memo, active ^ pick)
+    leave = _cover_probe(adj, side, ctx, edges, memo, active & ~nb ^ pick)
+    return size + min(1 + take, deg + leave)
+
+
+def dominating_set_probe(adj: list[int], u: int, b: int, memo: dict) -> int:
+    """Minimum dominating set of a glued graph.
+
+    Branch on the highest undominated vertex over its dominators, dropping
+    a dominator whose newly dominated set another's contains (the first of
+    equal ones is kept): labels and gadget vertices come first.  Once they
+    are dominated, the context's unlabeled vertices left need context
+    vertices alone, so their optimum depends on the context only and the
+    memo key is that set."""
+    return _dominate(adj, (1 << u) - 1, memo, (1 << len(adj)) - 1)
+
+
+def _dominate(adj: list[int], ctx: int, memo: dict, undominated: int) -> int:
+    inside = not undominated & ~ctx
+    if inside:
+        if not undominated:
+            return 0
+        opt = memo.get(undominated)
+        if opt is not None:
+            return opt
+    x = undominated.bit_length() - 1
+    gains = []
+    m = adj[x] | 1 << x
+    while m:
+        low = m & -m
+        m ^= low
+        gains.append(undominated & (adj[low.bit_length() - 1] | low))
+    opt = len(adj)
+    for i, gain in enumerate(gains):
+        for j, other in enumerate(gains):
+            if other | gain == other and (other != gain or j < i):
+                break
+        else:
+            sub = _dominate(adj, ctx, memo, undominated & ~gain)
+            if sub < opt:
+                opt = sub
+    opt += 1
+    if inside:
+        memo[undominated] = opt
+    return opt

@@ -370,6 +370,20 @@ class TestCanonicalForms:
             for n, graphs in want.items():
                 assert [(h.n, h.edges) for h, _ in got[n]] == [(h.n, h.edges) for h in graphs]
 
+    def test_one_cache_entry_per_level(self):
+        # the one- and two-argument call forms share each level's entry, so
+        # boundaried_universe(n, b), which asks for (n, None), rebuilds no
+        # level that connected_graphs(n) built
+        from twkern import enumeration
+
+        enumeration.connected_graphs(5)
+        misses = enumeration._levels.cache_info().misses
+        enumeration.boundaried_universe(5, 0)
+        enumeration.connected_graphs(5, None)
+        enumeration.connected_graphs(max_n=5, width=None)
+        enumeration.connected_graphs(4)
+        assert enumeration._levels.cache_info().misses == misses
+
     def test_carried_generators_give_the_automorphism_orbits(self):
         # every class carries generators of its whole automorphism group, the
         # last level's too: their vertex orbits are those of a fresh search

@@ -12,14 +12,14 @@ from twkern.enumeration import boundaried_universe
 from twkern.graphs import (
     BoundariedGraph,
     Graph,
+    gadget_plan,
     glue,
-    glue_masks,
+    glue_gadget,
     glue_plan,
-    label_bits,
     make_grid,
     path_graph,
 )
-from twkern.problems import CATALOG, opt_fast
+from twkern.problems import CATALOG, opt_brute, opt_fast
 from twkern.protrusions import iter_protrusions
 import twkern.replacement as replacement_mod
 from twkern.replacement import (
@@ -41,7 +41,6 @@ from twkern.replacement import (
     parse_table,
     replace_protrusion,
 )
-from twkern.solvers import adjacency_masks
 
 from conftest import sparse_random_graph
 from graph_oracles import canonical_key
@@ -147,7 +146,7 @@ class TestEquivalence:
         from twkern.replacement import certificate_contexts
 
         plans = [glue_plan(ctx) for ctx in certificate_contexts(1, 6)]
-        certify_pair(VC, pendant(2), pendant(4), 1, plans, {})
+        certify_pair(VC, pendant(2), pendant(4), 1, plans, {}, [{} for _ in plans])
 
     def test_leaf_vs_two_path_not_equivalent(self):
         assert equivalence_constant(VC, pendant(1), pendant(2)) is None
@@ -177,24 +176,33 @@ class TestEquivalence:
         message = "OPT(rep+F)=2, OPT(member+F)=1, c=0 on context 0 with 1 vertices"
         plans = [glue_plan(ctx) for ctx in certificate_contexts(1, 5)]
         with pytest.raises(TableConstructionError, match=re.escape(message)):
-            certify_pair(VC, pendant(2), pendant(4), 0, plans, {})
+            certify_pair(VC, pendant(2), pendant(4), 0, plans, {}, [{} for _ in plans])
 
 
 class TestCertificateProbes:
     @staticmethod
     def _mask_glue(member: BoundariedGraph, ctx: BoundariedGraph) -> list[int]:
         plan = glue_plan(ctx)
-        bits = label_bits(member, len(plan[1]))
-        return glue_masks(adjacency_masks(member.graph), bits, plan)
+        return glue_gadget(gadget_plan(member, len(plan[1])), plan)
 
     def test_mask_glue_is_glue(self):
+        # glue's graph renumbered context first: the context's unlabeled
+        # vertices in order, the shared labels 1..b, the member's others
         rng = random.Random(11)
         for b in range(3):
             contexts = certificate_contexts(b, 5)
             contexts += tuple(_random_context(rng, b, 8) for _ in range(300))
             for member in boundaried_universe(5, b):
+                shared = [member.vertex_of_label(lab) for lab in range(1, b + 1)]
+                others = [v for v in member.graph.vertices if v not in shared]
                 for ctx in contexts:
-                    want = adjacency_masks(glue(member, ctx)[0])
+                    glued, _, heir2 = glue(member, ctx)
+                    labels = ctx.labels
+                    order = [heir2[v] for v in ctx.graph.vertices if v not in labels]
+                    order += shared + others
+                    assert sorted(order) == list(glued.vertices)
+                    bit = {v: 1 << i for i, v in enumerate(order)}
+                    want = [sum(bit[w] for w in glued.neighbors(v)) for v in order]
                     assert self._mask_glue(member, ctx) == want, (member, ctx)
 
     def test_mask_glue_refuses_a_label_the_member_lacks(self):
@@ -206,16 +214,57 @@ class TestCertificateProbes:
         with pytest.raises(ValueError, match="label 2"):
             self._mask_glue(member, ctx)
         with pytest.raises(ValueError, match="label 2"):
-            certify_pair(VC, member, member, 0, [glue_plan(ctx)], {})
+            certify_pair(VC, member, member, 0, [glue_plan(ctx)], {}, [{}])
+
+    @pytest.mark.parametrize("problem", ["vertex-cover", "dominating-set"])
+    def test_probes_match_branch_and_bound_and_brute(self, problem):
+        # every member against every context up to 5 vertices, b <= 2, with
+        # one memo per context that the members share in build order, as in
+        # build_replacement_table; a memo entry that is not the optimum of
+        # what it keys shows up in a later member's probe
+        p = CATALOG[problem]
+        brute: dict[tuple, int] = {}
+        label_edges = 0
+        for b in range(3):
+            plans = [glue_plan(ctx) for ctx in certificate_contexts(b, 5)]
+            memos = [{} for _ in plans]
+            for member in boundaried_universe(5, b):
+                label_edges += b == 2 and member.graph.has_edge(*member.boundary)
+                gadget = gadget_plan(member, b)
+                for idx, (plan, memo) in enumerate(zip(plans, memos)):
+                    adj = glue_gadget(gadget, plan)
+                    got = p.probe(adj, len(plan[0]), b, memo)
+                    key = tuple(adj)
+                    if key not in brute:
+                        n = len(adj)
+                        edges = [(v, w) for v in range(n) for w in range(v) if adj[v] >> w & 1]
+                        brute[key] = opt_brute(p, Graph(n, edges))[0]
+                    assert got == p.solver(adj)[0] == brute[key], (member, idx)
+        assert label_edges > 0
+
+    def test_probes_run_no_signature_code(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("signature code on the probe path")
+
+        import twkern.dp
+
+        for name in ("compute_signature", "run_dp", "heuristic_decomposition"):
+            monkeypatch.setattr(replacement_mod, name, refuse)
+        monkeypatch.setattr(twkern.dp, "run_dp", refuse)
+        plans = [glue_plan(ctx) for ctx in certificate_contexts(1, 5)]
+        for problem in sorted(CATALOG):
+            memos = [{} for _ in plans]
+            certify_pair(CATALOG[problem], pendant(2), pendant(2), 0, plans, {}, memos)
 
     def test_probe_count_is_the_closed_form(self, vc_table):
+        # probes, not the memoized searches below them
         calls = [0]
 
-        def counting_solver(adj):
+        def counting_probe(adj, u, b, memo):
             calls[0] += 1
-            return VC.solver(adj)
+            return VC.probe(adj, u, b, memo)
 
-        counted = dataclasses.replace(VC, solver=counting_solver)
+        counted = dataclasses.replace(VC, probe=counting_probe)
         table = build_replacement_table(counted, 1, 6, certify="light")
         assert format_table(table) == format_table(vc_table)
         max_n, n_random = CERTIFY_LEVELS["light"]
@@ -289,8 +338,8 @@ class TestRowGroups:
             vectors = set()
             for (b, _), row in table.rows.items():
                 rep = row.representative
-                adj, bits = adjacency_masks(rep.graph), label_bits(rep, b)
-                opts = [p.solver(glue_masks(adj, bits, plan))[0] for plan in plans[b]]
+                gadget = gadget_plan(rep, b)
+                opts = [p.solver(glue_gadget(gadget, plan))[0] for plan in plans[b]]
                 vectors.add((b, tuple(opt - opts[0] for opt in opts)))
             groups[name] = (len(table), len(vectors))
         return groups
