@@ -36,9 +36,13 @@ class ProblemDefinition:
     This is the one record per problem: a new problem is one CATALOG entry.
     `solver` is the exact branch-and-bound oracle on adjacency masks; it
     returns the optimum and a witness as a vertex mask.
-    `probe` answers the optimum of each gadget glued onto a certificate
-    context, with a memo that the context shares between gadgets (see
-    `solvers`); `solvers.solver_probe(solver)` solves each one afresh.
+    `probe(gadget_masks, b)` takes a gadget's `graphs.gadget_plan` and runs
+    the part of the certificate search that no context changes; it returns
+    a function `(plan, memo) -> int` that answers the optimum of the gadget
+    glued onto the context of one `graphs.glue_plan`, with a memo that the
+    context shares between gadgets (see `solvers`).  Only exact optima go
+    into the memo, and no decision of the gadget half may read the context.
+    `solvers.solver_probe(solver)` glues and solves each glued graph afresh.
     `machine` is the tree-decomposition DP that computes optima and boundary
     signatures, hence the replacement tables; a problem enters the catalog
     only with one.
@@ -55,7 +59,7 @@ class ProblemDefinition:
     feasibility: Callable[[Graph, frozenset[int]], bool]
     separability_f: Callable[[int], int]
     solver: Callable[[list[int]], tuple[int, int]]
-    probe: Callable[[list[int], int, int, dict], int]
+    probe: Callable[[tuple[int, ...], int], Callable[[tuple, dict], int]]
     maximize: bool
     minor_closed: bool
     machine: Machine

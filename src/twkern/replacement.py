@@ -6,9 +6,10 @@ transposition constant (the difference of the normalization offsets): gluing
 any context onto two gadgets with equal signatures yields optima differing by
 exactly that constant.  Signature equality may split true equivalence classes
 but never merges distinct ones; soundness is certified mechanically during
-table construction: `certify_pair` glues each member and its representative
-onto every context and solves both exactly with the problem's probe
-(`solvers`), which shares one memo per context across the build.
+table construction: `certify_pair` solves each member and its representative
+glued onto every context exactly with the problem's probe (`solvers`),
+whose gadget half runs once per gadget and call and whose context half
+shares one memo per context across the build.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 from . import problems as problems_mod
 from .dp import run_dp
 from .enumeration import boundaried_universe
-from .graphs import BoundariedGraph, BudgetError, Graph, gadget_plan, glue, glue_gadget, glue_plan
+from .graphs import BoundariedGraph, BudgetError, Graph, gadget_plan, glue, glue_plan
 from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
 from .problems import ProblemDefinition
 from .protrusions import iter_protrusions, validate_protrusion
@@ -213,27 +214,28 @@ def certify_pair(
     memos: list[dict],
 ) -> None:
     """Probe: OPT(rep ⊕ F) must equal OPT(member ⊕ F) + c for every context F,
-    given as its `glue_plan`, each solved exactly by `p.probe` on the glued
-    masks.  `rep_cache` holds rep's optima by plan index across the calls
-    that share rep and plans; `memos` holds one probe memo per plan across
-    the calls that share plans.  Raises ValueError when member or rep lacks a
-    context label, and TableConstructionError on the first violating
-    context."""
-    b = max((len(plan[1]) for plan in plans), default=0)
-    rep_side = gadget_plan(rep, b)
-    mem_side = gadget_plan(member, b)
-    probe = p.probe
+    given as its `glue_plan`, all of one boundary size, each solved exactly
+    by `p.probe`.  The probe's gadget half runs once per call for rep and
+    once for member, on their `gadget_plan`s, and its context half on each
+    plan; the gadget half reads no context, so every value is still the
+    exact optimum of the glued graph.  `rep_cache` holds rep's optima by
+    plan index across the calls that share rep and plans; `memos` holds one
+    probe memo per plan across the calls that share plans.  Raises
+    ValueError when member or rep lacks a context label, and
+    TableConstructionError on the first violating context."""
+    b = len(plans[0][1]) if plans else 0
+    rep_probe = p.probe(gadget_plan(rep, b), b)
+    mem_probe = p.probe(gadget_plan(member, b), b)
     for idx, plan in enumerate(plans):
-        u = len(plan[0])
         memo = memos[idx]
         if idx not in rep_cache:
-            rep_cache[idx] = probe(glue_gadget(rep_side, plan), u, b, memo)
+            rep_cache[idx] = rep_probe(plan, memo)
         opt_rep = rep_cache[idx]
-        opt_mem = probe(glue_gadget(mem_side, plan), u, b, memo)
+        opt_mem = mem_probe(plan, memo)
         if opt_rep != opt_mem + c:
             raise TableConstructionError(
                 f"certificate violation: OPT(rep+F)={opt_rep}, OPT(member+F)={opt_mem}, "
-                f"c={c} on context {idx} with {u + len(plan[1])} vertices"
+                f"c={c} on context {idx} with {len(plan[0]) + len(plan[1])} vertices"
             )
 
 
@@ -258,8 +260,11 @@ def build_replacement_table(
     context, so its verdict is already decided.  Every draw is still made,
     so the random stream and the verdicts do not depend on the filter.  Each
     context keeps one probe memo for the whole boundary size, shared by every
-    member and representative probed against it.  A failed probe aborts
-    construction.
+    member and representative probed against it.  Each `certify_pair` call
+    runs the probe's gadget half once for the member and once for the
+    representative; that half decides nothing from a context, so the
+    verdicts are those of solving every glued graph afresh.  A failed probe
+    aborts construction.
     """
     if t < 0:
         raise ValueError(f"table boundary size t={t} is negative")

@@ -8,18 +8,22 @@ where they are faster than the tree-decomposition DP; `problems.opt_brute`
 stays the reference they are validated against, and the DP a second one up
 to that budget.
 
-Probes answer the certificate's glued graphs (`graphs.glue_gadget`) with no
-`Graph` built.  The vertex cover and dominating set probes branch on the
-gadget's side only and take the optimum of what is left inside the context
-from a memo that the context shares between gadgets; independent set and
-feedback vertex set solve each glued graph afresh (`solver_probe`).
+Probes answer OPT of one gadget glued onto each certificate context with no
+`Graph` built, in two halves.  The gadget half runs once per gadget the
+part of the search that reads no context bit: the vertex cover and
+dominating set probes branch there on the gadget's vertices that are not
+labels, and keep the best cost of each state the labels are left in.  The
+context half runs per context: it completes each of those states exactly
+and takes the optimum of what is left inside the context from a memo that
+the context shares between gadgets.  Independent set and feedback vertex
+set glue and solve each glued graph afresh (`solver_probe`).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .graphs import Graph
+from .graphs import Graph, glue_gadget
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -290,83 +294,195 @@ def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # certificate probes
 #
-# A probe answers OPT of one gadget glued onto one context, on the masks of
-# `graphs.glue_gadget`: the context's u unlabeled vertices, then the b shared
-# labels, then the gadget's other vertices.  `memo` belongs to the context;
-# the table build shares it between every gadget probed against that context.
-# It holds only exact optima of residual graphs that lie inside the context,
-# each from an unbounded search.
+# A probe comes in two halves.  `probe(gadget, b)` takes a gadget's
+# `graphs.gadget_plan` (labels 1..b as bits 0..b-1, then its other vertices)
+# and runs once the part of the search that does not depend on the context.
+# It returns the context half, a function `(plan, memo) -> int` that finishes
+# the search on one `graphs.glue_plan` and answers OPT of the gadget glued
+# onto that context.  The glued numbering is that of `graphs.glue_gadget`:
+# the context's u unlabeled vertices, then the b shared labels, then the
+# gadget's other vertices.  `memo` belongs to the context; the table build
+# shares it between every gadget probed against that context.  It holds only
+# exact optima of residual graphs that lie inside the context, each from an
+# unbounded search.
+#
+# No decision of a gadget half reads the context.  A gadget vertex that is
+# not a label has all its neighbours in the gadget, so its degree, its
+# dominators and their gains are the same in every glued graph.  A label's
+# are not, so a label is never peeled or dropped.  A leaf is a state in
+# which only labels are left of the gadget, kept with the least size that
+# reaches it; the context half takes the best leaf completed exactly, which
+# is the optimum of the glued graph.
 
 
-def solver_probe(solver: Callable[[list[int]], tuple[int, int]]) -> Callable[..., int]:
-    """A probe that solves each glued graph afresh with `solver`; it keeps
-    nothing in the memo."""
+def solver_probe(
+    solver: Callable[[list[int]], tuple[int, int]]
+) -> Callable[[tuple[int, ...], int], Callable[[tuple, dict], int]]:
+    """A probe whose context half glues the gadget onto the context and
+    solves the glued graph afresh with `solver`; it keeps nothing in the
+    memo."""
 
-    def probe(adj: list[int], u: int, b: int, memo: dict) -> int:
-        return solver(adj)[0]
+    def probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict], int]:
+        def on_context(plan: tuple, memo: dict) -> int:
+            return solver(glue_gadget(gadget, plan))[0]
+
+        return on_context
 
     return probe
 
 
-def vertex_cover_probe(adj: list[int], u: int, b: int, memo: dict) -> int:
-    """Minimum vertex cover of a glued graph.
+def vertex_cover_probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict], int]:
+    """Minimum vertex cover of the gadget glued onto each context.
 
-    Labels and gadget vertices of degree at most 1 are peeled, and the
-    gadget's vertices are branched on, until the active vertices lie in the
-    context.  Their optimum depends on the label–label edges, which the
-    gadget may add, so the memo key is the active set with those edges."""
-    ctx = (1 << (u + b)) - 1
-    edges = 0
-    for v in range(u, u + b):
-        edges = edges << b | adj[v] >> u & (1 << b) - 1
-    full = (1 << len(adj)) - 1
-    return _cover_probe(adj, full ^ (1 << u) - 1, ctx, edges << u + b, memo, full)
+    The gadget half peels and branches on the gadget's vertices that are not
+    labels, as `_cover` does but with no bound, until only labels are left
+    of the gadget.  Its leaves give the least size for each set of taken
+    labels.  Per context, a leaf leaves the context's vertices but the taken
+    labels, whose optimum depends on the label–label edges of both sides:
+    the memo key is that active set with those edges.  Leaves are tried by
+    increasing size, up to the best total found."""
+    n = len(gadget)
+    labels = (1 << b) - 1
+    least: dict[int, int] = {}
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        active, size = stack.pop()
+        m = active & ~labels
+        while m:
+            low = m & -m
+            m ^= low
+            d = gadget[low.bit_length() - 1] & active
+            if d & (d - 1) == 0:
+                # isolated: drop it; one neighbour: take that neighbour
+                active ^= low | d
+                if d:
+                    size += 1
+                    m = (m | gadget[d.bit_length() - 1]) & active & ~labels
+        rest = active & ~labels
+        if not rest:
+            taken = labels & ~active
+            if size < least.get(taken, n + 1):
+                least[taken] = size
+            continue
+        # branch on the first vertex of largest degree: it, or its neighbours
+        pick, deg = 0, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (gadget[low.bit_length() - 1] & active).bit_count()
+            if d > deg:
+                pick, deg = low, d
+        nb = gadget[pick.bit_length() - 1] & active
+        stack.append((active & ~nb ^ pick, size + deg))
+        stack.append((active ^ pick, size + 1))
+    leaves = sorted((size, taken) for taken, size in least.items())
+    gadget_edges = 0
+    for nb in gadget[:b]:
+        gadget_edges = gadget_edges << b | nb & labels
+
+    def on_context(plan: tuple, memo: dict) -> int:
+        unlabeled, labeled = plan
+        u = len(unlabeled)
+        edges = 0
+        for nb in labeled:
+            edges = edges << b | nb >> u
+        edges = (edges | gadget_edges) << u + b
+        ctx = (1 << u + b) - 1
+        best = u + n + 1
+        adj = None
+        for size, taken in leaves:
+            if size >= best:
+                break
+            active = ctx ^ taken << u
+            key = active | edges
+            opt = memo.get(key)
+            if opt is None:
+                if adj is None:
+                    adj = [*unlabeled, *(nb | (g & labels) << u for nb, g in zip(labeled, gadget))]
+                opt = memo[key] = _cover(adj, active)[0]
+            if size + opt < best:
+                best = size + opt
+        return best
+
+    return on_context
 
 
-def _cover_probe(adj: list[int], side: int, ctx: int, edges: int, memo: dict, active: int) -> int:
-    size = 0
-    m = active & side
-    while m:
-        low = m & -m
-        m ^= low
-        d = adj[low.bit_length() - 1] & active
-        if d & (d - 1) == 0:
-            # isolated: drop it; one neighbour: take that neighbour
-            active ^= low | d
-            if d:
-                size += 1
-                m = (m | adj[d.bit_length() - 1]) & active & side
-    rest = active & ~ctx
-    if not rest:
-        key = active | edges
-        opt = memo.get(key)
-        if opt is None:
-            opt = memo[key] = _cover(adj, active)[0]
-        return size + opt
-    # branch on the first gadget vertex of largest degree: it, or its neighbours
-    pick, deg = 0, 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        d = (adj[low.bit_length() - 1] & active).bit_count()
-        if d > deg:
-            pick, deg = low, d
-    nb = adj[pick.bit_length() - 1] & active
-    take = _cover_probe(adj, side, ctx, edges, memo, active ^ pick)
-    leave = _cover_probe(adj, side, ctx, edges, memo, active & ~nb ^ pick)
-    return size + min(1 + take, deg + leave)
+def dominating_set_probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict], int]:
+    """Minimum dominating set of the gadget glued onto each context.
 
+    The gadget half branches on the highest undominated vertex that is not a
+    label, over its dominators, until only labels may be left undominated.
+    A dominator that is not a label is dropped when another dominator's gain
+    on the gadget side contains its own (the first of equal ones is kept);
+    that gain is its whole gain.  A label also dominates context vertices,
+    so it is never dropped.  The leaves give the least cost for each pair
+    (labels in the set, labels left undominated).  Per context, the labels
+    in the set dominate their context neighbours, labels among them.  If no
+    label is then left undominated, the context's undominated unlabeled
+    vertices need context vertices alone, so their optimum depends on the
+    context only and the memo key is that set.  Otherwise `_dominate` goes
+    on in the glued graph from that state.  Leaves are tried by increasing
+    cost, up to the best total found."""
+    n = len(gadget)
+    labels = (1 << b) - 1
+    closed = [nb | 1 << v for v, nb in enumerate(gadget)]
+    least: dict[tuple[int, int], int] = {}
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        undominated, chosen, size = stack.pop()
+        if not undominated & ~labels:
+            key = (chosen, undominated)
+            if size < least.get(key, n + 1):
+                least[key] = size
+            continue
+        x = undominated.bit_length() - 1
+        gains = []
+        m = closed[x]
+        while m:
+            low = m & -m
+            m ^= low
+            gains.append((low, undominated & closed[low.bit_length() - 1]))
+        for i, (w, gain) in enumerate(gains):
+            if w > labels and any(
+                other | gain == other and (other != gain or j < i)
+                for j, (_, other) in enumerate(gains)
+            ):
+                continue
+            stack.append((undominated & ~gain, chosen | w & labels, size + 1))
+    leaves = sorted((size, chosen, left) for (chosen, left), size in least.items())
 
-def dominating_set_probe(adj: list[int], u: int, b: int, memo: dict) -> int:
-    """Minimum dominating set of a glued graph.
+    def on_context(plan: tuple, memo: dict) -> int:
+        unlabeled, labeled = plan
+        u = len(unlabeled)
+        ctx = (1 << u) - 1
+        best = u + n + 1
+        adj = None
+        for size, chosen, left in leaves:
+            if size >= best:
+                break
+            dominated = 0
+            m = chosen
+            while m:
+                low = m & -m
+                m ^= low
+                dominated |= labeled[low.bit_length() - 1]
+            undominated = (ctx | left << u) & ~dominated
+            if undominated & ~ctx:
+                if adj is None:
+                    adj = glue_gadget(gadget, plan)
+                opt = _dominate(adj, ctx, memo, undominated)
+            elif undominated:
+                opt = memo.get(undominated)
+                if opt is None:
+                    # inside the context the glued masks read as the context's
+                    opt = _dominate([*unlabeled, *labeled], ctx, memo, undominated)
+            else:
+                opt = 0
+            if size + opt < best:
+                best = size + opt
+        return best
 
-    Branch on the highest undominated vertex over its dominators, dropping
-    a dominator whose newly dominated set another's contains (the first of
-    equal ones is kept): labels and gadget vertices come first.  Once they
-    are dominated, the context's unlabeled vertices left need context
-    vertices alone, so their optimum depends on the context only and the
-    memo key is that set."""
-    return _dominate(adj, (1 << u) - 1, memo, (1 << len(adj)) - 1)
+    return on_context
 
 
 def _dominate(adj: list[int], ctx: int, memo: dict, undominated: int) -> int:

@@ -216,31 +216,54 @@ class TestCertificateProbes:
         with pytest.raises(ValueError, match="label 2"):
             certify_pair(VC, member, member, 0, [glue_plan(ctx)], {}, [{}])
 
-    @pytest.mark.parametrize("problem", ["vertex-cover", "dominating-set"])
+    @staticmethod
+    def _probe_every_pair(p, size_bound, width, context_size):
+        """(member, context index, glued masks, probe value) for every member
+        of up to size_bound vertices and treewidth `width` against every
+        context up to context_size, b <= 2, with one memo per context that
+        the members share in build order, as in build_replacement_table: a
+        memo entry that is not the optimum of what it keys shows up in a
+        later member's probe."""
+        for b in range(3):
+            plans = [glue_plan(ctx) for ctx in certificate_contexts(b, context_size)]
+            memos = [{} for _ in plans]
+            for member in boundaried_universe(size_bound, b, width):
+                gadget = gadget_plan(member, b)
+                on_context = p.probe(gadget, b)
+                for idx, (plan, memo) in enumerate(zip(plans, memos)):
+                    yield member, idx, glue_gadget(gadget, plan), on_context(plan, memo)
+
+    @pytest.mark.parametrize("problem", sorted(CATALOG))
     def test_probes_match_branch_and_bound_and_brute(self, problem):
-        # every member against every context up to 5 vertices, b <= 2, with
-        # one memo per context that the members share in build order, as in
-        # build_replacement_table; a memo entry that is not the optimum of
-        # what it keys shows up in a later member's probe
         p = CATALOG[problem]
         brute: dict[tuple, int] = {}
         label_edges = 0
-        for b in range(3):
-            plans = [glue_plan(ctx) for ctx in certificate_contexts(b, 5)]
-            memos = [{} for _ in plans]
-            for member in boundaried_universe(5, b):
-                label_edges += b == 2 and member.graph.has_edge(*member.boundary)
-                gadget = gadget_plan(member, b)
-                for idx, (plan, memo) in enumerate(zip(plans, memos)):
-                    adj = glue_gadget(gadget, plan)
-                    got = p.probe(adj, len(plan[0]), b, memo)
-                    key = tuple(adj)
-                    if key not in brute:
-                        n = len(adj)
-                        edges = [(v, w) for v in range(n) for w in range(v) if adj[v] >> w & 1]
-                        brute[key] = opt_brute(p, Graph(n, edges))[0]
-                    assert got == p.solver(adj)[0] == brute[key], (member, idx)
+        for member, idx, adj, got in self._probe_every_pair(p, 5, None, 5):
+            label_edges += len(member.label_of) == 2 and member.graph.has_edge(*member.boundary)
+            key = tuple(adj)
+            if key not in brute:
+                n = len(adj)
+                edges = [(v, w) for v in range(n) for w in range(v) if adj[v] >> w & 1]
+                brute[key] = opt_brute(p, Graph(n, edges))[0]
+            assert got == p.solver(adj)[0] == brute[key], (member, idx)
         assert label_edges > 0
+
+    @pytest.mark.parametrize("problem", ["vertex-cover", "dominating-set"])
+    def test_probes_match_branch_and_bound_at_t2(self, problem):
+        p = CATALOG[problem]
+        for member, idx, adj, got in self._probe_every_pair(p, 5, 2, 6):
+            assert got == p.solver(adj)[0], (member, idx)
+
+    def test_dominating_set_probe_reads_context_label_edges(self):
+        # the member's end labels dominate each other only through the
+        # context's edge: label 2 alone dominates the glued graph
+        member = BoundariedGraph(path_graph(3), {0: 1, 2: 2})
+        ctx = BoundariedGraph(path_graph(3), {0: 1, 1: 2})
+        glued = glue(member, ctx)[0]
+        assert opt_brute(CATALOG["dominating-set"], glued)[0] == 1
+        plan = glue_plan(ctx)
+        on_context = CATALOG["dominating-set"].probe(gadget_plan(member, 2), 2)
+        assert on_context(plan, {}) == 1
 
     def test_probes_run_no_signature_code(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -253,23 +276,52 @@ class TestCertificateProbes:
         monkeypatch.setattr(twkern.dp, "run_dp", refuse)
         plans = [glue_plan(ctx) for ctx in certificate_contexts(1, 5)]
         for problem in sorted(CATALOG):
+            p = CATALOG[problem]
+            halves = [0, 0]
+
+            def counting_probe(gadget, b, probe=p.probe):
+                halves[0] += 1
+                on_context = probe(gadget, b)
+
+                def counting_context(plan, memo):
+                    halves[1] += 1
+                    return on_context(plan, memo)
+
+                return counting_context
+
             memos = [{} for _ in plans]
-            certify_pair(CATALOG[problem], pendant(2), pendant(2), 0, plans, {}, memos)
+            counted = dataclasses.replace(p, probe=counting_probe)
+            certify_pair(counted, pendant(2), pendant(2), 0, plans, {}, memos)
+            assert halves == [2, 2 * len(plans)], problem
 
     def test_probe_count_is_the_closed_form(self, vc_table):
-        # probes, not the memoized searches below them
-        calls = [0]
+        # per certify_pair call, one gadget half for the member and one for
+        # the representative, whatever the representative's cached optima;
+        # context halves count probes, not the memoized searches below them
+        counts = {"pairs": 0, "gadgets": 0, "contexts": 0}
 
-        def counting_probe(adj, u, b, memo):
-            calls[0] += 1
-            return VC.probe(adj, u, b, memo)
+        def counting_probe(gadget, b):
+            counts["gadgets"] += 1
+            on_context = VC.probe(gadget, b)
+
+            def counting_context(plan, memo):
+                counts["contexts"] += 1
+                return on_context(plan, memo)
+
+            return counting_context
+
+        def counting_pair(*args):
+            counts["pairs"] += 1
+            return certify_pair(*args)
 
         counted = dataclasses.replace(VC, probe=counting_probe)
-        table = build_replacement_table(counted, 1, 6, certify="light")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(replacement_mod, "certify_pair", counting_pair)
+            table = build_replacement_table(counted, 1, 6, certify="light")
         assert format_table(table) == format_table(vc_table)
         max_n, n_random = CERTIFY_LEVELS["light"]
         rng = random.Random(0)
-        want = 0
+        pairs = want = 0
         for b in range(2):
             # the draws are replayed in build order; those of at most max_n
             # vertices repeat an exhaustive context and are not probed
@@ -281,9 +333,13 @@ class TestCertificateProbes:
                 classes[key] = classes.get(key, 0) + 1
             others = sum(size - 1 for size in classes.values())
             probed_classes = sum(1 for size in classes.values() if size > 1)
+            pairs += others
             want += (others + probed_classes) * (len(certificate_contexts(b, max_n)) + kept)
+        # b=0: 13 members certified, b=1: 32
+        assert counts["pairs"] == pairs == 45
+        assert counts["gadgets"] == 2 * pairs
         # b=0: (13 + 1) * (31 + 82); b=1: (32 + 5) * (74 + 65)
-        assert calls[0] == want == 6725
+        assert counts["contexts"] == want == 6725
 
     @pytest.mark.parametrize(
         "certify, rng_seed, t, skipped",
