@@ -2,7 +2,7 @@
 
 Corpora are deterministic per seed.  Soundness verification decides membership
 on both sides of a kernelization with `reference_oracle` and reports any
-disagreement verbatim.  That oracle is one ladder: branch and bound within
+disagreement verbatim.  That oracle is one ladder: the exact solver within
 BRUTE_BUDGET vertices, the width-capped tree-decomposition DP beyond it;
 experiments plant k from the same ladder.  Optima are integers.  Past the
 DP's cap no oracle answers: subset enumeration raises its BudgetError, which
@@ -201,7 +201,7 @@ def gen_corpus(family: str, params: dict, seed: int) -> list[Graph]:
 
 def reference_oracle(p: ProblemDefinition, g: Graph) -> int:
     """Reference optimum from the first oracle on the ladder that answers:
-    the problem's branch-and-bound solver within BRUTE_BUDGET vertices, the
+    the problem's exact solver within BRUTE_BUDGET vertices, the
     tree-decomposition DP beyond it when its decomposition is within
     `dp_width_cap`.  Past the DP's cap no oracle answers: the call reaches
     `opt_brute` only over its budget, and its BudgetError names that budget.

@@ -4,8 +4,9 @@ Every oracle returns an integer optimum and a witness set: every graph has a
 feasible set (see ProblemDefinition), so there is no "infeasible" optimum.
 `opt_brute` is the reference oracle: plain subset enumeration ordered by size,
 driven only by the feasibility predicate; it checks that contract and enforces
-its own size budget.  `opt_fast` runs the problem's branch-and-bound solver
-and is validated against `opt_brute` in the tests.
+its own size budget.  `opt_fast` runs the problem's exact solver (one
+search per problem, see `solvers`) and is validated against `opt_brute` in
+the tests.
 """
 
 from __future__ import annotations
@@ -34,15 +35,19 @@ class ProblemDefinition:
     """A vertex subset problem: optimize |S| subject to feasibility(G, S).
 
     This is the one record per problem: a new problem is one CATALOG entry.
-    `solver` is the exact branch-and-bound oracle on adjacency masks; it
-    returns the optimum and a witness as a vertex mask.
+    `solver` is the exact oracle on adjacency masks; it returns the optimum
+    and a witness as a vertex mask.  It and `probe` run the problem's one
+    search in `solvers`: branch and bound for vertex cover and feedback
+    vertex set, vertex cover's for independent set, and a memoized
+    recursion for dominating set.
     `probe(gadget_masks, b)` takes a gadget's `graphs.gadget_plan` and runs
     the part of the certificate search that no context changes; it returns
     a function `(plan, memo) -> int` that answers the optimum of the gadget
     glued onto the context of one `graphs.glue_plan`, with a memo that the
     context shares between gadgets (see `solvers`).  Only exact optima go
     into the memo, and no decision of the gadget half may read the context.
-    `solvers.solver_probe(solver)` glues and solves each glued graph afresh.
+    `solvers.solver_probe(solver)` glues and solves each glued graph afresh;
+    it is the starting probe of a new problem.
     `machine` is the tree-decomposition DP that computes optima and boundary
     signatures, hence the replacement tables; a problem enters the catalog
     only with one.
@@ -96,7 +101,7 @@ CATALOG: dict[str, ProblemDefinition] = {
         ),
         ProblemDefinition(
             "independent-set", phi_independent_set, _linear, solvers.independent_set_opt,
-            solvers.solver_probe(solvers.independent_set_opt),
+            solvers.independent_set_probe,
             maximize=True, minor_closed=False, machine=IndependentSetMachine(), dp_width_cap=10,
         ),
         ProblemDefinition(
@@ -158,7 +163,7 @@ def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int, frozenset[int]]:
 
 
 def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int, frozenset[int]]:
-    """Branch-and-bound oracle; exact, validated against opt_brute in tests."""
+    """The problem's exact solver; validated against opt_brute in tests."""
     value, witness = p.solver(solvers.adjacency_masks(g))
     return value, frozenset(v for v in range(g.n) if witness >> v & 1)
 
@@ -199,7 +204,7 @@ class BidimensionalityRow:
 
 def check_bidimensionality(p: ProblemDefinition, kmax: int) -> list[BidimensionalityRow]:
     """OPT on the grid family (triangulated grids for contraction-closed-only
-    problems) by branch and bound, with the OPT / k^2 ratio per row.
+    problems) by the exact solver, with the OPT / k^2 ratio per row.
 
     The optimum must grow with the grid: a non-positive ratio anywhere in the
     table is a contract violation and raises.
@@ -225,7 +230,7 @@ class ParameterTreewidthReport:
 def check_parameter_treewidth(
     p: ProblemDefinition, corpus: list[Graph]
 ) -> ParameterTreewidthReport:
-    """Collect (treewidth, OPT) pairs over a corpus, OPT by branch and bound,
+    """Collect (treewidth, OPT) pairs over a corpus, OPT by the exact solver,
     and fit tw ~ OPT^eps."""
     import statistics  # only here: it loads decimal and fractions
 

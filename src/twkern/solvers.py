@@ -1,4 +1,10 @@
-"""Exact branch-and-bound solvers and certificate probes on bitmask adjacency.
+"""Exact solvers and certificate probes on bitmask adjacency.
+
+Each problem has one exact search, which its solver and its probe share:
+vertex cover branches and bounds in `_cover`, independent set is the
+complement of a minimum vertex cover (Gallai: IS(G) = n - VC(G)), dominating
+set recurses with a memo in `_dominate`, and feedback vertex set branches and
+bounds in `feedback_vertex_set_opt`.
 
 Solvers take `adjacency_masks` and return the optimum with a witness as a
 vertex mask.  Their loops walk set bits inline (`low = m & -m`): a generator
@@ -15,8 +21,9 @@ dominating set probes branch there on the gadget's vertices that are not
 labels, and keep the best cost of each state the labels are left in.  The
 context half runs per context: it completes each of those states exactly
 and takes the optimum of what is left inside the context from a memo that
-the context shares between gadgets.  Independent set and feedback vertex
-set glue and solve each glued graph afresh (`solver_probe`).
+the context shares between gadgets.  The independent set probe runs the
+vertex cover probe.  Feedback vertex set glues and solves each glued graph
+afresh (`solver_probe`).
 """
 
 from __future__ import annotations
@@ -101,111 +108,40 @@ def _cover(adj: list[int], active: int) -> tuple[int, int]:
 
 
 def independent_set_opt(adj: list[int]) -> tuple[int, int]:
-    """Maximum independent set: its size and a set as a vertex mask."""
-    n = len(adj)
-    best = [0, 0]
+    """Maximum independent set: its size and a set as a vertex mask.
 
-    def rec(active: int, chosen: int, size: int) -> None:
-        while True:
-            m = active
-            while m:
-                low = m & -m
-                m ^= low
-                if (adj[low.bit_length() - 1] & active).bit_count() <= 1:
-                    break
-            else:
-                break
-            chosen |= low
-            size += 1
-            active &= ~(adj[low.bit_length() - 1] | low)
-        if not active:
-            if size > best[0]:
-                best[0], best[1] = size, chosen
-            return
-        if size + active.bit_count() <= best[0]:
-            return
-        # the first vertex of largest degree, as max() picks it
-        pick = -1
-        deg = -1
-        m = active
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & active).bit_count()
-            if d > deg:
-                deg, pick = d, v
-        rec(active & ~(adj[pick] | (1 << pick)), chosen | (1 << pick), size + 1)
-        rec(active & ~(1 << pick), chosen, size)
-
-    rec((1 << n) - 1, 0, 0)
-    del rec  # it calls itself through its closure: free that cycle now
-    return best[0], best[1]
+    By Gallai's identity the complement of a minimum vertex cover is a
+    maximum independent set, so this runs `_cover`."""
+    full = (1 << len(adj)) - 1
+    size, cover = _cover(adj, full)
+    return len(adj) - size, full & ~cover
 
 
 def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
     """Minimum dominating set: its size and a set as a vertex mask.
 
-    Depth first on an explicit stack from a greedy upper bound: branch on the
-    dominators of the first undominated vertex with fewest, by decreasing
-    gain; prune when the undominated vertices need more picks than the best
-    set leaves.  A child that bound prunes is not pushed."""
-    n = len(adj)
-    if n == 0:
-        return 0, 0
-    closed = [m | 1 << v for v, m in enumerate(adj)]
-    closed_size = [c.bit_count() for c in closed]
-    max_cover = max(closed_size)
-    full = (1 << n) - 1
-
-    # greedy upper bound starts the search: the first vertex of largest gain,
-    # which is the first of largest closed size while nothing is dominated
-    pick = closed_size.index(max_cover)
-    chosen = 1 << pick
-    rest = full & ~closed[pick]
-    while rest:
-        pick, gain = 0, -1
-        for v, c in enumerate(closed):
-            g = (c & rest).bit_count()
-            if g > gain:
-                pick, gain = v, g
-        chosen |= 1 << pick
-        rest &= ~closed[pick]
-    best, best_set = chosen.bit_count(), chosen
-    # branching takes the first undominated vertex in this order
-    fewest_first = sorted(range(n), key=closed_size.__getitem__)
-
-    stack = [(0, 0, 0)]
-    while stack:
-        dominated, chosen, size = stack.pop()
-        if dominated == full:
-            if size < best:
-                best, best_set = size, chosen
-            continue
-        rest = full & ~dominated
-        left = rest.bit_count()
-        if size + -(-left // max_cover) >= best:
-            continue
-        # branch on the first undominated vertex with fewest potential dominators
-        for v in fewest_first:
-            if rest >> v & 1:
-                break
-        # dominators by decreasing gain, ties by ascending vertex
-        cands = []
-        m = closed[v]
+    `_dominate` with the whole graph as the context memoizes the optimum of
+    every undominated set it searches.  The witness is read back from that
+    memo: one dominator of the highest undominated vertex at a time, the
+    first whose remaining undominated set needs one fewer."""
+    full = (1 << len(adj)) - 1
+    memo = {0: 0}  # `_dominate` stores no empty set; the last pick reads it
+    best = opt = _dominate(adj, full, memo, full)
+    chosen = 0
+    undominated = full
+    while undominated:
+        x = undominated.bit_length() - 1
+        m = adj[x] | 1 << x
         while m:
             low = m & -m
             m ^= low
-            u = low.bit_length() - 1
-            cands.append((-(closed[u] & rest).bit_count(), u))
-        cands.sort(reverse=True)
-        # push in reverse, the first candidate last; skip a child the bound
-        # prunes: size + 1 + ceil((left - gain) / max_cover) >= best
-        limit = (best - size - 2) * max_cover - left
-        for neg_gain, u in cands:
-            if neg_gain <= limit:
-                stack.append((dominated | closed[u], chosen | (1 << u), size + 1))
-    return best, best_set
+            rest = undominated & ~(adj[low.bit_length() - 1] | low)
+            if memo.get(rest) == opt - 1:
+                break
+        chosen |= low
+        undominated = rest
+        opt -= 1
+    return best, chosen
 
 
 def _component(adj: list[int], start: int, within: int) -> int:
@@ -403,6 +339,19 @@ def vertex_cover_probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict
             if size + opt < best:
                 best = size + opt
         return best
+
+    return on_context
+
+
+def independent_set_probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict], int]:
+    """Maximum independent set of the gadget glued onto each context: the
+    glued graph's order less its minimum vertex cover (`vertex_cover_probe`,
+    whose optima fill the memo)."""
+    cover = vertex_cover_probe(gadget, b)
+    n = len(gadget)
+
+    def on_context(plan: tuple, memo: dict) -> int:
+        return len(plan[0]) + n - cover(plan, memo)
 
     return on_context
 

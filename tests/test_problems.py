@@ -92,9 +92,8 @@ class TestOracles:
             assert len(wf) == vf
 
     @staticmethod
-    def _solver_outputs():
-        """(problem, value, sorted witness) of every problem's solver on fixed
-        random graphs."""
+    def _pinned_graphs():
+        """160 fixed random graphs of 1 to 14 vertices."""
         rng = random.Random(20261019)
         graphs = []
         for _ in range(120):
@@ -102,6 +101,13 @@ class TestOracles:
             graphs.append(random_graph(rng, n, rng.randint(0, 2 * n)))
         for _ in range(40):
             graphs.append(random_graph(rng, rng.randint(1, 14)))
+        return graphs
+
+    @classmethod
+    def _solver_outputs(cls):
+        """(problem, value, sorted witness) of every problem's solver on the
+        pinned graphs."""
+        graphs = cls._pinned_graphs()
         for name in sorted(CATALOG):
             for g in graphs:
                 value, witness = opt_fast(CATALOG[name], g)
@@ -122,8 +128,18 @@ class TestOracles:
         for output in self._solver_outputs():
             digest.update(repr(output).encode())
         assert digest.hexdigest() == (
-            "ccf3e987511b461e065feb660eef4e83edb9647b70fd5fbf901034a178d19254"
+            "08e2eb17ef57d6aa58f2f54f1fd0ddc104a2bf871e5e42a82707de67f4c07e0b"
         )
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_solver_witnesses_are_feasible(self, name):
+        # on the pinned graphs, larger than the brute-force comparison's: a
+        # witness is feasible and as large as the optimum
+        p = CATALOG[name]
+        for g in self._pinned_graphs():
+            value, witness = opt_fast(p, g)
+            assert p.feasibility(g, witness), (sorted(g.edges), sorted(witness))
+            assert len(witness) == value, (sorted(g.edges), sorted(witness))
 
     def test_solvers_leave_no_reference_cycles(self):
         # a search that calls itself through its closure frees that cycle

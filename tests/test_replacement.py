@@ -233,6 +233,12 @@ class TestCertificateProbes:
                 for idx, (plan, memo) in enumerate(zip(plans, memos)):
                     yield member, idx, glue_gadget(gadget, plan), on_context(plan, memo)
 
+    @staticmethod
+    def _brute(p, adj: list[int]) -> int:
+        n = len(adj)
+        edges = [(v, w) for v in range(n) for w in range(v) if adj[v] >> w & 1]
+        return opt_brute(p, Graph(n, edges))[0]
+
     @pytest.mark.parametrize("problem", sorted(CATALOG))
     def test_probes_match_branch_and_bound_and_brute(self, problem):
         p = CATALOG[problem]
@@ -242,17 +248,27 @@ class TestCertificateProbes:
             label_edges += len(member.label_of) == 2 and member.graph.has_edge(*member.boundary)
             key = tuple(adj)
             if key not in brute:
-                n = len(adj)
-                edges = [(v, w) for v in range(n) for w in range(v) if adj[v] >> w & 1]
-                brute[key] = opt_brute(p, Graph(n, edges))[0]
+                brute[key] = self._brute(p, adj)
             assert got == p.solver(adj)[0] == brute[key], (member, idx)
         assert label_edges > 0
 
-    @pytest.mark.parametrize("problem", ["vertex-cover", "dominating-set"])
+    @pytest.mark.parametrize("problem", ["dominating-set", "independent-set", "vertex-cover"])
     def test_probes_match_branch_and_bound_at_t2(self, problem):
+        # every probe against the solver, which shares its search with the
+        # probe; every 64th distinct glued graph, in the order first met, also
+        # against subset enumeration, which shares nothing with either
         p = CATALOG[problem]
+        seen = set()
+        checked = 0
         for member, idx, adj, got in self._probe_every_pair(p, 5, 2, 6):
             assert got == p.solver(adj)[0], (member, idx)
+            key = tuple(adj)
+            if key not in seen:
+                if len(seen) % 64 == 0:
+                    assert got == self._brute(p, adj), (member, idx)
+                    checked += 1
+                seen.add(key)
+        assert checked > 1000
 
     def test_dominating_set_probe_reads_context_label_edges(self):
         # the member's end labels dominate each other only through the
@@ -420,12 +436,13 @@ class TestTableConstruction:
     def test_thorough_tables_are_pinned(self):
         # sha256 of format_table for the t=1 'thorough' tables at rng_seed=1
         got = {}
-        for name in ("vertex-cover", "dominating-set"):
+        for name in ("vertex-cover", "dominating-set", "independent-set"):
             table = build_replacement_table(CATALOG[name], 1, 6, certify="thorough", rng_seed=1)
             got[name] = hashlib.sha256(format_table(table).encode()).hexdigest()
         assert got == {
             "vertex-cover": "f8d3a5a11a9d301b04135369954806824499490d60509d202474f78ef89ec2dd",
             "dominating-set": "9197abb07a87ce9ed22d1ab0f8b648b1bf5cfab4d28c626dc67816c939aaadfe",
+            "independent-set": "c04cc49b52fa8fd8759d90495a5a35783dd7eb617ef853fc02a7c88d23b0f449",
         }
 
     def test_vc_t1_contains_expected_classes(self, vc_table):
