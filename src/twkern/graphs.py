@@ -94,15 +94,18 @@ class Graph:
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph induced by `keep`, relabeled densely in sorted order.
 
-        Returns (graph, old_ids) where old_ids[new] = old vertex id.
+        Returns (graph, old_ids) where old_ids[new] = old vertex id.  Only
+        the kept vertices' adjacency is read, so the cost is linear in it.
         """
         old_ids = tuple(sorted(set(keep)))
         if old_ids and not (0 <= old_ids[0] and old_ids[-1] < self.n):
             raise ValueError("induced set leaves vertex range")
         new_of = {old: new for new, old in enumerate(old_ids)}
-        keep_set = set(old_ids)
         edges = [
-            (new_of[u], new_of[v]) for u, v in self.edges if u in keep_set and v in keep_set
+            (a, new_of[w])
+            for a, u in enumerate(old_ids)
+            for w in self._adj[u]
+            if w > u and w in new_of
         ]
         return Graph(len(old_ids), edges), old_ids
 

@@ -21,6 +21,7 @@ from .treedec import (
     exact_treewidth,
     heuristic_decomposition,
     mmw_lower_bound,
+    width_at_most_2,
 )
 
 
@@ -33,8 +34,8 @@ def _width_upper_bound(g: Graph) -> int:
 
 def validate_protrusion(g: Graph, x, t: int) -> ValidationResult:
     """|∂(X)| <= t and tw(G[X]) <= t.  The width answer is `decide_treewidth`'s:
-    certain for t <= 1 and within the exact budget, else a min-fill bound that
-    can only certify a yes.
+    certain for t <= 2 and, from t = 3, within the exact budget; beyond it a
+    min-fill bound that can only certify a yes.
     """
     xs = frozenset(x)
     if not xs:
@@ -173,6 +174,21 @@ def _tree_code(g: Graph, bset: frozenset[int], c: frozenset[int], codes: dict) -
     return code[order[0]]
 
 
+def _closure_fits(g: Graph, bset: frozenset[int], c: frozenset[int], t: int) -> bool:
+    """Can tw(G[B ∪ C]) <= t hold, for C a component of G - B that touches
+    B?  Certain for t <= 2, where no closure Graph is built."""
+    if t <= 1:
+        # B ∪ C is connected and |B| <= 1 spans no edge: a tree exactly when
+        # it has |B| + |C| - 1 edges, each counted from both ends
+        ends = sum(map(g.degree, c)) + sum(len(g.neighbors(v) & c) for v in bset)
+        return ends == 2 * (len(bset) + len(c) - 1)
+    if t == 2:
+        return width_at_most_2(g, bset | c)
+    # the MMW bound refutes most wide closures before any min-fill
+    closure = g.induced_subgraph(bset | c)[0]
+    return mmw_lower_bound(closure) <= t and decide_treewidth(closure, t) is not False
+
+
 def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]]:
     """Candidate sets B ∪ U with |B| <= t and U a nonempty union of
     components of G - B, of size min_size..n, in order (-size, sorted
@@ -183,7 +199,9 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
     they give no such X or give it from another B: a B holding a vertex with
     no neighbor outside B, components that miss a nonempty B or, with B
     empty, have more than one vertex, and components C with
-    tw(G[B ∪ C]) > t (width only grows).
+    tw(G[B ∪ C]) > t (width only grows).  That width is read from g's
+    adjacency for t <= 2 (`_closure_fits`); the MMW bound and
+    `decide_treewidth` are asked only from t = 3.
 
     Components are copies when their closures are isomorphic fixing B: told
     by `_tree_code` when G[C] with its edges to B is a tree (always at
@@ -216,12 +234,7 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
                 # with B empty, a larger component has width > t = 0 or comes
                 # from B = {v}, v in it
                 touches = g.open_neighborhood(c) & bset if bset else len(c) == 1
-                if not touches:
-                    continue
-                closure = g.induced_subgraph(bset | c)[0]
-                # from t = 2 on, the MMW bound refutes most wide closures
-                # before any min-fill
-                if t >= 2 and mmw_lower_bound(closure) > t or decide_treewidth(closure, t) is False:
+                if not touches or not _closure_fits(g, bset, c, t):
                     continue
                 key = _tree_code(g, bset, c, codes)
                 if key is None:
@@ -248,8 +261,8 @@ def iter_protrusions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
     first is tried: they are t-protrusions alike and replace alike.  Each
     candidate B ∪ U has ∂X ⊆ B, so its boundary, interior and size hold by
     construction.  A set is yielded when it is connected and
-    `decide_treewidth` certifies tw(G[X]) <= t, which is exact except for
-    t >= 2 above the exact budget.
+    `decide_treewidth` certifies tw(G[X]) <= t, which is certain for t <= 2
+    and, from t = 3, within the exact budget.
     """
     seen: set[frozenset[int]] = set()
     for xs in _boundary_unions(g, t, min_size):

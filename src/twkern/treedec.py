@@ -4,7 +4,8 @@ Exact treewidth runs iterative deepening over elimination orderings with
 memoization on eliminated vertex sets, a minor-min-width lower bound, and safe
 forced eliminations (degree <= 2 and simplicial vertices).  Within its budget
 of a couple dozen vertices it is exact; everything larger goes through
-`heuristic_decomposition`.
+`heuristic_decomposition`.  Whether the width is at most 2 is decided at
+every size by eliminating vertices of degree <= 2 (`width_at_most_2`).
 """
 
 from __future__ import annotations
@@ -303,13 +304,41 @@ def _exact_treewidth_cached(g: Graph) -> tuple[int, TreeDecomposition]:
     return ub, decomposition_from_order(g, ub_order)
 
 
+def width_at_most_2(g: Graph, keep: Iterable[int]) -> bool:
+    """Is tw(G[keep]) <= 2?  Exact at every size, read from g's adjacency.
+
+    Deleting a vertex of degree <= 2 and joining its two neighbours takes a
+    minor, and a vertex of degree <= 2 adds at most width 2 back, so the
+    answer does not change; a graph whose degrees are all >= 3 has width
+    >= 3.  So the width is <= 2 exactly when the deletions empty G[keep].
+    A degree never grows, so a vertex once found low stays low.
+    """
+    kept = set(keep)
+    adj = {v: kept.intersection(g.neighbors(v)) for v in kept}
+    low = [v for v, nb in adj.items() if len(nb) <= 2]
+    while low:
+        v = low.pop()
+        nb = adj.pop(v, None)
+        if nb is None:
+            continue  # listed twice, already deleted
+        for a in nb:
+            around = adj[a]
+            around.discard(v)
+            around |= nb
+            around.discard(a)
+            if len(around) <= 2:
+                low.append(a)
+    return not adj
+
+
 def decide_treewidth(g: Graph, eta: int) -> bool | None:
     """Is tw(g) <= eta?  True or False when certain, None when not.
 
-    Width 0 is an edge test and width 1 a forest test; both are exact.  From
-    2 on, a min-fill width <= eta is a yes, and within the exact budget exact
-    treewidth decides; a larger graph on which min-fill exceeds eta gets None.
-    No decomposition is built.
+    Width 0 is an edge test, width 1 a forest test and width 2
+    `width_at_most_2`; these are exact at every size.  From 3 on, a min-fill
+    width <= eta is a yes, and within the exact budget exact treewidth
+    decides; a graph beyond 20 vertices on which min-fill exceeds eta gets
+    None.  No decomposition is built.
     """
     if eta < 0:
         return g.n == 0
@@ -317,6 +346,8 @@ def decide_treewidth(g: Graph, eta: int) -> bool | None:
         return g.m == 0
     if eta == 1:
         return g.is_acyclic()
+    if eta == 2:
+        return width_at_most_2(g, g.vertices)
     if minfill_order(g)[0] <= eta:
         return True
     return _exact_treewidth_cached(g)[0] <= eta if g.n <= EXACT_TW_BUDGET else None

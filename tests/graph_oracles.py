@@ -1,8 +1,9 @@
 """Test-only oracles: canonical keys, exhaustive canonical forms, graph
 generation by canonicalizing every one-vertex extension, all graphs up to
 isomorphism, boundary placement by canonicalizing every ordered placement,
-the minor operations, grid-minor containment, connected-subset enumeration and
-annotated boundaried graphs.
+the minor operations, grid-minor containment, connected-subset enumeration,
+annotated boundaried graphs, induced subgraphs by an all-edges filter and the
+protrusion search's width filter on built closure graphs.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -24,7 +25,13 @@ from twkern.graphs import (
     make_grid,
 )
 from twkern.solvers import adjacency_masks
-from twkern.treedec import decide_treewidth
+from twkern.treedec import (
+    EXACT_TW_BUDGET,
+    decide_treewidth,
+    exact_treewidth,
+    minfill_order,
+    mmw_lower_bound,
+)
 
 
 def canonical_key(g: Graph, boundary: tuple[int, ...] = ()) -> tuple:
@@ -180,6 +187,29 @@ def contract_edge(g: Graph, u: int, v: int) -> Graph:
         if na != nb:
             edges.add(_norm_edge(na, nb))
     return Graph(g.n - 1, edges)
+
+
+def induced_subgraph_by_edges(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """`Graph.induced_subgraph` by filtering every edge of g."""
+    old_ids = tuple(sorted(set(keep)))
+    new_of = {old: new for new, old in enumerate(old_ids)}
+    edges = [(new_of[u], new_of[v]) for u, v in g.edges if u in new_of and v in new_of]
+    return Graph(len(old_ids), edges), old_ids
+
+
+def closure_fits_by_graph(g: Graph, bset: frozenset[int], c: frozenset[int], t: int) -> bool:
+    """`protrusions._closure_fits` on a built closure Graph G[B ∪ C]: an edge
+    test at t = 0 and a forest test at t = 1; from t = 2 the MMW bound
+    refutes, a min-fill width <= t confirms, exact treewidth decides within
+    its budget, and a larger closure stays undecided and is kept."""
+    closure = induced_subgraph_by_edges(g, bset | c)[0]
+    if t <= 1:
+        return closure.m == 0 if t == 0 else closure.is_acyclic()
+    if mmw_lower_bound(closure) > t:
+        return False
+    if minfill_order(closure)[0] <= t:
+        return True
+    return closure.n > EXACT_TW_BUDGET or exact_treewidth(closure)[0] <= t
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:

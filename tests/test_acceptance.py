@@ -299,7 +299,7 @@ class TestC8Bidimensionality:
 
 
 class TestC9ParameterTreewidth:
-    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_grid_treewidth_versus_cover(self, t, acceptance):
         t0 = time.perf_counter()
         w, _ = exact_treewidth(make_grid(t), max_vertices=25)

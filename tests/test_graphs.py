@@ -28,6 +28,7 @@ from graph_oracles import (
     canonical_key,
     connected_graphs_by_extensions,
     contains_grid_minor,
+    induced_subgraph_by_edges,
     contract_edge,
     delete_edge,
     delete_vertex,
@@ -60,6 +61,15 @@ class TestGraphBasics:
         sub, old = g.induced_subgraph([4, 2, 3])
         assert old == (2, 3, 4)
         assert sub == path_graph(3)
+
+    def test_induced_subgraph_matches_the_edge_filter(self):
+        # reading the kept adjacency gives the graph and ids of filtering
+        # every edge, for the empty, a random and the full keep set
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 16))
+            for keep in ((), [v for v in g.vertices if rng.random() < 0.5], g.vertices):
+                assert g.induced_subgraph(keep) == induced_subgraph_by_edges(g, keep)
 
     def test_components_and_acyclicity(self):
         g = disjoint_union(path_graph(3), complete_graph(3))

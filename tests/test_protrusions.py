@@ -48,9 +48,16 @@ class TestValidateProtrusion:
         res = validate_protrusion(cycle, frozenset(cycle.vertices), 1)
         assert not res.ok and res.message == "induced treewidth exceeds 1"
 
-    def test_large_grid_not_certifiable_at_width_2(self):
+    def test_large_grid_exceeds_width_2(self):
+        # width 2 is decided at every size, also beyond the exact budget
         g = make_grid(5)
         res = validate_protrusion(g, frozenset(g.vertices), 2)
+        assert not res.ok and res.message == "induced treewidth exceeds 2"
+
+    def test_large_grid_not_certifiable_at_width_4(self):
+        # n = 25 is above the exact budget and min-fill gives 5 > 4
+        g = make_grid(5)
+        res = validate_protrusion(g, frozenset(g.vertices), 4)
         assert not res.ok and res.message == "treewidth bound not certifiable at this size"
 
 

@@ -7,6 +7,7 @@ import zlib
 import pytest
 
 from twkern.dp import DOM, DP_WIDTH_BUDGET, IN, run_dp, solve_via_dp
+from twkern.enumeration import connected_graphs
 from twkern.graphs import (
     BoundariedGraph,
     BudgetError,
@@ -28,6 +29,7 @@ from twkern.treedec import (
     mmw_lower_bound,
     treewidth_at_most,
     validate_decomposition,
+    width_at_most_2,
 )
 
 from conftest import random_graph, sparse_random_graph
@@ -222,6 +224,25 @@ class TestWidthQuestions:
                     assert validate_decomposition(g, td).ok and td.width <= eta
                 if g.n <= EXACT_TW_BUDGET:
                     assert fits == (exact_treewidth(g)[0] <= eta)
+
+
+    def test_width_two_elimination_is_exact(self):
+        # all connected graphs of up to 7 vertices, random graphs of up to
+        # 13 and random vertex subsets of them
+        rng = random.Random(9)
+        cases = [g for graphs in connected_graphs(7).values() for g, _ in graphs]
+        cases += [sparse_random_graph(rng, rng.randint(0, 13)) for _ in range(1500)]
+        for g in cases:
+            assert width_at_most_2(g, g.vertices) == (exact_treewidth(g)[0] <= 2)
+            keep = [v for v in g.vertices if rng.random() < 0.7]
+            sub = g.induced_subgraph(keep)[0]
+            assert width_at_most_2(g, keep) == (exact_treewidth(sub)[0] <= 2)
+
+    def test_width_two_is_decided_beyond_the_exact_budget(self):
+        rails = [(i, i + 2) for i in range(118)]
+        ladder = Graph(120, rails + [(i, i + 1) for i in range(0, 120, 2)])
+        assert decide_treewidth(ladder, 2) is True
+        assert decide_treewidth(make_grid(5), 2) is False
 
 
 class TestSolveViaDp:
