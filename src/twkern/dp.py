@@ -11,9 +11,11 @@ its parent's bag by forgetting, then introducing, one vertex at a time, and
 sibling tables are joined.  Every graph edge is applied exactly once, at the
 first node whose bag holds both ends, which keeps the forest bookkeeping of
 the feedback-vertex DP and the domination updates exact.  States are integer
-masks over vertex ids, or tuples of them.  A table maps each state to
-(value, witness): the witness is the mask of the vertices that `intro` added
-at cost 1.
+masks over vertex ids, or tuples of them.  A table maps each state to its
+witness, the mask of the vertices that `intro` added to the solution, and the
+state's value is that mask's size.  A join takes the union of two witnesses,
+which share exactly the bag's solution vertices when every vertex's bags are
+connected, so `run_dp` first checks that it has a tree decomposition.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import or_
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import BudgetError, Graph, forest_roots
-from .treedec import TreeDecomposition
+from .treedec import TreeDecomposition, validate_decomposition
 
 if TYPE_CHECKING:
     from .problems import ProblemDefinition
@@ -76,12 +78,12 @@ class Machine:
     an independent reference.
 
     `empty` is the state of the empty bag.  `intro` returns each successor
-    state with its cost: 1 exactly when v joins the solution, else 0.
+    state with whether v joins the solution.
     """
 
     empty: object
 
-    def intro(self, state, v: int) -> list[tuple[object, int]]:
+    def intro(self, state, v: int) -> list[tuple[object, bool]]:
         raise NotImplementedError
 
     def forget(self, state, v: int):
@@ -96,9 +98,6 @@ class Machine:
 
     def join(self, s1, s2):
         return s1
-
-    def join_overlap(self, state) -> int:
-        raise NotImplementedError
 
     def boundary_states(self, b: int) -> tuple:
         """Canonically ordered boundary states at boundary size b."""
@@ -121,16 +120,13 @@ class VertexCoverMachine(Machine):
     empty = 0
 
     def intro(self, state, v):
-        return [(state, 0), (state | 1 << v, 1)]
+        return [(state, False), (state | 1 << v, True)]
 
     def forget(self, state, v):
         return state & ~(1 << v)
 
     def edge(self, state, u, v):
         return state if (state >> u | state >> v) & 1 else None
-
-    def join_overlap(self, state):
-        return state.bit_count()
 
     def boundary_states(self, b):
         return tuple(range(1 << b))
@@ -163,7 +159,7 @@ class DominatingSetMachine(Machine):
 
     def intro(self, state, v):
         ins, need = state
-        return [((ins | 1 << v, need), 1), ((ins, need | 1 << v), 0)]
+        return [((ins | 1 << v, need), True), ((ins, need | 1 << v), False)]
 
     def forget(self, state, v):
         ins, need = state
@@ -184,9 +180,6 @@ class DominatingSetMachine(Machine):
         # equal IN masks (join_key): a vertex still needs a dominator only if
         # neither side dominated it
         return (s1[0], s1[1] & s2[1])
-
-    def join_overlap(self, state):
-        return state[0].bit_count()
 
     def boundary_states(self, b):
         return tuple(product((IN, DOM, NEED), repeat=b))
@@ -222,7 +215,7 @@ class FeedbackVertexSetMachine(Machine):
 
     def intro(self, state, v):
         dele, blocks = state
-        return [((dele | 1 << v, blocks), 1), ((dele, blocks | {1 << v}), 0)]
+        return [((dele | 1 << v, blocks), True), ((dele, blocks | {1 << v}), False)]
 
     def forget(self, state, v):
         dele, blocks = state
@@ -261,9 +254,6 @@ class FeedbackVertexSetMachine(Machine):
             return None  # two forests close a cycle
         return (dele, frozenset(merged))
 
-    def join_overlap(self, state):
-        return state[0].bit_count()
-
     def boundary_states(self, b):
         # per mask of deleted labels, every partition of the kept ones
         return tuple(
@@ -292,14 +282,18 @@ class FeedbackVertexSetMachine(Machine):
 def run_dp(
     p: ProblemDefinition, g: Graph, td: TreeDecomposition, pinned: Iterable[int] = ()
 ) -> dict:
-    """Root table of problem p's DP: state over `pinned` -> (value, witness).
+    """Root table of problem p's DP: state over `pinned` -> witness.
 
-    The witness is the mask of a solution set of size `value` that realises
-    the state.
-    Raises BudgetError when a bag together with the pinned vertices holds
-    more than DP_WIDTH_BUDGET + 1 vertices, and ValueError when the
-    decomposition misses a graph edge.
+    The witness is the mask of a solution set that realises the state, and
+    its size is the state's optimum.  Of two witnesses of equal size for one
+    state, the later one found is kept.
+    Raises ValueError with `treedec.validate_decomposition`'s message when td
+    is not a tree decomposition of g, and BudgetError when a bag together
+    with the pinned vertices holds more than DP_WIDTH_BUDGET + 1 vertices.
     """
+    valid = validate_decomposition(g, td)
+    if not valid:
+        raise ValueError(valid.message)
     m = p.machine
     pin = frozenset(pinned)
     bags = [bag | pin for bag in td.bags] or [pin]
@@ -311,12 +305,12 @@ def run_dp(
     better = max if p.maximize else min
 
     def project(table: dict, step) -> dict:
-        """Map every state through `step` (None drops it), keeping the best entry."""
+        """Map every state through `step` (None drops it), keeping the better witness."""
         out: dict = {}
-        for s, entry in table.items():
+        for s, w in table.items():
             s2 = step(s)
-            if s2 is not None and (s2 not in out or better(entry[0], out[s2][0]) == entry[0]):
-                out[s2] = entry
+            if s2 is not None:
+                out[s2] = better(w, out[s2], key=int.bit_count) if s2 in out else w
         return out
 
     def move(table: dict, src: frozenset, dst: frozenset) -> dict:
@@ -325,11 +319,10 @@ def run_dp(
             table = project(table, lambda s: m.forget(s, v))
         for v in sorted(dst - src):
             out = {}
-            for s, (val, wit) in table.items():
-                for s2, dc in m.intro(s, v):
-                    cand = val + dc
-                    if s2 not in out or better(cand, out[s2][0]) == cand:
-                        out[s2] = (cand, wit | 1 << v if dc else wit)
+            for s, w in table.items():
+                for s2, joins in m.intro(s, v):
+                    w2 = w | 1 << v if joins else w
+                    out[s2] = better(w2, out[s2], key=int.bit_count) if s2 in out else w2
             table = out
         return table
 
@@ -338,15 +331,13 @@ def run_dp(
         for s in t2:
             groups.setdefault(m.join_key(s), []).append(s)
         out: dict = {}
-        for s1, (v1, w1) in t1.items():
+        for s1, w1 in t1.items():
             for s2 in groups.get(m.join_key(s1), ()):
                 merged = m.join(s1, s2)
                 if merged is None:
                     continue
-                v2, w2 = t2[s2]
-                val = v1 + v2 - m.join_overlap(merged)
-                if merged not in out or better(val, out[merged][0]) == val:
-                    out[merged] = (val, w1 | w2)
+                w = w1 | t2[s2]
+                out[merged] = better(w, out[merged], key=int.bit_count) if merged in out else w
         return out
 
     adj: list[list[int]] = [[] for _ in bags]
@@ -363,7 +354,7 @@ def run_dp(
             if j not in parent:
                 parent[j] = i
                 stack.append(j)
-    leaf = {m.empty: (0, 0)}
+    leaf = {m.empty: 0}
     pending: dict[int, list[dict]] = {}  # node -> child tables moved to its bag
     applied: set[tuple[int, int]] = set()
     for i in reversed(order):
@@ -379,9 +370,6 @@ def run_dp(
             root = move(table, bag, pin)
         else:
             pending.setdefault(up, []).append(move(table, bag, bags[up]))
-    if len(applied) != g.m:
-        missing = min(g.edges - applied)
-        raise ValueError(f"decomposition misses edge {missing} (T2 violated)")
     return root
 
 
@@ -390,10 +378,10 @@ def solve_via_dp(
 ) -> tuple[int, frozenset[int]]:
     """Optimum value and witness set for a DP-supported problem.
 
-    Raises for unsupported problems or decompositions over the width budget.
+    Raises as `run_dp` does.
     """
     root = run_dp(p, g, td)
     better = max if p.maximize else min
-    value, witness = better(root.values(), key=lambda entry: entry[0])
-    return value, frozenset(v for v in range(g.n) if witness >> v & 1)
+    witness = better(root.values(), key=int.bit_count)
+    return witness.bit_count(), frozenset(v for v in range(g.n) if witness >> v & 1)
 

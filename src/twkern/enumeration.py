@@ -11,8 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import BoundariedGraph, Graph
-from .solvers import adjacency_masks
+from .graphs import BoundariedGraph, Graph, adjacency_masks
 from .treedec import decide_treewidth
 
 

@@ -71,9 +71,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     def open_neighborhood(self, s: Iterable[int]) -> frozenset[int]:
         """N_G(S): vertices outside S adjacent to S."""
         sset = set(s)
@@ -289,12 +286,6 @@ class BoundariedGraph:
         """Λ(G), the set of labels in use."""
         return frozenset(lab for _, lab in self.label_of)
 
-    def vertex_of_label(self, lab: int) -> int:
-        for v, l in self.label_of:
-            if l == lab:
-                return v
-        raise KeyError(lab)
-
 
 def glue(
     g1: BoundariedGraph, g2: BoundariedGraph
@@ -324,6 +315,15 @@ def glue(
     for u, v in g2.graph.edges:
         edges.add(_norm_edge(heir2[u], heir2[v]))
     return Graph(nxt, edges), heir1, heir2
+
+
+def adjacency_masks(g: Graph) -> list[int]:
+    """g's adjacency masks, vertex v as bit v."""
+    masks = [0] * g.n
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
 
 
 def _ordered_masks(g: Graph, order: list[int]) -> tuple[int, ...]:
@@ -404,18 +404,3 @@ class Separation:
     @property
     def order(self) -> int:
         return len(self.a1 & self.a2)
-
-    def is_separation_of(self, g: Graph) -> bool:
-        if self.a1 | self.a2 != frozenset(g.vertices):
-            return False
-        left = self.a1 - self.a2
-        right = self.a2 - self.a1
-        return not any((u in left and v in right) or (u in right and v in left) for u, v in g.edges)
-
-    def is_balanced_for(self, q: Iterable[int]) -> bool:
-        """2/3-balance: each strict side holds at most ceil(2|Q|/3) of Q."""
-        qs = set(q)
-        cap = -(-2 * len(qs) // 3)
-        return (
-            len(qs & (self.a1 - self.a2)) <= cap and len(qs & (self.a2 - self.a1)) <= cap
-        )

@@ -24,7 +24,7 @@ from .dp import (
     Machine,
     VertexCoverMachine,
 )
-from .graphs import BudgetError, Graph
+from .graphs import BudgetError, Graph, adjacency_masks
 from .treedec import exact_treewidth
 
 BRUTE_BUDGET = 22  # largest graph subset enumeration is run on
@@ -35,11 +35,11 @@ class ProblemDefinition:
     """A vertex subset problem: optimize |S| subject to feasibility(G, S).
 
     This is the one record per problem: a new problem is one CATALOG entry.
-    `solver` is the exact oracle on adjacency masks; it returns the optimum
-    and a witness as a vertex mask.  It and `probe` run the problem's one
-    search in `solvers`: branch and bound for vertex cover and feedback
-    vertex set, vertex cover's for independent set, and a memoized
-    recursion for dominating set.
+    `solver` is the exact oracle on adjacency masks; it returns an optimal
+    solution as a vertex mask, whose size is the optimum.  It and `probe`
+    run the problem's one search in `solvers`: branch and bound for vertex
+    cover and feedback vertex set, vertex cover's for independent set, and a
+    memoized recursion for dominating set.
     `probe(gadget_masks, b)` takes a gadget's `graphs.gadget_plan` and runs
     the part of the certificate search that no context changes; it returns
     a function `(plan, memo) -> int` that answers the optimum of the gadget
@@ -63,7 +63,7 @@ class ProblemDefinition:
     name: str
     feasibility: Callable[[Graph, frozenset[int]], bool]
     separability_f: Callable[[int], int]
-    solver: Callable[[list[int]], tuple[int, int]]
+    solver: Callable[[list[int]], int]
     probe: Callable[[tuple[int, ...], int], Callable[[tuple, dict], int]]
     maximize: bool
     minor_closed: bool
@@ -163,9 +163,10 @@ def opt_brute(p: ProblemDefinition, g: Graph) -> tuple[int, frozenset[int]]:
 
 
 def opt_fast(p: ProblemDefinition, g: Graph) -> tuple[int, frozenset[int]]:
-    """The problem's exact solver; validated against opt_brute in tests."""
-    value, witness = p.solver(solvers.adjacency_masks(g))
-    return value, frozenset(v for v in range(g.n) if witness >> v & 1)
+    """Optimum value and witness set from the problem's exact solver, whose
+    witness mask's size is the value; validated against opt_brute in tests."""
+    witness = p.solver(adjacency_masks(g))
+    return witness.bit_count(), frozenset(v for v in range(g.n) if witness >> v & 1)
 
 
 # ---------------------------------------------------------------------------

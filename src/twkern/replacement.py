@@ -23,11 +23,18 @@ from itertools import combinations
 from . import problems as problems_mod
 from .dp import run_dp
 from .enumeration import boundaried_universe
-from .graphs import BoundariedGraph, BudgetError, Graph, gadget_plan, glue, glue_plan
+from .graphs import (
+    BoundariedGraph,
+    BudgetError,
+    Graph,
+    adjacency_masks,
+    gadget_plan,
+    glue,
+    glue_plan,
+)
 from .io import LineReader, ParseError, format_graph, parse_ints, read_graph
 from .problems import ProblemDefinition
 from .protrusions import iter_protrusions, validate_protrusion
-from .solvers import adjacency_masks
 from .treedec import decide_treewidth, heuristic_decomposition
 
 logger = logging.getLogger(__name__)
@@ -59,7 +66,7 @@ def state_space(p: ProblemDefinition, b: int) -> tuple:
 def _raw_table_dp(p: ProblemDefinition, bg: BoundariedGraph) -> dict:
     boundary = bg.boundary
     root = run_dp(p, bg.graph, heuristic_decomposition(bg.graph), pinned=boundary)
-    return {p.machine.label_state(state, boundary): cost for state, (cost, _) in root.items()}
+    return {p.machine.label_state(state, boundary): w.bit_count() for state, w in root.items()}
 
 
 def _raw_table_brute(p: ProblemDefinition, bg: BoundariedGraph) -> dict:

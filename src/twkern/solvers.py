@@ -6,13 +6,13 @@ complement of a minimum vertex cover (Gallai: IS(G) = n - VC(G)), dominating
 set recurses with a memo in `_dominate`, and feedback vertex set branches and
 bounds in `feedback_vertex_set_opt`.
 
-Solvers take `adjacency_masks` and return the optimum with a witness as a
-vertex mask.  Their loops walk set bits inline (`low = m & -m`): a generator
-there was the largest self time of table certification.  They are the first
-rung of `harness.reference_oracle` within `problems.BRUTE_BUDGET` vertices,
-where they are faster than the tree-decomposition DP; `problems.opt_brute`
-stays the reference they are validated against, and the DP a second one up
-to that budget.
+Solvers take `graphs.adjacency_masks` and return an optimal solution as a
+vertex mask, whose size is the optimum.  Their loops walk set bits inline
+(`low = m & -m`): a generator there was the largest self time of table
+certification.  They are the first rung of `harness.reference_oracle`
+within `problems.BRUTE_BUDGET` vertices, where they are faster than the
+tree-decomposition DP; `problems.opt_brute` stays the reference they are
+validated against, and the DP a second one up to that budget.
 
 Probes answer OPT of one gadget glued onto each certificate context with no
 `Graph` built, in two halves.  The gadget half runs once per gadget the
@@ -30,24 +30,16 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graphs import Graph, glue_gadget
+from .graphs import glue_gadget
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def vertex_cover_opt(adj: list[int]) -> tuple[int, int]:
-    """Minimum vertex cover: its size and a cover as a vertex mask."""
+def vertex_cover_opt(adj: list[int]) -> int:
+    """A minimum vertex cover as a vertex mask."""
     return _cover(adj, (1 << len(adj)) - 1)
 
 
-def _cover(adj: list[int], active: int) -> tuple[int, int]:
-    """Minimum vertex cover of the subgraph induced by `active`.
+def _cover(adj: list[int], active: int) -> int:
+    """A minimum vertex cover of the subgraph induced by `active`, as a mask.
 
     Depth first on an explicit stack: take the first vertex of largest degree,
     or all its neighbours, after peeling degree-1 vertices; prune by a greedy
@@ -104,21 +96,20 @@ def _cover(adj: list[int], active: int) -> tuple[int, int]:
         if size + deg < best:
             stack.append((active & ~nb & ~bit, cover | nb, size + deg))
         stack.append((active & ~bit, cover | bit, size + 1))
-    return best, best_cover
+    return best_cover
 
 
-def independent_set_opt(adj: list[int]) -> tuple[int, int]:
-    """Maximum independent set: its size and a set as a vertex mask.
+def independent_set_opt(adj: list[int]) -> int:
+    """A maximum independent set as a vertex mask.
 
     By Gallai's identity the complement of a minimum vertex cover is a
     maximum independent set, so this runs `_cover`."""
     full = (1 << len(adj)) - 1
-    size, cover = _cover(adj, full)
-    return len(adj) - size, full & ~cover
+    return full & ~_cover(adj, full)
 
 
-def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
-    """Minimum dominating set: its size and a set as a vertex mask.
+def dominating_set_opt(adj: list[int]) -> int:
+    """A minimum dominating set as a vertex mask.
 
     `_dominate` with the whole graph as the context memoizes the optimum of
     every undominated set it searches.  The witness is read back from that
@@ -126,7 +117,7 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
     first whose remaining undominated set needs one fewer."""
     full = (1 << len(adj)) - 1
     memo = {0: 0}  # `_dominate` stores no empty set; the last pick reads it
-    best = opt = _dominate(adj, full, memo, full)
+    opt = _dominate(adj, full, memo, full)
     chosen = 0
     undominated = full
     while undominated:
@@ -141,7 +132,7 @@ def dominating_set_opt(adj: list[int]) -> tuple[int, int]:
         chosen |= low
         undominated = rest
         opt -= 1
-    return best, chosen
+    return chosen
 
 
 def _component(adj: list[int], start: int, within: int) -> int:
@@ -159,8 +150,8 @@ def _component(adj: list[int], start: int, within: int) -> int:
     return comp
 
 
-def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
-    """Minimum feedback vertex set: its size and a set as a vertex mask.
+def feedback_vertex_set_opt(adj: list[int]) -> int:
+    """A minimum feedback vertex set as a vertex mask.
 
     Vertices of degree at most 1 lie on no cycle and are peeled.  Deleting a
     vertex of degree d lowers the cycle rank m - n + c by at most d - 1, so
@@ -224,7 +215,7 @@ def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
 
     rec((1 << n) - 1, 0, 0, 0)
     del rec  # it calls itself through its closure: free that cycle now
-    return best[0], best[1]
+    return best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +243,7 @@ def feedback_vertex_set_opt(adj: list[int]) -> tuple[int, int]:
 
 
 def solver_probe(
-    solver: Callable[[list[int]], tuple[int, int]]
+    solver: Callable[[list[int]], int]
 ) -> Callable[[tuple[int, ...], int], Callable[[tuple, dict], int]]:
     """A probe whose context half glues the gadget onto the context and
     solves the glued graph afresh with `solver`; it keeps nothing in the
@@ -260,7 +251,7 @@ def solver_probe(
 
     def probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict], int]:
         def on_context(plan: tuple, memo: dict) -> int:
-            return solver(glue_gadget(gadget, plan))[0]
+            return solver(glue_gadget(gadget, plan)).bit_count()
 
         return on_context
 
@@ -335,7 +326,7 @@ def vertex_cover_probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict
             if opt is None:
                 if adj is None:
                     adj = [*unlabeled, *(nb | (g & labels) << u for nb, g in zip(labeled, gadget))]
-                opt = memo[key] = _cover(adj, active)[0]
+                opt = memo[key] = _cover(adj, active).bit_count()
             if size + opt < best:
                 best = size + opt
         return best

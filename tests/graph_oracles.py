@@ -2,8 +2,9 @@
 generation by canonicalizing every one-vertex extension, all graphs up to
 isomorphism, boundary placement by canonicalizing every ordered placement,
 the minor operations, grid-minor containment, connected-subset enumeration,
-annotated boundaried graphs, induced subgraphs by an all-edges filter and the
-protrusion search's width filter on built closure graphs.
+annotated boundaried graphs, induced subgraphs by an all-edges filter, the
+protrusion search's width filter on built closure graphs, and the edge, label
+and separation queries that only tests ask.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -19,12 +20,13 @@ from twkern.graphs import (
     BoundariedGraph,
     BudgetError,
     Graph,
+    Separation,
     _norm_edge,
+    adjacency_masks,
     disjoint_union,
     glue,
     make_grid,
 )
-from twkern.solvers import adjacency_masks
 from twkern.treedec import (
     EXACT_TW_BUDGET,
     decide_treewidth,
@@ -168,11 +170,38 @@ def boundaried_universe_by_placements(
     return out
 
 
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return _norm_edge(u, v) in g.edges
+
+
+def vertex_of_label(bg: BoundariedGraph, lab: int) -> int:
+    for v, l in bg.label_of:
+        if l == lab:
+            return v
+    raise KeyError(lab)
+
+
+def is_separation_of(sep: Separation, g: Graph) -> bool:
+    """A1 ∪ A2 = V and no edge of g joins the strict sides."""
+    if sep.a1 | sep.a2 != frozenset(g.vertices):
+        return False
+    left = sep.a1 - sep.a2
+    right = sep.a2 - sep.a1
+    return not any((u in left and v in right) or (u in right and v in left) for u, v in g.edges)
+
+
+def is_balanced_for(sep: Separation, q: Iterable[int]) -> bool:
+    """2/3-balance: each strict side holds at most ceil(2|Q|/3) of Q."""
+    qs = set(q)
+    cap = -(-2 * len(qs) // 3)
+    return len(qs & (sep.a1 - sep.a2)) <= cap and len(qs & (sep.a2 - sep.a1)) <= cap
+
+
 def contract_edge(g: Graph, u: int, v: int) -> Graph:
     """Contract edge uv; the merged vertex takes min(u,v)'s slot and ids are
     reassigned densely.  Loops and parallels arising are dropped.
     """
-    if not g.has_edge(u, v):
+    if not has_edge(g, u, v):
         raise ValueError(f"edge ({u},{v}) not in graph")
     lo, hi = _norm_edge(u, v)
     relabel = {}
@@ -213,7 +242,7 @@ def closure_fits_by_graph(g: Graph, bset: frozenset[int], c: frozenset[int], t: 
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
+    if not has_edge(g, u, v):
         raise ValueError(f"edge ({u},{v}) not in graph")
     return Graph(g.n, g.edges - {_norm_edge(u, v)})
 

@@ -31,6 +31,7 @@ from twkern.replacement import (
 from twkern.treedec import exact_treewidth, heuristic_decomposition, validate_decomposition
 
 from conftest import random_graph, sparse_random_graph
+from graph_oracles import is_separation_of
 
 VC = CATALOG["vertex-cover"]
 
@@ -79,7 +80,7 @@ class TestC2BalancedSeparation:
             sep = balanced_separation(g, q, td)
             cap = -(-2 * len(q) // 3)
             if not (
-                sep.is_separation_of(g)
+                is_separation_of(sep, g)
                 and sep.order <= td.width + 1
                 and len(q & (sep.a1 - sep.a2)) <= cap
                 and len(q & (sep.a2 - sep.a1)) <= cap

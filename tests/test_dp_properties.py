@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twkern.dp import run_dp, solve_via_dp
-from twkern.graphs import BoundariedGraph, Graph
+from twkern.graphs import BoundariedGraph, Graph, adjacency_masks
 from twkern.problems import CATALOG, opt_brute
 from twkern.replacement import _normalize, _raw_table_brute, _raw_table_dp
 from twkern.treedec import decomposition_from_order, exact_treewidth, heuristic_decomposition
@@ -47,7 +47,21 @@ def test_pinned_table_matches_brute(bg, p, data):
     assert _normalize(p, _raw_table_dp(p, bg), b) == _normalize(p, brute, b)
     for td in _decompositions(bg.graph, data):
         root = run_dp(p, bg.graph, td, pinned=bg.boundary)
-        assert {p.machine.label_state(s, bg.boundary): c for s, (c, _) in root.items()} == brute
+        table = {p.machine.label_state(s, bg.boundary): w.bit_count() for s, w in root.items()}
+        assert table == brute
+
+
+@DERANDOMIZED
+@given(bg=boundaried_graphs(), p=st.sampled_from(PROBLEMS), data=st.data())
+def test_root_witnesses_realise_their_states(bg, p, data):
+    # every entry of a pinned root table, not only the optimal one: the
+    # witness, read without the DP, is in the state that holds it
+    adj = adjacency_masks(bg.graph)
+    for td in _decompositions(bg.graph, data):
+        root = run_dp(p, bg.graph, td, pinned=bg.boundary)
+        for s, w in root.items():
+            state = p.machine.label_state(s, bg.boundary)
+            assert p.machine.brute_state(adj, bg.boundary, w) == state
 
 
 @DERANDOMIZED

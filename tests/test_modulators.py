@@ -13,7 +13,7 @@ from twkern.modulators import (
 from twkern.treedec import exact_treewidth, heuristic_decomposition, validate_decomposition
 
 from conftest import random_graph
-from graph_oracles import delete_vertex
+from graph_oracles import delete_vertex, is_balanced_for, is_separation_of
 
 
 class TestBalancedSeparation:
@@ -21,17 +21,17 @@ class TestBalancedSeparation:
         g = path_graph(7)
         _, td = exact_treewidth(g)
         sep = balanced_separation(g, frozenset(g.vertices), td)
-        assert sep.is_separation_of(g)
+        assert is_separation_of(sep, g)
         assert sep.order <= td.width + 1
-        assert sep.is_balanced_for(g.vertices)
+        assert is_balanced_for(sep, g.vertices)
 
     def test_empty_q_vacuously_balanced(self):
         g = make_grid(3)
         td = heuristic_decomposition(g)
         sep = balanced_separation(g, frozenset(), td)
-        assert sep.is_separation_of(g)
+        assert is_separation_of(sep, g)
         assert sep.order <= td.width + 1
-        assert sep.is_balanced_for(frozenset())
+        assert is_balanced_for(sep, frozenset())
 
     def test_grid3_full_q(self):
         g = make_grid(3)
@@ -48,9 +48,9 @@ class TestBalancedSeparation:
             td = heuristic_decomposition(g)
             q = frozenset(rng.sample(range(g.n), rng.randint(0, g.n))) if g.n else frozenset()
             sep = balanced_separation(g, q, td)
-            assert sep.is_separation_of(g)
+            assert is_separation_of(sep, g)
             assert sep.order <= td.width + 1
-            assert sep.is_balanced_for(q)
+            assert is_balanced_for(sep, q)
 
     def test_empty_graph(self):
         from twkern.treedec import TreeDecomposition

@@ -1,11 +1,13 @@
-"""Every public function and class of the package is one a program runs.
+"""Every public function, class and method of the package is one a program runs.
 
-A name defined at the top level of a `src/twkern` module is reached when a
-program path refers to it: top-level code of a package module other than
-`twkern/__init__.py` (a re-export is not a caller), any code in `demos/` or
-`stagebench/`, or the body of a name already reached.  References are matched
-by bare name, read with `ast`.  Tests are not a program path: code only they
-call belongs in the tests.
+A name defined at the top level of a `src/twkern` module, or as a method of
+one of its classes, is reached when a program path refers to it: top-level
+code of a package module other than `twkern/__init__.py` (a re-export is not
+a caller), any code in `demos/` or `stagebench/`, or the body of a name
+already reached.  A class's body counts without its public methods, which
+are reached on their own.  References are matched by bare name, read with
+`ast`, so a method is reached by any attribute of its name.  Tests are not a
+program path: code only they call belongs in the tests.
 """
 
 import ast
@@ -41,18 +43,36 @@ def _names(node: ast.AST) -> set[str]:
     return out
 
 
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
 def unreached_names() -> list[tuple[str, str]]:
     """(module, name) of the public top-level functions and classes of the
-    package that no program path reaches."""
-    modules: dict[str, list[str]] = {}  # name -> modules defining it
+    package, and of the public methods of its classes as "Class.method",
+    that no program path reaches."""
+    definitions: dict[str, list[tuple[str, str]]] = {}  # bare name -> definitions
     uses: dict[tuple[str, str], set[str]] = {}  # definition -> names in its body
     roots: set[str] = set()
+
+    def define(key: tuple[str, str], name: str, body: list[ast.AST]) -> None:
+        definitions.setdefault(name, []).append(key)
+        uses[key] = set().union(*map(_names, body)) - {name}
+
     for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                modules.setdefault(stmt.name, []).append(path.stem)
-                uses[(path.stem, stmt.name)] = _names(stmt) - {stmt.name}
-            elif path.stem != "__init__":
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                define((module, stmt.name), stmt.name, [stmt])
+            elif isinstance(stmt, ast.ClassDef):
+                rest = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+                for f in stmt.body:
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(f.name):
+                        define((module, f"{stmt.name}.{f.name}"), f.name, [f])
+                    else:
+                        rest.append(f)
+                define((module, stmt.name), stmt.name, rest)
+            elif module != "__init__":
                 roots |= _names(stmt)
     for folder in ("demos", "stagebench"):
         for path in sorted((ROOT / folder).glob("*.py")):
@@ -60,12 +80,13 @@ def unreached_names() -> list[tuple[str, str]]:
     reached: set[tuple[str, str]] = set()
     todo = list(roots)
     while todo:
-        name = todo.pop()
-        for module in modules.get(name, ()):
-            if (module, name) not in reached:
-                reached.add((module, name))
-                todo.extend(uses[(module, name)])
-    return sorted(key for key in uses if not key[1].startswith("_") and key not in reached)
+        for key in definitions.get(todo.pop(), ()):
+            if key not in reached:
+                reached.add(key)
+                todo.extend(uses[key])
+    return sorted(
+        key for key in uses if all(map(_public, key[1].split("."))) and key not in reached
+    )
 
 
 def test_every_public_name_is_reached_by_a_program():

@@ -13,6 +13,7 @@ import pytest
 from twkern.dp import solve_via_dp
 from twkern.graphs import (
     Graph,
+    adjacency_masks,
     disjoint_union,
     make_gamma,
     make_grid,
@@ -30,7 +31,6 @@ from twkern.problems import (
 )
 from twkern.harness import gen_corpus, reference_oracle
 from twkern.replacement import build_replacement_table, kernelize
-from twkern.solvers import adjacency_masks
 from twkern.treedec import heuristic_decomposition
 
 from conftest import random_graph, sparse_random_graph

@@ -305,7 +305,7 @@ class TestSolveViaDp:
         for name in ("feedback-vertex-set", "dominating-set"):
             p = CATALOG[name]
             root = run_dp(p, g, td, pinned=bg.boundary)
-            table = {p.machine.label_state(s, bg.boundary): c for s, (c, _) in root.items()}
+            table = {p.machine.label_state(s, bg.boundary): w.bit_count() for s, w in root.items()}
             assert table == _raw_table_brute(p, bg)
         # 0 in the set and 2 dominated by 1 or by 3: one child alone dominates 2
         assert table[(IN, DOM)] == 2
@@ -333,8 +333,30 @@ class TestSolveViaDp:
     def test_decomposition_missing_an_edge_rejected(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         td = TreeDecomposition([{0, 1}, {1, 2}], [(0, 1)])
-        with pytest.raises(ValueError, match=r"misses edge \(0, 2\)"):
+        with pytest.raises(ValueError, match=r"\(T2\) edge \(0,2\) is in no bag"):
             solve_via_dp(CATALOG["vertex-cover"], g, td)
+
+    @pytest.mark.parametrize(
+        "g, td, broken",
+        [
+            # unchecked, the DP answers DS 1 here (OPT 2) and VC 2 on the star (OPT 1)
+            (Graph(2), TreeDecomposition([{0}]), r"\(T1\) vertex 1 is in no bag"),
+            (
+                Graph(3, [(0, 1), (0, 2)]),
+                TreeDecomposition([{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)]),
+                r"\(T3\) bags containing vertex 0 are not connected",
+            ),
+            (Graph(2), TreeDecomposition([{0}, {1}]), "tree must have 1 edges, has 0"),
+            (Graph(1), TreeDecomposition([]), "empty decomposition for nonempty graph"),
+        ],
+        ids=["T1", "T3", "forest", "empty"],
+    )
+    def test_invalid_decomposition_rejected(self, g, td, broken):
+        for p in CATALOG.values():
+            with pytest.raises(ValueError, match=broken):
+                solve_via_dp(p, g, td)
+            with pytest.raises(ValueError, match=broken):
+                run_dp(p, g, td, pinned=(0,))
 
 
 class TestFormats:
