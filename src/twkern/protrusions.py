@@ -160,7 +160,8 @@ def _tree_code(g: Graph, bset: frozenset[int], c: frozenset[int], codes: dict) -
     """AHU code of C with its edges to B as a tree rooted in B, B's vertices
     named, or None if not a tree: codes are equal iff isomorphic fixing B."""
     nbrs = {v: g.neighbors(v) & c for v in g.open_neighborhood(c) & bset}
-    nbrs.update((u, g.neighbors(u) & (c | bset)) for u in c)
+    closure = c | bset
+    nbrs.update((u, g.neighbors(u) & closure) for u in c)
     if sum(map(len, nbrs.values())) != 2 * len(nbrs) - 2:
         return None
     order, seen = [min(nbrs.keys() & bset or c)], set()

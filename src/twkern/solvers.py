@@ -16,14 +16,14 @@ validated against, and the DP a second one up to that budget.
 
 Probes answer OPT of one gadget glued onto each certificate context with no
 `Graph` built, in two halves.  The gadget half runs once per gadget the
-part of the search that reads no context bit: the vertex cover and
-dominating set probes branch there on the gadget's vertices that are not
-labels, and keep the best cost of each state the labels are left in.  The
-context half runs per context: it completes each of those states exactly
-and takes the optimum of what is left inside the context from a memo that
-the context shares between gadgets.  The independent set probe runs the
-vertex cover probe.  Feedback vertex set glues and solves each glued graph
-afresh (`solver_probe`).
+part of the search that reads no context bit and keeps the best cost of
+each state the labels are left in: the vertex cover probe runs `_cover`
+once per set of taken labels, and the dominating set probe branches on the
+gadget's vertices that are not labels.  The context half runs per context:
+it completes each of those states exactly and takes the optimum of what is
+left inside the context from a memo that the context shares between
+gadgets.  The independent set probe runs the vertex cover probe.  Feedback
+vertex set glues and solves each glued graph afresh (`solver_probe`).
 """
 
 from __future__ import annotations
@@ -236,10 +236,11 @@ def feedback_vertex_set_opt(adj: list[int]) -> int:
 # No decision of a gadget half reads the context.  A gadget vertex that is
 # not a label has all its neighbours in the gadget, so its degree, its
 # dominators and their gains are the same in every glued graph.  A label's
-# are not, so a label is never peeled or dropped.  A leaf is a state in
-# which only labels are left of the gadget, kept with the least size that
-# reaches it; the context half takes the best leaf completed exactly, which
-# is the optimum of the glued graph.
+# are not, so no label is dropped for them: the vertex cover half tries
+# every set of taken labels, and the dominating set half branches on
+# non-labels only.  A leaf is a state in which only labels are left of the
+# gadget, kept with the least size that reaches it; the context half takes
+# the best leaf completed exactly, which is the optimum of the glued graph.
 
 
 def solver_probe(
@@ -261,48 +262,34 @@ def solver_probe(
 def vertex_cover_probe(gadget: tuple[int, ...], b: int) -> Callable[[tuple, dict], int]:
     """Minimum vertex cover of the gadget glued onto each context.
 
-    The gadget half peels and branches on the gadget's vertices that are not
-    labels, as `_cover` does but with no bound, until only labels are left
-    of the gadget.  Its leaves give the least size for each set of taken
-    labels.  Per context, a leaf leaves the context's vertices but the taken
-    labels, whose optimum depends on the label–label edges of both sides:
-    the memo key is that active set with those edges.  Leaves are tried by
-    increasing size, up to the best total found."""
+    The gadget half finds, for each set T of taken labels, the least cover
+    g(T) of the gadget's edges that takes exactly the labels in T and leaves
+    the label–label edges to the context half.  A label left out needs its
+    non-label neighbours, so g(T) = |T| + |those| + `_cover` of the
+    non-labels left.  A leaf (s, T) is dropped when another (s2, T2) has
+    s2 + |T ∖ T2| <= s: a context cover for T plus the labels of T ∖ T2 is
+    one for T2, so T2's total is no larger.  Per context, a leaf leaves the
+    context's vertices but the taken labels, whose optimum depends on the
+    label–label edges of both sides: the memo key is that active set with
+    those edges.  Leaves are tried by increasing size, up to the best total
+    found."""
     n = len(gadget)
     labels = (1 << b) - 1
-    least: dict[int, int] = {}
-    stack = [((1 << n) - 1, 0)]
-    while stack:
-        active, size = stack.pop()
-        m = active & ~labels
-        while m:
-            low = m & -m
-            m ^= low
-            d = gadget[low.bit_length() - 1] & active
-            if d & (d - 1) == 0:
-                # isolated: drop it; one neighbour: take that neighbour
-                active ^= low | d
-                if d:
-                    size += 1
-                    m = (m | gadget[d.bit_length() - 1]) & active & ~labels
-        rest = active & ~labels
-        if not rest:
-            taken = labels & ~active
-            if size < least.get(taken, n + 1):
-                least[taken] = size
-            continue
-        # branch on the first vertex of largest degree: it, or its neighbours
-        pick, deg = 0, 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            d = (gadget[low.bit_length() - 1] & active).bit_count()
-            if d > deg:
-                pick, deg = low, d
-        nb = gadget[pick.bit_length() - 1] & active
-        stack.append((active & ~nb ^ pick, size + deg))
-        stack.append((active ^ pick, size + 1))
-    leaves = sorted((size, taken) for taken, size in least.items())
+    others = (1 << n) - 1 & ~labels
+    least = []
+    for taken in range(1 << b):
+        forced = 0
+        for v in range(b):
+            if not taken >> v & 1:
+                forced |= gadget[v]
+        forced &= others
+        size = taken.bit_count() + forced.bit_count()
+        least.append((size + _cover(gadget, others & ~forced).bit_count(), taken))
+    leaves = sorted(
+        (size, taken)
+        for size, taken in least
+        if not any(s2 + (taken & ~t2).bit_count() <= size for s2, t2 in least if t2 != taken)
+    )
     gadget_edges = 0
     for nb in gadget[:b]:
         gadget_edges = gadget_edges << b | nb & labels

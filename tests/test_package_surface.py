@@ -1,13 +1,15 @@
-"""Every public function, class and method of the package is one a program runs.
+"""Every function, class and method of the package is one a program runs.
 
 A name defined at the top level of a `src/twkern` module, or as a method of
 one of its classes, is reached when a program path refers to it: top-level
 code of a package module other than `twkern/__init__.py` (a re-export is not
 a caller), any code in `demos/` or `stagebench/`, or the body of a name
-already reached.  A class's body counts without its public methods, which
-are reached on their own.  References are matched by bare name, read with
-`ast`, so a method is reached by any attribute of its name.  Tests are not a
-program path: code only they call belongs in the tests.
+already reached.  Private names count as public ones do, so a helper is
+flagged once its last caller is gone.  Dunder methods are called by Python
+itself and count as part of their class's body, which counts without its
+other methods, reached on their own.  References are matched by bare name,
+read with `ast`, so a method is reached by any attribute of its name.  Tests
+are not a program path: code only they call belongs in the tests.
 """
 
 import ast
@@ -47,10 +49,14 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreached_names() -> list[tuple[str, str]]:
-    """(module, name) of the public top-level functions and classes of the
-    package, and of the public methods of its classes as "Class.method",
-    that no program path reaches."""
+    """(module, name) of the top-level functions and classes of the
+    package, and of the methods of its classes but dunders as
+    "Class.method", that no program path reaches."""
     definitions: dict[str, list[tuple[str, str]]] = {}  # bare name -> definitions
     uses: dict[tuple[str, str], set[str]] = {}  # definition -> names in its body
     roots: set[str] = set()
@@ -67,7 +73,8 @@ def unreached_names() -> list[tuple[str, str]]:
             elif isinstance(stmt, ast.ClassDef):
                 rest = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
                 for f in stmt.body:
-                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(f.name):
+                    method = isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    if method and not _dunder(f.name):
                         define((module, f"{stmt.name}.{f.name}"), f.name, [f])
                     else:
                         rest.append(f)
@@ -84,14 +91,25 @@ def unreached_names() -> list[tuple[str, str]]:
             if key not in reached:
                 reached.add(key)
                 todo.extend(uses[key])
-    return sorted(
-        key for key in uses if all(map(_public, key[1].split("."))) and key not in reached
-    )
+    return sorted(key for key in uses if key not in reached)
+
+
+def _unreached(public: bool) -> list[str]:
+    return [
+        f"{m}.{name}"
+        for m, name in unreached_names()
+        if (m, name) not in ALLOWED and all(map(_public, name.split("."))) == public
+    ]
 
 
 def test_every_public_name_is_reached_by_a_program():
-    unreached = [f"{m}.{name}" for m, name in unreached_names() if (m, name) not in ALLOWED]
+    unreached = _unreached(public=True)
     assert not unreached, f"package code no program runs: {', '.join(unreached)}"
+
+
+def test_every_private_name_is_reached_by_a_program():
+    unreached = _unreached(public=False)
+    assert not unreached, f"private helpers no program runs: {', '.join(unreached)}"
 
 
 def test_allowed_names_still_exist_and_are_unreached():

@@ -217,14 +217,14 @@ class TestCertificateProbes:
             certify_pair(VC, member, member, 0, [glue_plan(ctx)], {}, [{}])
 
     @staticmethod
-    def _probe_every_pair(p, size_bound, width, context_size):
+    def _probe_every_pair(p, size_bound, width, context_size, boundaries=range(3)):
         """(member, context index, glued masks, probe value) for every member
         of up to size_bound vertices and treewidth `width` against every
-        context up to context_size, b <= 2, with one memo per context that
-        the members share in build order, as in build_replacement_table: a
-        memo entry that is not the optimum of what it keys shows up in a
-        later member's probe."""
-        for b in range(3):
+        context up to context_size, b in `boundaries`, with one memo per
+        context that the members share in build order, as in
+        build_replacement_table: a memo entry that is not the optimum of what
+        it keys shows up in a later member's probe."""
+        for b in boundaries:
             plans = [glue_plan(ctx) for ctx in certificate_contexts(b, context_size)]
             memos = [{} for _ in plans]
             for member in boundaried_universe(size_bound, b, width):
@@ -269,6 +269,24 @@ class TestCertificateProbes:
                     checked += 1
                 seen.add(key)
         assert checked > 1000
+
+    @pytest.mark.parametrize("problem", ["dominating-set", "independent-set", "vertex-cover"])
+    def test_probes_match_branch_and_bound_at_b3(self, problem):
+        # t=3 tables probe three labels, where the vertex cover gadget half
+        # has 8 sets of taken labels: every t=3 member of up to 5 vertices
+        # on every context up to 5, checked as at t=2
+        p = CATALOG[problem]
+        seen = set()
+        checked = 0
+        for member, idx, adj, got in self._probe_every_pair(p, 5, 3, 5, boundaries=[3]):
+            assert got == p.solver(adj).bit_count(), (member, idx)
+            key = tuple(adj)
+            if key not in seen:
+                if len(seen) % 64 == 0:
+                    assert got == self._brute(p, adj), (member, idx)
+                    checked += 1
+                seen.add(key)
+        assert checked > 700
 
     def test_dominating_set_probe_reads_context_label_edges(self):
         # the member's end labels dominate each other only through the
@@ -356,6 +374,28 @@ class TestCertificateProbes:
         assert counts["gadgets"] == 2 * pairs
         # b=0: (13 + 1) * (31 + 82); b=1: (32 + 5) * (74 + 65)
         assert counts["contexts"] == want == 6725
+
+    @pytest.mark.parametrize(
+        "problem, certify, t, size_bound, entries",
+        [
+            ("vertex-cover", "thorough", 1, 6, 10930),
+            ("dominating-set", "thorough", 1, 6, 27574),
+            ("vertex-cover", "light", 2, 5, 2034),
+        ],
+    )
+    def test_memo_entries_are_pinned(self, monkeypatch, problem, certify, t, size_bound, entries):
+        # each entry is one exact search below a context half (for vertex
+        # cover, one memo miss), so the count is the work the memos save or
+        # lose, which no verdict shows
+        stores = {}
+
+        def recording_pair(*args):
+            stores[id(args[6])] = args[6]
+            return certify_pair(*args)
+
+        monkeypatch.setattr(replacement_mod, "certify_pair", recording_pair)
+        build_replacement_table(CATALOG[problem], t, size_bound, certify=certify, rng_seed=1)
+        assert sum(len(memo) for memos in stores.values() for memo in memos) == entries
 
     @pytest.mark.parametrize(
         "certify, rng_seed, t, skipped",
