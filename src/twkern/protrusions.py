@@ -8,9 +8,10 @@ whose closed neighborhoods are r-protrusions attached only to the core.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import Graph
 from .modulators import Modulator, balanced_separation
@@ -176,18 +177,116 @@ def _tree_code(g: Graph, bset: frozenset[int], c: frozenset[int], codes: dict) -
 
 
 def _closure_fits(g: Graph, bset: frozenset[int], c: frozenset[int], t: int) -> bool:
-    """Can tw(G[B ∪ C]) <= t hold, for C a component of G - B that touches
-    B?  Certain for t <= 2, where no closure Graph is built."""
-    if t <= 1:
-        # B ∪ C is connected and |B| <= 1 spans no edge: a tree exactly when
-        # it has |B| + |C| - 1 edges, each counted from both ends
-        ends = sum(map(g.degree, c)) + sum(len(g.neighbors(v) & c) for v in bset)
-        return ends == 2 * (len(bset) + len(c) - 1)
+    """Can tw(G[B ∪ C]) <= t hold, for t >= 2 and C a component of G - B that
+    touches B?  Certain for t = 2, where no closure Graph is built."""
     if t == 2:
         return width_at_most_2(g, bset | c)
     # the MMW bound refutes most wide closures before any min-fill
     closure = g.induced_subgraph(bset | c)[0]
     return mmw_lower_bound(closure) <= t and decide_treewidth(closure, t) is not False
+
+
+def _cut_pieces(g: Graph) -> tuple[int, Callable[[int], tuple[int, list[frozenset[int]]]]]:
+    """One depth-first search of g (Hopcroft & Tarjan's cut-vertex search):
+    the number of components of g, and a function that gives, for a vertex
+    c, how many components G - c has in c's component and, ordered by
+    smallest vertex, those C for which G[{c} ∪ C] is a tree.
+
+    Each vertex counts its edges to earlier vertices, which are its
+    ancestors; summed over a subtree, they are the edges inside it and from
+    it upward.  A child w of c with low(w) >= disc(c) roots a component of
+    G - c whose only edges out go to c: a slice of the preorder, whose
+    closure is a tree exactly when that count equals its size.  What is left
+    of c's component without c and those slices is one more component when
+    nonempty; its counts come by subtraction, and its vertex set is built
+    only when its closure is a tree.
+    """
+    n, adj = g.n, g.neighbors
+    disc, low, root = [-1] * n, [0] * n, [0] * n
+    size, up = [1] * n, [0] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    order: list[int] = []
+    ncomps = 0
+    for r in g.vertices:
+        if disc[r] >= 0:
+            continue
+        ncomps += 1
+        disc[r], root[r] = len(order), r
+        order.append(r)
+        stack = [(r, iter(adj(r)))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if disc[w] < 0:
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
+                    root[w] = r
+                    kids[v].append(w)
+                    stack.append((w, iter(adj(w))))
+                    break
+                if disc[w] < disc[v]:  # the parent, or an ancestor by a back edge
+                    up[v] += 1
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    size[p] += size[v]
+                    up[p] += up[v]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+
+    def subtree(w: int) -> list[int]:
+        return order[disc[w] : disc[w] + size[w]]
+
+    def pieces(c: int) -> tuple[int, list[frozenset[int]]]:
+        cut = [w for w in kids[c] if low[w] >= disc[c]]
+        trees = sorted((frozenset(subtree(w)) for w in cut if up[w] == size[w]), key=min)
+        r = root[c]
+        rest = size[r] - 1 - sum(size[w] for w in cut)
+        if rest and up[r] - sum(up[w] for w in cut) == rest:
+            # the rest holds r, the smallest vertex of the component
+            trees.insert(0, frozenset(subtree(r)).difference((c,), *map(subtree, cut)))
+        return len(cut) + (rest > 0), trees
+
+    return ncomps, pieces
+
+
+def _bases(g: Graph, t: int) -> Iterator[tuple[frozenset[int], list[frozenset[int]]]]:
+    """Every boundary set B of at most t vertices that `_boundary_unions`
+    keeps, with the components C of G - B that can be in a union, ordered by
+    smallest vertex: those that touch B and have tw(G[B ∪ C]) <= t.  With B
+    empty they are the one-vertex components, as a larger one has width
+    > t = 0 or comes from B = {v}, v in it.
+
+    At t <= 1 one `_cut_pieces` search lists them all, an edge count
+    deciding each closure; from t = 2 each B takes a component scan and
+    `_closure_fits`.
+    """
+    if t <= 1:
+        ncomps, pieces = _cut_pieces(g)
+        if ncomps > 1:
+            yield frozenset(), [frozenset({v}) for v in g.vertices if not g.degree(v)]
+        if t == 1:
+            for c in g.vertices:
+                count, trees = pieces(c)
+                # G - c has ncomps - 1 + count components; an isolated c is interior
+                if count and ncomps + count > 2:
+                    yield frozenset({c}), trees
+        return
+    for b in range(t + 1):
+        for combo in combinations(g.vertices, b):
+            bset = frozenset(combo)
+            comps = g.connected_components(avoid=bset)
+            if len(comps) < 2 or any(g.neighbors(v) <= bset for v in bset):
+                continue  # the only union is V, or a vertex of B is interior
+            yield bset, [
+                c
+                for c in comps
+                if (g.open_neighborhood(c) & bset if bset else len(c) == 1)
+                and _closure_fits(g, bset, c, t)
+            ]
 
 
 def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]]:
@@ -200,14 +299,18 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
     they give no such X or give it from another B: a B holding a vertex with
     no neighbor outside B, components that miss a nonempty B or, with B
     empty, have more than one vertex, and components C with
-    tw(G[B ∪ C]) > t (width only grows).  That width is read from g's
-    adjacency for t <= 2 (`_closure_fits`); the MMW bound and
-    `decide_treewidth` are asked only from t = 3.
+    tw(G[B ∪ C]) > t (width only grows).  The bases and their components
+    come from `_bases`: at t <= 1 from one depth-first search, where an edge
+    count tells the trees; at t = 2 from G's adjacency
+    (`treedec.width_at_most_2`); the MMW bound and `decide_treewidth` are
+    asked only from t = 3.
 
     Components are copies when their closures are isomorphic fixing B: told
     by `_tree_code` when G[C] with its edges to B is a tree (always at
     t <= 1), else only when the map in sorted vertex order is such an
-    isomorphism.  Swapping copies is an automorphism of G fixing B, so of
+    isomorphism.  Only components of equal size can be copies, so a
+    component whose size no other one of its B has is a kind of its own
+    without a code.  Swapping copies is an automorphism of G fixing B, so of
     unions that differ only in which copies they keep, only the first in the
     order is listed: the one keeping the copies with the smallest vertices.
     The search is best-first over how many copies of each kind a union
@@ -224,26 +327,19 @@ def _boundary_unions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
         if any(counts) and len(xs) >= min_size:
             heapq.heappush(heap, (-len(xs), tuple(sorted(xs)), i, counts, last))
 
-    for b in range(t + 1):
-        for combo in combinations(g.vertices, b):
-            bset = frozenset(combo)
-            comps = g.connected_components(avoid=bset)
-            if len(comps) < 2 or any(g.neighbors(v) <= bset for v in bset):
-                continue  # the only union is V, or a vertex of B is interior
-            kinds: dict[object, list[frozenset[int]]] = {}
-            for c in comps:
-                # with B empty, a larger component has width > t = 0 or comes
-                # from B = {v}, v in it
-                touches = g.open_neighborhood(c) & bset if bset else len(c) == 1
-                if not touches or not _closure_fits(g, bset, c, t):
-                    continue
+    for bset, comps in _bases(g, t):
+        sizes = Counter(map(len, comps))
+        kinds: dict[object, list[frozenset[int]]] = {}
+        for c in comps:
+            key: object = c  # no other component of B has its size: no copy
+            if sizes[len(c)] > 1:
                 key = _tree_code(g, bset, c, codes)
                 if key is None:
                     index = {v: i for i, v in enumerate([*sorted(bset), *sorted(c)])}
                     key = frozenset((index[u], index[w]) for u in c for w in g.neighbors(u))
-                kinds.setdefault(key, []).append(c)
-            bases.append((bset, list(kinds.values())))
-            push(len(bases) - 1, tuple(len(copies) for copies in kinds.values()), 0)
+            kinds.setdefault(key, []).append(c)
+        bases.append((bset, list(kinds.values())))
+        push(len(bases) - 1, tuple(len(copies) for copies in kinds.values()), 0)
     while heap:
         _, xs, i, counts, last = heapq.heappop(heap)
         yield frozenset(xs)
@@ -259,7 +355,9 @@ def iter_protrusions(g: Graph, t: int, min_size: int) -> Iterator[frozenset[int]
     Every connected X != V with |∂X| <= t, an interior and min_size <= |X| is
     tried, in order (-|X|, sorted X), except that of sets mapped onto each
     other by swapping copies of components (see `_boundary_unions`) only the
-    first is tried: they are t-protrusions alike and replace alike.  Each
+    first is tried: they are t-protrusions alike and replace alike.  At
+    t <= 1 the candidates of a call come from one depth-first search
+    (`_cut_pieces`), not from a component scan per boundary vertex.  Each
     candidate B ∪ U has ∂X ⊆ B, so its boundary, interior and size hold by
     construction.  A set is yielded when it is connected and
     `decide_treewidth` certifies tw(G[X]) <= t, which is certain for t <= 2

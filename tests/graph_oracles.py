@@ -3,8 +3,9 @@ generation by canonicalizing every one-vertex extension, all graphs up to
 isomorphism, boundary placement by canonicalizing every ordered placement,
 the minor operations, grid-minor containment, connected-subset enumeration,
 annotated boundaried graphs, induced subgraphs by an all-edges filter, the
-protrusion search's width filter on built closure graphs, and the edge, label
-and separation queries that only tests ask.
+protrusion search's width filter on built closure graphs, its t <= 1 listing
+by one component scan per boundary set, and the edge, label and separation
+queries that only tests ask.
 
 They are slow, exhaustive references that the package code is checked
 against; nothing in the package uses them.
@@ -227,10 +228,11 @@ def induced_subgraph_by_edges(g: Graph, keep: Iterable[int]) -> tuple[Graph, tup
 
 
 def closure_fits_by_graph(g: Graph, bset: frozenset[int], c: frozenset[int], t: int) -> bool:
-    """`protrusions._closure_fits` on a built closure Graph G[B ∪ C]: an edge
-    test at t = 0 and a forest test at t = 1; from t = 2 the MMW bound
-    refutes, a min-fill width <= t confirms, exact treewidth decides within
-    its budget, and a larger closure stays undecided and is kept."""
+    """Can tw(G[B ∪ C]) <= t hold, asked of a built closure Graph G[B ∪ C]:
+    an edge test at t = 0 and a forest test at t = 1; from t = 2, as
+    `protrusions._closure_fits` asks it, the MMW bound refutes, a min-fill
+    width <= t confirms, exact treewidth decides within its budget, and a
+    larger closure stays undecided and is kept."""
     closure = induced_subgraph_by_edges(g, bset | c)[0]
     if t <= 1:
         return closure.m == 0 if t == 0 else closure.is_acyclic()
@@ -239,6 +241,38 @@ def closure_fits_by_graph(g: Graph, bset: frozenset[int], c: frozenset[int], t: 
     if minfill_order(closure)[0] <= t:
         return True
     return closure.n > EXACT_TW_BUDGET or exact_treewidth(closure)[0] <= t
+
+
+def boundary_unions_by_scans(g: Graph, t: int, min_size: int) -> list[frozenset[int]]:
+    """`protrusions._boundary_unions` for t <= 1, by one component scan per
+    boundary set: every B with |B| <= t, the components of G - B that touch
+    B (with B empty, the one-vertex ones) and pass `closure_fits_by_graph`,
+    copies told by `canonical_key` of the closure with B seated, and every
+    union of the first copies of each kind, sorted by (-size, sorted
+    vertices)."""
+    if t > 1:
+        raise ValueError("copies are told exactly only when every closure is a tree")
+    out = []
+    for b in range(t + 1):
+        for combo in itertools.combinations(g.vertices, b):
+            bset = frozenset(combo)
+            comps = g.connected_components(avoid=bset)
+            if len(comps) < 2 or any(g.neighbors(v) <= bset for v in bset):
+                continue
+            kinds: dict[tuple, list[frozenset[int]]] = {}
+            for c in comps:
+                touches = g.open_neighborhood(c) & bset if bset else len(c) == 1
+                if touches and closure_fits_by_graph(g, bset, c, t):
+                    closure, old = g.induced_subgraph(bset | c)
+                    key = canonical_key(closure, tuple(old.index(v) for v in combo))
+                    kinds.setdefault(key, []).append(c)
+            ranges = [range(len(copies) + 1) for copies in kinds.values()]
+            for counts in itertools.product(*ranges):
+                keep = (c for copies, k in zip(kinds.values(), counts) for c in copies[:k])
+                xs = bset.union(*keep)
+                if any(counts) and len(xs) >= min_size:
+                    out.append(xs)
+    return sorted(out, key=lambda xs: (-len(xs), sorted(xs)))
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:

@@ -1,22 +1,22 @@
 """Property tests of the protrusion search: against connected-subset
-enumeration, and its width filter against one on built closure graphs."""
+enumeration, its t <= 1 listing against one component scan per boundary
+set, and its width filters against ones on built closure graphs."""
 
 import random
-from itertools import combinations
 
 import networkx as nx
 import pytest
-from graph_oracles import closure_fits_by_graph, connected_subsets
+from graph_oracles import boundary_unions_by_scans, closure_fits_by_graph, connected_subsets
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twkern import protrusions
 from twkern.enumeration import connected_graphs
-from twkern.graphs import Graph
+from twkern.graphs import Graph, path_graph
 from twkern.harness import gen_corpus
 from twkern.protrusions import (
     _boundary_unions,
-    _closure_fits,
+    _cut_pieces,
     iter_protrusions,
     validate_protrusion,
 )
@@ -31,6 +31,14 @@ def graphs(draw, max_n=12):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
     return Graph(n, edges)
+
+
+@st.composite
+def forests(draw, max_n=14):
+    """A forest: each vertex after the first joins an earlier one or not."""
+    n = draw(st.integers(1, max_n))
+    parents = draw(st.lists(st.none() | st.integers(0, n), min_size=n - 1, max_size=n - 1))
+    return Graph(n, [(p % i, i) for i, p in enumerate(parents, 1) if p is not None])
 
 
 def reference_protrusions(g: Graph, t: int, min_size: int) -> list[frozenset[int]]:
@@ -135,29 +143,55 @@ SEARCH_INPUTS = {
 
 
 @pytest.mark.parametrize("name", SEARCH_INPUTS)
-@pytest.mark.parametrize("t", [1, 2])
-def test_search_lists_the_candidates_of_closure_graphs(name, t, monkeypatch):
-    # the width filter read from the host's adjacency leaves the candidates
-    # and their order as the filter on built closure graphs does
+def test_search_lists_the_candidates_of_closure_graphs(name, monkeypatch):
+    # at t = 2 the width filter read from the host's adjacency leaves the
+    # candidates and their order as the filter on built closure graphs does
     g = SEARCH_INPUTS[name]
-    found = list(_boundary_unions(g, t, 1))
+    found = list(_boundary_unions(g, 2, 1))
     monkeypatch.setattr(protrusions, "_closure_fits", closure_fits_by_graph)
-    assert found == list(_boundary_unions(g, t, 1))
+    assert found == list(_boundary_unions(g, 2, 1))
+
+
+def _assert_listing_matches_scans(g: Graph) -> None:
+    for t in (0, 1):
+        for min_size in (1, 3, 7):
+            assert list(_boundary_unions(g, t, min_size)) == boundary_unions_by_scans(
+                g, t, min_size
+            )
+
+
+@pytest.mark.parametrize("name", SEARCH_INPUTS)
+def test_one_search_lists_the_candidates_of_component_scans(name):
+    # the depth-first listing at t <= 1 gives the candidates of one
+    # component scan per boundary set, in the same order, however numbered
+    g = SEARCH_INPUTS[name]
+    for h in (g, _renumbered(g, 2), _renumbered(g, 3)):
+        _assert_listing_matches_scans(h)
+
+
+@example(g=path_graph(9))  # a host that is one tree: the rest of c's component fits
+@example(g=Graph(14, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8)]))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(g=graphs(max_n=14) | forests())
+def test_one_search_matches_component_scans_on_small_graphs(g):
+    _assert_listing_matches_scans(g)
 
 
 def test_tree_count_agrees_with_decide_treewidth():
-    # every closure B ∪ C with |B| <= t <= 1 that the search asks about, on
-    # all connected graphs of up to 7 vertices and random graphs of up to 13
+    # every component C of G - c that touches c, on all connected graphs of
+    # up to 7 vertices and random graphs of up to 13: the depth-first search
+    # counts it, and lists it exactly when tw(G[{c} ∪ C]) <= 1
     rng = random.Random(21)
     cases = [g for graphs in connected_graphs(7).values() for g, _ in graphs]
     cases += [sparse_random_graph(rng, rng.randint(1, 13)) for _ in range(400)]
     asked = 0
     for g in cases:
-        for t in (0, 1):
-            for bset in map(frozenset, combinations(g.vertices, t)):
-                for c in g.connected_components(avoid=bset):
-                    if g.open_neighborhood(c) & bset if bset else len(c) == 1:
-                        closure = g.induced_subgraph(bset | c)[0]
-                        assert _closure_fits(g, bset, c, t) == decide_treewidth(closure, t)
-                        asked += 1
+        ncomps, pieces = _cut_pieces(g)
+        assert ncomps == len(g.connected_components())
+        for c in g.vertices:
+            touching = [comp for comp in g.connected_components(avoid={c}) if g.neighbors(c) & comp]
+            closures = [g.induced_subgraph(comp | {c})[0] for comp in touching]
+            fits = [comp for comp, h in zip(touching, closures) if decide_treewidth(h, 1)]
+            assert pieces(c) == (len(touching), fits)
+            asked += len(touching)
     assert asked > 5000

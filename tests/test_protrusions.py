@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+from twkern import protrusions
 from twkern.graphs import Graph, complete_graph, disjoint_union, make_grid, path_graph
 from twkern.modulators import Modulator, exact_modulator, recursive_modulator
 from twkern.problems import CATALOG, opt_fast
 from twkern.protrusions import (
     ProtrusionDecomposition,
+    _boundary_unions,
     build_pd,
     iter_protrusions,
     validate_pd,
@@ -263,3 +265,40 @@ class TestProtrusionSearch:
         renumbered = Graph(n, [(perm[u], perm[v]) for u, v in edges])
         counts = [sum(1 for _ in iter_protrusions(h, 1, 7)) for h in (Graph(n, edges), renumbered)]
         assert counts[0] == counts[1]
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Replace owner.name by a wrapper that records each call."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def grid_with_pendant_path(length: int) -> Graph:
+    # a 4x4 grid with a path of `length` vertices hanging off vertex 0
+    path = [(0, 16), *((v, v + 1) for v in range(16, 15 + length))]
+    return Graph(16 + length, [*make_grid(4).edges, *path])
+
+
+class TestSearchWork:
+    # counts of calls, not times: how much work one search pass does
+
+    def test_one_pass_at_t_le_1_scans_no_components(self, monkeypatch):
+        graphs = [grid_with_pendant_path(40), pendant_path_graph()]
+        graphs.append(disjoint_union(path_graph(5), Graph(3, [(0, 1)])))
+        scans = _counted(monkeypatch, Graph, "connected_components")
+        listed = [list(_boundary_unions(g, t, 1)) for g in graphs for t in (0, 1)]
+        assert scans == [] and all(listed[1::2])
+
+    def test_lone_components_get_no_tree_code(self, monkeypatch):
+        # at every vertex of the path one component of G - v fits, so none
+        # can have a copy and none is coded
+        g = grid_with_pendant_path(800)
+        codes = _counted(monkeypatch, protrusions, "_tree_code")
+        assert next(iter_protrusions(g, 1, 1)) == frozenset({0, *range(16, 816)})
+        assert len(codes) <= 2
